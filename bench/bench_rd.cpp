@@ -31,7 +31,6 @@
 #include "codec/wedge_codec.hpp"
 #include "metrics/metrics.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 #include "util/topology.hpp"
 
 namespace {
@@ -105,10 +104,6 @@ int main(int argc, char** argv) {
   if (n_workers == 0) {
     n_workers = std::min<std::size_t>(4, util::hardware_threads());
   }
-  // Worker-pool parallelism only — same pinning as bench_stream, so
-  // wedges/s columns are comparable across benches.
-  util::set_num_threads(1);
-
   codec::StreamOptions opt;
   opt.n_workers = n_workers;
   opt.batch_size =

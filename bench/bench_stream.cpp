@@ -5,9 +5,11 @@
 /// Measures wedges/s through StreamCompressor (encode) and
 /// StreamDecompressor (decode, the offline-analysis side) as n_workers grows
 /// from 1 to the hardware concurrency, once with the single shared
-/// BoundedQueue and once with the sharded work-stealing intake, with OpenMP
-/// pinned to one thread per worker so the only parallelism under test is the
-/// worker pool itself.  The comparison is what the sharded intake claims: at
+/// BoundedQueue and once with the sharded work-stealing intake.  The
+/// workers share the OpenMP core budget: StreamPipeline gives each a team of
+/// budget / live workers (at least 1), so up to the budget a row changes how
+/// the cores are split between workers and intra-op threads, not how many
+/// threads run.  The comparison is what the sharded intake claims: at
 /// high worker counts the sharded rows should be no worse than the
 /// single-queue rows (the shared queue's mutex is the contention point the
 /// shards remove), and the `stolen` column shows the stealing actually
@@ -45,7 +47,6 @@
 #include "codec/stream.hpp"
 #include "tpc/dataset.hpp"
 #include "util/cli.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 #include "util/topology.hpp"
 
@@ -154,10 +155,6 @@ int main(int argc, char** argv) {
   // The decode sweep replays pre-compressed wedges: storage -> analysis.
   std::vector<codec::WedgeEnvelope> stored;
   for (const auto& w : wedges) stored.push_back(wedge_codec.compress(w));
-
-  // One OpenMP thread per worker: scaling must come from the worker pool,
-  // not from intra-batch OpenMP fan-out fighting it for cores.
-  util::set_num_threads(1);
 
   const unsigned hw = static_cast<unsigned>(util::hardware_threads());
   std::size_t max_workers = static_cast<std::size_t>(

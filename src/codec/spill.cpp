@@ -9,6 +9,10 @@
 
 #include "util/serialize.hpp"
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 namespace nc::codec {
 
 namespace {
@@ -21,6 +25,14 @@ constexpr std::uint64_t kRecordOverheadBytes = 16 + 4;  // header + crc
 // allocation ahead of the CRC check, while leaving orders of magnitude of
 // headroom over any real record.
 constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 28;  // 256 MiB
+
+std::uint64_t process_id() {
+#if defined(__unix__) || defined(__APPLE__)
+  return static_cast<std::uint64_t>(::getpid());
+#else
+  return 0;
+#endif
+}
 }  // namespace
 
 SpillRecord read_spill_record(std::istream& is) {
@@ -63,10 +75,11 @@ SpillLog::SpillLog(SpillOptions options) : options_(std::move(options)) {
     throw util::SerializeError("cannot create spill dir '" + options_.dir +
                                "': " + (ec ? ec.message() : "not a directory"));
   }
-  // Per-instance file prefix so two pipelines pointed at the same directory
-  // never interleave segments.
+  // Per-process, per-instance file prefix so two logs pointed at the same
+  // directory — in one process or in several — never share a segment name.
   static std::atomic<std::uint64_t> instance{0};
-  prefix_ = "spill-" + std::to_string(instance.fetch_add(1)) + "-";
+  prefix_ = "spill-" + std::to_string(process_id()) + "-" +
+            std::to_string(instance.fetch_add(1)) + "-";
 }
 
 SpillLog::~SpillLog() { close(); }
@@ -81,11 +94,25 @@ void SpillLog::roll_segment_locked() {
   if (out_.is_open()) out_.close();
   out_.clear();
   Segment seg;
-  seg.id = next_segment_id_++;
-  seg.path = segment_path(seg.id);
-  out_.open(seg.path, std::ios::binary | std::ios::trunc);
+  // Create the file exclusively and never truncate: a name already on disk
+  // (kept segments of an earlier process that had the same pid) is skipped.
+  while (true) {
+    seg.id = next_segment_id_++;
+    seg.path = segment_path(seg.id);
+    if (std::FILE* created = std::fopen(seg.path.c_str(), "wbx")) {
+      (void)std::fclose(created);  // still empty; out_ reopens it below
+      break;
+    }
+    std::error_code ec;
+    if (!std::filesystem::exists(seg.path, ec)) {
+      throw util::SerializeError("cannot create spill segment: " + seg.path);
+    }
+  }
+  out_.open(seg.path, std::ios::binary | std::ios::in | std::ios::out);
   if (!out_) {
     out_.clear();
+    std::error_code ec;
+    std::filesystem::remove(seg.path, ec);
     throw util::SerializeError("cannot open spill segment: " + seg.path);
   }
   util::write_magic(out_, kSpillKind, kFormatVersion);

@@ -29,9 +29,12 @@
 /// becomes bytes, the log only guarantees integrity and FIFO order.
 ///
 /// Segmenting: the writer rolls to a new segment file every
-/// `segment_bytes`; a fully-replayed segment that is no longer the write
-/// tail is deleted immediately (unless `keep`), so steady-state disk usage
-/// is bounded by the pending backlog plus one segment of slack.  A failed
+/// `segment_bytes`.  Files are named `spill-<pid>-<instance>-<id>.seg` and
+/// created exclusively — a name already on disk is skipped, so a log never
+/// truncates segments another log (or an earlier process) kept.  A
+/// fully-replayed segment that is no longer the write tail is deleted
+/// immediately (unless `keep`), so steady-state disk usage is bounded by
+/// the pending backlog plus one segment of slack.  A failed
 /// record write (disk full, I/O error) poisons only the tail segment: the
 /// writer closes it and rolls on the next append, and every record already
 /// indexed stays replayable.
@@ -163,7 +166,7 @@ class SpillLog {
   std::string segment_path(std::size_t id) const;
 
   SpillOptions options_;
-  std::string prefix_;  ///< per-instance, so pipelines may share a dir
+  std::string prefix_;  ///< per process and instance, so logs may share a dir
   mutable std::mutex mutex_;
   std::deque<PendingRec> index_;
   std::deque<Segment> segments_;  ///< live segments, oldest first

@@ -78,6 +78,11 @@
 ///    node-major over the allowed CPU set (util/topology.hpp) and intake
 ///    shards are homed on their owner's NUMA node so depth-based steals
 ///    prefer same-node shards; unsupported platforms degrade to a no-op.
+///  * One scheduler (util/parallel.hpp): the core budget is the OpenMP team
+///    width of the thread that constructed the pipeline.  Before every batch
+///    a worker sets its own thread's width to budget / live workers (at
+///    least 1), or to 1 when it is pinned to a core, so the workers share
+///    the budget instead of each forking a full team inside the transform.
 ///  * `finish()` is idempotent (atomic exchange) and safe to call from any
 ///    thread, including implicitly via the destructor after an explicit
 ///    `finish()`.
@@ -107,6 +112,7 @@
 #include "codec/sharded_queue.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/serialize.hpp"
 #include "util/timer.hpp"
 #include "util/topology.hpp"
@@ -923,10 +929,9 @@ class StreamPipeline {
   }
 
   void worker_loop(std::size_t worker_index) {
-    if (worker_index < placement_.size() &&
-        util::pin_current_thread(placement_[worker_index].cpu)) {
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-    }
+    const bool pinned = worker_index < placement_.size() &&
+                        util::pin_current_thread(placement_[worker_index].cpu);
+    if (pinned) workers_pinned_.fetch_add(1, std::memory_order_relaxed);
     WorkerStats& ws = worker_stats_[worker_index];
     std::vector<Item> items;
     std::vector<std::uint64_t> seqs;
@@ -962,6 +967,12 @@ class StreamPipeline {
         break;
       }
       if (stolen) ++ws.batches_stolen;
+      // Team width for this batch, from the live count as it stands now
+      // (the pop may have blocked across a scale change).  A pinned worker
+      // stays at 1: a team it forked would inherit its one-CPU mask.
+      const auto live =
+          static_cast<int>(live_target_.load(std::memory_order_relaxed));
+      util::set_num_threads(pinned ? 1 : std::max(1, thread_budget_ / live));
       for (auto& item : items) {
         seqs.push_back(item.seq);
         batch.push_back(std::move(item.value));
@@ -1026,6 +1037,9 @@ class StreamPipeline {
   }
 
   StreamOptions options_;
+  /// Core budget shared by the workers: the constructing thread's OpenMP
+  /// team width (OMP_NUM_THREADS, or its util::set_num_threads).
+  const int thread_budget_ = util::num_threads();
   BatchFn transform_;
   ByteCounter payload_bytes_;
   SeqSink sink_;

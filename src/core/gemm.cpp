@@ -4,10 +4,7 @@
 #include <vector>
 
 #include "core/simd_dispatch.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/parallel.hpp"
 
 namespace nc::core {
 
@@ -24,7 +21,8 @@ void apply_beta(std::int64_t m, std::int64_t n, float beta, float* c,
                 std::int64_t ldc) {
   if (beta == 1.f) return;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (m * n > (1 << 15) && !omp_in_parallel())
+#pragma omp parallel for schedule(static) \
+    if (m * n > (1 << 15) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     float* ci = c + i * ldc;
@@ -107,7 +105,7 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && !omp_in_parallel())
+    if (n_row_blocks * n_col_blocks > 1 && util::may_fork())
 #endif
   for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
     for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {
@@ -143,7 +141,7 @@ void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
 
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && !omp_in_parallel())
+    if (n_row_blocks * n_col_blocks > 1 && util::may_fork())
 #endif
   for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
     for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "core/ops.hpp"
+#include "util/parallel.hpp"
 
 namespace nc::core {
 
@@ -31,7 +32,8 @@ LossValue focal_loss_with_logits(const Tensor& logits, const Tensor& labels,
   double acc = 0.0;
 
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (m > (1 << 14))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (m > (1 << 14) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const double z = zp[i];
@@ -69,7 +71,8 @@ LossValue bce_loss_with_logits(const Tensor& logits, const Tensor& labels) {
   const double inv_m = 1.0 / static_cast<double>(m);
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (m > (1 << 14))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (m > (1 << 14) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const double z = zp[i];
@@ -97,7 +100,8 @@ LossValue masked_mae_loss(const Tensor& pred, const Tensor& target,
   const double inv_m = 1.0 / static_cast<double>(m);
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (m > (1 << 14))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (m > (1 << 14) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     if (zp[i] > z_cut) {
@@ -124,7 +128,8 @@ LossValue mae_loss(const Tensor& pred, const Tensor& target) {
   const double inv_m = 1.0 / static_cast<double>(m);
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (m > (1 << 14))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (m > (1 << 14) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const double d = static_cast<double>(vp[i]) - static_cast<double>(tp[i]);
@@ -146,7 +151,8 @@ LossValue mse_loss(const Tensor& pred, const Tensor& target) {
   const double inv_m = 1.0 / static_cast<double>(m);
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (m > (1 << 14))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (m > (1 << 14) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const double d = static_cast<double>(vp[i]) - static_cast<double>(tp[i]);

@@ -79,7 +79,8 @@ double sum(const Tensor& t) {
   const std::int64_t n = t.numel();
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (n > (1 << 16))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (n > (1 << 16) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < n; ++i) acc += static_cast<double>(p[i]);
   return acc;
@@ -112,7 +113,8 @@ double mean_abs_diff(const Tensor& a, const Tensor& b) {
   const std::int64_t n = a.numel();
   double acc = 0.0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : acc) schedule(static) if (n > (1 << 16))
+#pragma omp parallel for reduction(+ : acc) schedule(static) \
+    if (n > (1 << 16) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < n; ++i)
     acc += std::abs(static_cast<double>(ap[i]) - static_cast<double>(bp[i]));
@@ -124,7 +126,8 @@ std::int64_t count_greater(const Tensor& t, float threshold) {
   const std::int64_t n = t.numel();
   std::int64_t count = 0;
 #ifdef _OPENMP
-#pragma omp parallel for reduction(+ : count) schedule(static) if (n > (1 << 16))
+#pragma omp parallel for reduction(+ : count) schedule(static) \
+    if (n > (1 << 16) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < n; ++i) count += (p[i] > threshold) ? 1 : 0;
   return count;

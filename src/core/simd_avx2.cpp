@@ -30,10 +30,7 @@
 #include <cstring>
 
 #include "core/simd_qpack.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/parallel.hpp"
 
 namespace nc::core::simd {
 namespace {
@@ -173,7 +170,7 @@ void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && !omp_in_parallel())
+    if (row_blocks > 1 && util::may_fork())
 #endif
   for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
     const std::int64_t i0 = rb * kRowBlk;

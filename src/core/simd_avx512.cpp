@@ -30,6 +30,7 @@
 #include <cstring>
 
 #include "core/simd_qpack.hpp"
+#include "util/parallel.hpp"
 
 // GCC's unmasked AVX-512 intrinsics deliberately pass an uninitialized
 // passthrough operand (`__Y` in avx512fintrin.h); with -O2 + OpenMP
@@ -37,10 +38,6 @@
 // header*.  Silence that single diagnostic for this TU only.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-#ifdef _OPENMP
-#include <omp.h>
 #endif
 
 namespace nc::core::simd {
@@ -180,7 +177,7 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && !omp_in_parallel())
+    if (row_blocks > 1 && util::may_fork())
 #endif
   for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
     const std::int64_t i0 = rb * kRowBlk;

@@ -8,10 +8,7 @@
 
 #include "core/simd_qpack.hpp"
 #include "util/logging.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include "util/parallel.hpp"
 
 namespace nc::core::simd {
 
@@ -33,7 +30,7 @@ void qgemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
   // K values used by BCAE encoders).
   constexpr std::int64_t kNB = 256;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (m > 1 && !omp_in_parallel())
+#pragma omp parallel for schedule(static) if (m > 1 && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int8_t* ai = a + i * k;

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "core/ops.hpp"
+#include "util/parallel.hpp"
 
 namespace nc::metrics {
 
@@ -20,7 +21,8 @@ ReconstructionMetrics evaluate_reconstruction(const core::Tensor& recon,
   std::int64_t tp_count = 0, pred_pos = 0, actual_pos = 0;
 #ifdef _OPENMP
 #pragma omp parallel for reduction(+ : abs_sum, sq_sum, tp_count, pred_pos, \
-                                       actual_pos) schedule(static) if (n > (1 << 16))
+                                       actual_pos) schedule(static) \
+    if (n > (1 << 16) && util::may_fork())
 #endif
   for (std::int64_t i = 0; i < n; ++i) {
     const double d = static_cast<double>(rp[i]) - static_cast<double>(tp[i]);

@@ -1,6 +1,11 @@
 /// \file parallel.hpp
 /// \brief Thin OpenMP wrappers so the rest of the library stays readable and
 ///        compiles (serially) without OpenMP.
+///
+/// The team width is OpenMP's per-thread `nthreads-var`, and every fork
+/// site in the library asks `may_fork()` before opening a team.
+/// `StreamPipeline` workers set their own width before every batch (see
+/// stream_pipeline.hpp); other callers keep the width they started with.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +16,7 @@
 
 namespace nc::util {
 
-/// Number of worker threads OpenMP will use for parallel regions.
+/// OpenMP team width of the calling thread (1 without OpenMP).
 inline int num_threads() {
 #ifdef _OPENMP
   return omp_get_max_threads();
@@ -20,7 +25,9 @@ inline int num_threads() {
 #endif
 }
 
-/// Set the OpenMP thread count (no-op without OpenMP).
+/// Set the calling thread's OpenMP team width (no-op without OpenMP).  The
+/// setting is per thread: it reaches teams this thread forks, and the
+/// budget of pipelines this thread constructs, not other threads.
 inline void set_num_threads(int n) {
 #ifdef _OPENMP
   if (n > 0) omp_set_num_threads(n);
@@ -38,6 +45,13 @@ inline int thread_index() {
 #endif
 }
 
+/// True iff the calling thread may open an OpenMP team: its team width is
+/// above 1 and it is not already inside a team.  Every fork site in
+/// src/core and src/metrics tests this (always false without OpenMP).
+/// Defined out of line so that the copy every caller links is compiled
+/// without the SIMD translation units' target flags.
+bool may_fork();
+
 /// parallel_for over [begin, end) with a body taking the index.
 /// `grain` suppresses parallelism for small trip counts where the fork/join
 /// overhead would dominate (important for the tiny BCAE-HT layers).
@@ -47,7 +61,7 @@ void parallel_for(std::int64_t begin, std::int64_t end, F&& body,
   const std::int64_t n = end - begin;
   if (n <= 0) return;
 #ifdef _OPENMP
-  if (n >= grain * 2 && omp_get_max_threads() > 1 && !omp_in_parallel()) {
+  if (n >= grain * 2 && may_fork()) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t i = begin; i < end; ++i) body(i);
     return;

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
@@ -161,6 +162,108 @@ TEST(SpillLog, UnwritableDirThrowsSerializeError) {
   SpillOptions opt;
   opt.dir = dir + "/file/nested";  // a path under a regular file
   EXPECT_THROW(SpillLog log(opt), SerializeError);
+}
+
+// ---------------------------------------------------------------------------
+// Segment naming: a log never truncates a file it did not create
+// ---------------------------------------------------------------------------
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Write a segment of `n` records (payload_for(i), seqs 0..n-1) by hand, in
+/// the on-disk format, without constructing a SpillLog.
+void write_segment_by_hand(const std::string& path, int n) {
+  std::ofstream out(path, std::ios::binary);
+  nc::util::write_magic(out, "SPIL", SpillLog::kFormatVersion);
+  nc::util::write_u32(out, 0);  // untagged
+  for (int i = 0; i < n; ++i) {
+    const std::string payload = payload_for(i);
+    const std::uint64_t seq = static_cast<std::uint64_t>(i);
+    const std::uint64_t len = payload.size();
+    char hdr[16];
+    std::memcpy(hdr, &seq, 8);
+    std::memcpy(hdr + 8, &len, 8);
+    out.write(hdr, sizeof(hdr));
+    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    const std::uint32_t crc = nc::util::crc32(hdr, sizeof(hdr));
+    nc::util::write_u32(out,
+                        nc::util::crc32(payload.data(), payload.size(), crc));
+  }
+}
+
+/// Replay `path` with SpillReader and expect exactly write_segment_by_hand's
+/// records.
+void expect_hand_written_records(const std::string& path, int n) {
+  SpillReader reader(path);
+  SpillRecord rec;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(reader.next(rec));
+    EXPECT_EQ(rec.seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(rec.payload, payload_for(i));
+  }
+  EXPECT_FALSE(reader.next(rec));
+}
+
+TEST(SpillLog, PreExistingSegmentSurvivesANewLogByteForByte) {
+  // A segment another process kept, under the name a process's first log
+  // picked before segment names carried the pid.  Written by hand, so that
+  // when this test runs alone the log under test is its process's first.
+  const std::string dir = fresh_dir();
+  fs::create_directories(dir);
+  const std::string kept = dir + "/spill-0-000000.seg";
+  write_segment_by_hand(kept, 5);
+  const std::string before = file_bytes(kept);
+  {
+    SpillOptions opt;
+    opt.dir = dir;
+    opt.segment_bytes = 1;  // roll per record: several fresh names
+    SpillLog log(opt);
+    for (int i = 0; i < 4; ++i) {
+      log.append(static_cast<std::uint64_t>(100 + i), payload_for(i));
+    }
+    for (int i = 0; i < 4; ++i) {
+      const auto rec = log.pop();
+      ASSERT_TRUE(rec.has_value() && rec->ok);
+      EXPECT_EQ(rec->seq, static_cast<std::uint64_t>(100 + i));
+    }
+  }  // close() deletes this log's own segments only
+  EXPECT_EQ(file_bytes(kept), before);
+  EXPECT_EQ(segment_files(dir), std::vector<std::string>{kept});
+  expect_hand_written_records(kept, 5);
+}
+
+TEST(SpillLog, TakenSegmentNameIsSkippedNotTruncated) {
+  // The per-process prefix makes a clash rare (an earlier process with the
+  // same pid); when the next name is taken anyway the log moves past it.
+  const std::string dir = fresh_dir();
+  SpillOptions opt;
+  opt.dir = dir;
+  opt.segment_bytes = 1;  // roll per record
+  SpillLog log(opt);
+  log.append(0, payload_for(0));
+  const std::string first = log.segment_paths().front();
+  ASSERT_EQ(first.substr(first.size() - 10), "000000.seg");
+  const std::string taken = first.substr(0, first.size() - 10) + "000001.seg";
+  write_segment_by_hand(taken, 3);
+  const std::string before = file_bytes(taken);
+  log.append(1, payload_for(1));
+  log.append(2, payload_for(2));
+  const auto paths = log.segment_paths();
+  ASSERT_EQ(paths.size(), 3u);
+  EXPECT_EQ(std::count(paths.begin(), paths.end(), taken), 0);
+  for (int i = 0; i < 3; ++i) {
+    const auto rec = log.pop();
+    ASSERT_TRUE(rec.has_value() && rec->ok);
+    EXPECT_EQ(rec->seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(rec->payload, payload_for(i));
+  }
+  log.close();
+  EXPECT_EQ(file_bytes(taken), before);
+  EXPECT_EQ(segment_files(dir), std::vector<std::string>{taken});
+  expect_hand_written_records(taken, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@
 /// tier in test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 
 #include "codec/stream_pipeline.hpp"
 #include "tests/stream_test_utils.hpp"
+#include "util/parallel.hpp"
+#include "util/topology.hpp"
 
 namespace {
 
@@ -311,6 +315,125 @@ TEST(StreamPipeline, AdaptiveBatchingGrowsWithBacklog) {
   // The backlog was 32 deep with one worker: adaptive sizing must have
   // reached the full batch_size at least once.
   EXPECT_EQ(max_batch, opt.batch_size);
+}
+
+// --- one scheduler: each worker's OpenMP team width --------------------------
+// The core budget is the constructing thread's util::num_threads(); a worker
+// runs each batch at budget / live workers (at least 1), or 1 when pinned.
+// Without OpenMP every width is 1 and may_fork() is false, and every
+// assertion below still holds.
+
+/// What one transform call saw on its worker thread.
+struct TeamSeen {
+  int width = 0;
+  bool may_fork = false;
+  bool loop_on_caller = false;  ///< a parallel_for ran every index here
+};
+
+/// Run `n` items through a pipeline whose transform records TeamSeen per
+/// batch.  `before_submit` runs after construction (e.g. to scale it).
+std::vector<TeamSeen> observe_teams(
+    const StreamOptions& opt, int n = 24,
+    const std::function<void(IntPipeline&)>& before_submit = {},
+    nc::codec::StreamStats* stats = nullptr) {
+  std::mutex seen_mutex;
+  std::vector<TeamSeen> seen;
+  IntPipeline pipeline(
+      opt,
+      [&](std::vector<int>&& in) {
+        TeamSeen s;
+        s.width = nc::util::num_threads();
+        s.may_fork = nc::util::may_fork();
+        std::vector<std::thread::id> ran_on(256);
+        nc::util::parallel_for(0, static_cast<std::int64_t>(ran_on.size()),
+                               [&](std::int64_t i) {
+                                 ran_on[static_cast<std::size_t>(i)] =
+                                     std::this_thread::get_id();
+                               });
+        s.loop_on_caller =
+            std::all_of(ran_on.begin(), ran_on.end(), [](std::thread::id id) {
+              return id == std::this_thread::get_id();
+            });
+        std::lock_guard<std::mutex> lock(seen_mutex);
+        seen.push_back(s);
+        return std::move(in);
+      },
+      nullptr, [](std::uint64_t, int&&) {});
+  if (before_submit) before_submit(pipeline);
+  for (int i = 0; i < n; ++i) pipeline.submit(i);
+  const auto st = pipeline.finish();
+  if (stats) *stats = st;
+  EXPECT_FALSE(seen.empty());
+  return seen;
+}
+
+TEST(StreamPipelineThreads, WorkersFillingTheBudgetNeverFork) {
+  const int budget = nc::util::num_threads();
+  StreamOptions opt;
+  opt.n_workers = static_cast<std::size_t>(budget);
+  for (const auto& s : observe_teams(opt)) {
+    EXPECT_EQ(s.width, 1);
+    EXPECT_FALSE(s.may_fork);
+    EXPECT_TRUE(s.loop_on_caller);
+  }
+}
+
+TEST(StreamPipelineThreads, SingleWorkerKeepsTheConstructingThreadsWidth) {
+  const int budget = nc::util::num_threads();
+  StreamOptions opt;
+  opt.n_workers = 1;
+  for (const auto& s : observe_teams(opt)) {
+    EXPECT_EQ(s.width, budget);
+    EXPECT_EQ(s.may_fork, budget > 1);
+  }
+}
+
+TEST(StreamPipelineThreads, ElasticScaleDownWidensTheLiveWorker) {
+  const int budget = nc::util::num_threads();
+  StreamOptions opt;
+  opt.elastic = true;
+  opt.scale_interval_s = 0.0;  // manual scaling only
+  opt.min_workers = 1;
+  opt.max_workers = 4;
+  opt.n_workers = 4;
+  const auto seen = observe_teams(
+      opt, 24, [](IntPipeline& p) { EXPECT_EQ(p.set_live_workers(1), 1u); });
+  for (const auto& s : seen) {
+    EXPECT_EQ(s.width, budget);
+    EXPECT_EQ(s.may_fork, budget > 1);
+  }
+}
+
+TEST(StreamPipelineThreads, SetNumThreadsOnTheConstructingThreadSetsTheBudget) {
+  const int saved = nc::util::num_threads();
+  nc::util::set_num_threads(1);
+  StreamOptions opt;
+  opt.n_workers = 2;
+  const auto seen = observe_teams(opt);
+  nc::util::set_num_threads(saved);
+  for (const auto& s : seen) {
+    EXPECT_EQ(s.width, 1);
+    EXPECT_FALSE(s.may_fork);
+    EXPECT_TRUE(s.loop_on_caller);
+  }
+}
+
+TEST(StreamPipelineThreads, PinnedWorkersRunAtWidthOne) {
+  const int budget = nc::util::num_threads();
+  StreamOptions opt;
+  opt.n_workers = 2;
+  opt.pin_workers = true;
+  nc::codec::StreamStats stats;
+  const auto seen = observe_teams(opt, 24, {}, &stats);
+  // Where affinity is unsupported (or NC_TOPOLOGY=off) the workers run
+  // unpinned and share the budget like any other pool.
+  const bool pinned = nc::util::system_topology().affinity_supported;
+  EXPECT_EQ(stats.workers_pinned, pinned ? 2 : 0);
+  const int expected = pinned ? 1 : std::max(1, budget / 2);
+  for (const auto& s : seen) {
+    EXPECT_EQ(s.width, expected);
+    EXPECT_EQ(s.may_fork, expected > 1);
+  }
 }
 
 }  // namespace
