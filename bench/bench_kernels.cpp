@@ -1,6 +1,8 @@
 /// Self-contained microbenchmarks for the compute kernels underlying every
 /// table and figure: fp32/fp16 GEMM, the runtime-dispatched int8 GEMM at
-/// every ISA tier the host supports, and the quantization passes feeding it.
+/// every ISA tier the host supports, the quantization passes feeding it, and
+/// a dense-vs-sparse sweep of the Conv2d eval lowerings over input density
+/// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers).
 ///
 /// These isolate the substrate so regressions in the headline throughput
 /// numbers (Table 1, Fig. 6) can be attributed: if the int8 fast path's
@@ -18,10 +20,12 @@
 #include <vector>
 
 #include "core/gemm.hpp"
+#include "core/im2col.hpp"
 #include "core/quantize.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/tensor.hpp"
 #include "util/half.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -78,6 +82,176 @@ std::vector<Isa> supported_isas() {
     if (nc::core::simd::isa_supported(isa)) out.push_back(isa);
   }
   return out;
+}
+
+// ---- dense vs sparse Conv2d lowering --------------------------------------
+//
+// One sample through each lowering Conv2d::forward can take in kEvalHalf /
+// kEvalInt8, with an explicit tier's kernels and without the bias (which
+// both share).  Single-threaded, as each pipeline worker runs its convs.
+
+struct ConvShape {
+  std::int64_t in_c, out_c, h, w, k;
+  const char* what;
+};
+
+constexpr ConvShape kConvShapes[] = {
+    {16, 32, 48, 64, 7, "enc.in 16->32 7x7 48x64"},
+    {32, 32, 24, 32, 3, "resblock 32->32 3x3 24x32"},
+};
+
+constexpr double kDensities[] = {0.01, 0.05, 0.10, 0.20, 0.30, 0.50, 1.00};
+
+struct ConvLowering {
+  nc::core::Conv2dGeom g;
+  std::int64_t out_c;
+  std::vector<nc::util::half> w_half;  ///< (out_c, rows)
+  nc::core::QuantizedRows w_q;
+  std::vector<float> slab_half, slab_q;  ///< (rows, out_c)
+  std::vector<nc::util::half> xh, colh;
+  std::vector<float> xs, colf, acc, out;
+  std::vector<std::int8_t> q;
+
+  ConvLowering(const ConvShape& s, const Tensor& weight) : out_c(s.out_c) {
+    g.c = s.in_c;
+    g.h = s.h;
+    g.w = s.w;
+    g.kh = g.kw = s.k;
+    g.ph = g.pw = s.k / 2;
+    const std::int64_t rows = g.rows(), cols = g.cols();
+    w_half.resize(static_cast<std::size_t>(out_c * rows));
+    nc::util::float_to_half_n(weight.data(), w_half.data(), out_c * rows);
+    w_q = nc::core::quantize_rows(weight.data(), out_c, rows);
+    slab_half.resize(w_half.size());
+    slab_q.resize(w_half.size());
+    for (std::int64_t o = 0; o < out_c; ++o) {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        const auto i = static_cast<std::size_t>(o * rows + r);
+        const auto j = static_cast<std::size_t>(r * out_c + o);
+        slab_half[j] = static_cast<float>(w_half[i]);
+        slab_q[j] = static_cast<float>(w_q.values[i]);
+      }
+    }
+    const auto numel = static_cast<std::size_t>(g.c * g.h * g.w);
+    xh.resize(numel);
+    xs.resize(numel);
+    q.resize(static_cast<std::size_t>(rows * cols));
+    colh.resize(static_cast<std::size_t>(rows * cols));
+    colf.resize(static_cast<std::size_t>(rows * cols));
+    acc.resize(static_cast<std::size_t>(cols * out_c));
+    out.resize(static_cast<std::size_t>(out_c * cols));
+  }
+
+  /// im2col + GEMM, tiled as core::hgemm tiles it (16 rows x 128 columns).
+  void dense(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
+    const std::int64_t rows = g.rows(), cols = g.cols();
+    const std::int64_t numel = g.c * g.h * g.w;
+    if (int8) {
+      nc::core::im2col_2d(x, g, colf.data());
+      const float max_abs = ker.max_abs(colf.data(), rows * cols);
+      const float scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
+      ker.quantize_scaled(colf.data(), rows * cols, 1.f / scale, q.data());
+      ker.qgemm(out_c, cols, rows, w_q.values.data(), w_q.scales.data(),
+                q.data(), scale, out.data(), cols);
+      return;
+    }
+    nc::util::float_to_half_sat_n(x, xh.data(), numel);
+    nc::core::im2col_2d(xh.data(), g, colh.data());
+    std::fill(out.begin(), out.end(), 0.f);
+    for (std::int64_t i0 = 0; i0 < out_c; i0 += 16) {
+      for (std::int64_t j0 = 0; j0 < cols; j0 += 128) {
+        ker.tile_hh(i0, std::min(out_c, i0 + 16), j0, std::min(cols, j0 + 128),
+                    rows, w_half.data(), rows, colh.data(), cols, out.data(),
+                    cols);
+      }
+    }
+  }
+
+  /// Round or quantize the input, scatter, transpose (and scale).
+  void sparse(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
+    const std::int64_t cols = g.cols(), numel = g.c * g.h * g.w;
+    float act_scale = 1.f;
+    if (int8) {
+      const float max_abs = ker.max_abs(x, numel);
+      act_scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
+      ker.quantize_scaled(x, numel, 1.f / act_scale, q.data());
+      std::copy(q.begin(), q.begin() + numel, xs.begin());
+    } else {
+      nc::util::float_to_half_sat_n(x, xh.data(), numel);
+      nc::util::half_to_float_n(xh.data(), xs.data(), numel);
+    }
+    std::fill(acc.begin(), acc.end(), 0.f);
+    ker.scatter_conv2d(xs.data(), g, out_c,
+                       int8 ? slab_q.data() : slab_half.data(), acc.data());
+    for (std::int64_t o = 0; o < out_c; ++o) {
+      const float scale =
+          int8 ? w_q.scales[static_cast<std::size_t>(o)] * act_scale : 1.f;
+      for (std::int64_t p = 0; p < cols; ++p) {
+        out[static_cast<std::size_t>(o * cols + p)] =
+            acc[static_cast<std::size_t>(p * out_c + o)] * scale;
+      }
+    }
+  }
+};
+
+/// Input with the given nonzero fraction, values uniform in [-1, 1].
+Tensor sparse_input(const ConvShape& s, double density, std::uint64_t seed) {
+  nc::util::Rng rng(seed);
+  Tensor t({s.in_c, s.h, s.w});
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    if (rng.uniform(0.0, 1.0) < density) {
+      t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  return t;
+}
+
+/// Print the sweep table; return its rows as JSON objects.
+std::string sparse_sweep(const std::vector<Isa>& isas) {
+  std::printf("\nConv2d eval lowering, dense vs sparse [ms per sample, 1 "
+              "thread] by input density:\n");
+  std::printf("  %-26s %-5s %-7s", "layer", "mode", "tier");
+  for (double d : kDensities) std::printf(" %13.0f%%", 100.0 * d);
+  std::printf("   crossover\n");
+  std::string rows;
+  char buf[256];
+  for (const ConvShape& s : kConvShapes) {
+    ConvLowering low(s, random_tensor({s.out_c, s.in_c * s.k * s.k}, 4));
+    std::vector<Tensor> inputs;
+    for (std::size_t d = 0; d < std::size(kDensities); ++d) {
+      inputs.push_back(sparse_input(s, kDensities[d], 10 + d));
+    }
+    for (const bool int8 : {false, true}) {
+      for (Isa isa : isas) {
+        const auto& ker = nc::core::simd::kernels_for(isa);
+        std::printf("  %-26s %-5s %-7s", s.what, int8 ? "int8" : "fp16",
+                    nc::core::simd::isa_name(isa));
+        double crossover = 1.0;  // lowest swept density where dense wins
+        for (std::size_t d = 0; d < std::size(kDensities); ++d) {
+          const float* x = inputs[d].data();
+          const double dense_ms =
+              1e3 / best_rate(1.0, [&] { low.dense(ker, int8, x); }, 0.04);
+          const double sparse_ms =
+              1e3 / best_rate(1.0, [&] { low.sparse(ker, int8, x); }, 0.04);
+          if (dense_ms < sparse_ms && kDensities[d] < crossover) {
+            crossover = kDensities[d];
+          }
+          std::printf(" %6.2f/%6.2f", dense_ms, sparse_ms);
+          std::snprintf(buf, sizeof(buf),
+                        "%s{\"layer\":\"%s\",\"mode\":\"%s\",\"isa\":\"%s\","
+                        "\"density\":%.2f,\"dense_ms\":%.4f,\"sparse_ms\":%.4f}",
+                        rows.empty() ? "" : ",", s.what, int8 ? "int8" : "fp16",
+                        nc::core::simd::isa_name(isa), kDensities[d], dense_ms,
+                        sparse_ms);
+          rows += buf;
+        }
+        std::printf("   %.0f%%\n", 100.0 * crossover);
+      }
+    }
+  }
+  std::printf("  (cells: dense/sparse; crossover: lowest swept density at "
+              "which dense is faster)\n");
+  return rows;
 }
 
 }  // namespace
@@ -178,6 +352,9 @@ int main() {
   for (double r : quant_r) std::printf(" %10.2f", r);
   std::printf("\n");
 
+  nc::util::set_num_threads(1);
+  const std::string sweep = sparse_sweep(isas);
+
   // ---- JSON trailer --------------------------------------------------------
   const double n_shapes = static_cast<double>(std::size(kShapes));
   std::string qjson, spdjson;
@@ -200,9 +377,9 @@ int main() {
       "\n{\"bench\":\"kernels\",\"isa\":\"%s\",\"sgemm_gflops\":%.3f,"
       "\"hgemm_gflops\":%.3f,\"qgemm_gflops\":{%s},"
       "\"qgemm_speedup_vs_scalar\":{%s},\"maxabs_gelems\":%.3f,"
-      "\"quantize_gelems\":%.3f}\n",
+      "\"quantize_gelems\":%.3f,\"conv_lowering_sweep\":[%s]}\n",
       nc::core::simd::isa_name(active), sum_sgemm / n_shapes,
       sum_hgemm / n_shapes, qjson.c_str(), spdjson.c_str(), maxabs_r.back(),
-      quant_r.back());
+      quant_r.back(), sweep.c_str());
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "core/conv.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -7,6 +9,7 @@
 #include "core/init.hpp"
 #include "core/ops.hpp"
 #include "core/profiler.hpp"
+#include "core/simd_dispatch.hpp"
 #include "util/timer.hpp"
 
 namespace nc::core {
@@ -33,6 +36,95 @@ std::vector<util::half>& f16_scratch_b() {
 std::vector<std::int8_t>& i8_scratch() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
+}
+// Pixel-major accumulator of the sparse Conv2d lowering.
+std::vector<float>& acc_scratch() {
+  thread_local std::vector<float> buf;
+  return buf;
+}
+
+/// True iff x[0, n) holds at most `limit` nonzeros.  Stops once the count
+/// passes `limit`, so a dense input costs about `limit` reads.
+bool nonzeros_at_most(const float* x, std::int64_t n, std::int64_t limit) {
+  constexpr std::int64_t kChunk = 256;
+  std::int64_t count = 0;
+  for (std::int64_t i0 = 0; i0 < n; i0 += kChunk) {
+    const std::int64_t i1 = std::min(n, i0 + kChunk);
+    for (std::int64_t i = i0; i < i1; ++i) count += (x[i] != 0.f) ? 1 : 0;
+    if (count > limit) return false;
+  }
+  return true;
+}
+
+/// True iff every index in [0, n) of one conv axis lies in some window
+/// [o * s - p, o * s - p + k), o < out_n.
+bool every_index_in_a_window(std::int64_t n, std::int64_t k, std::int64_t s,
+                             std::int64_t p, std::int64_t out_n) {
+  std::int64_t covered = 0;  // [0, covered) lies in a window
+  for (std::int64_t o = 0; o < out_n && covered < n; ++o) {
+    if (o * s - p > covered) return false;
+    covered = std::max(covered, o * s - p + k);
+  }
+  return covered >= n;
+}
+
+/// Most nonzeros a sample may hold for Conv2d to take the sparse lowering
+/// in `mode`; -1 when the mode or geometry must stay dense.
+std::int64_t sparse_nonzero_limit(Mode mode, const Conv2dGeom& g) {
+  double max_density = 0.0;
+  if (mode == Mode::kEvalHalf) {
+    max_density = kSparseMaxDensityHalf;
+  } else if (mode == Mode::kEvalInt8) {
+    // fp32 sums of int8 x int8 products stay exact integers, and the
+    // input's max |x| is its im2col's, so both lowerings quantize alike.
+    const bool exact = g.rows() * 127 * 127 < (std::int64_t{1} << 24);
+    const bool covered =
+        every_index_in_a_window(g.h, g.kh, g.sh, g.ph, g.out_h()) &&
+        every_index_in_a_window(g.w, g.kw, g.sw, g.pw, g.out_w());
+    if (!exact || !covered) return -1;
+    max_density = kSparseMaxDensityInt8;
+  } else {
+    return -1;
+  }
+  return static_cast<std::int64_t>(max_density *
+                                   static_cast<double>(g.c * g.h * g.w));
+}
+
+/// (rows, out_c) fp32 slab of an (out_c, rows) half or int8 weight.
+template <typename T>
+std::vector<float> widen_slab(const T* w, std::int64_t out_c,
+                              std::int64_t rows) {
+  std::vector<float> slab(static_cast<std::size_t>(rows * out_c));
+  for (std::int64_t o = 0; o < out_c; ++o) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      slab[static_cast<std::size_t>(r * out_c + o)] =
+          static_cast<float>(w[o * rows + r]);
+    }
+  }
+  return slab;
+}
+
+/// out (out_c, cols) = the transpose of a pixel-major (cols, out_c)
+/// accumulator.  With `row_scales`, row o is also multiplied by
+/// row_scales[o] * act_scale, the expression `qgemm` scales its int32 sums
+/// with.
+void store_transposed(const float* acc, std::int64_t cols, std::int64_t out_c,
+                      const float* row_scales, float act_scale, float* out) {
+  constexpr std::int64_t kBlock = 16;  // pixels per block: stays in L1
+  for (std::int64_t p0 = 0; p0 < cols; p0 += kBlock) {
+    const std::int64_t p1 = std::min(cols, p0 + kBlock);
+    for (std::int64_t o = 0; o < out_c; ++o) {
+      float* dst = out + o * cols;
+      if (row_scales) {
+        const float scale = row_scales[o] * act_scale;
+        for (std::int64_t p = p0; p < p1; ++p) {
+          dst[p] = acc[p * out_c + o] * scale;
+        }
+      } else {
+        for (std::int64_t p = p0; p < p1; ++p) dst[p] = acc[p * out_c + o];
+      }
+    }
+  }
 }
 
 void add_bias_rows(float* mat, const float* bias, std::int64_t rows,
@@ -145,12 +237,19 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
                        p_[0] == 0 && p_[1] == 0);
   const std::int64_t in_stride = in_c_ * g.h * g.w;
   const std::int64_t out_stride = out_c_ * oh * ow;
+  const std::int64_t sparse_limit = sparse_nonzero_limit(mode, g);
+  // Work the sparse samples executed, for the profiler's FLOP count.
+  std::atomic<std::int64_t> sparse_samples{0}, sparse_taps{0};
   util::parallel_for(
       0, n,
       [&](std::int64_t sample) {
         const float* in_s = x.data() + sample * in_stride;
         float* out_s = out.data() + sample * out_stride;
-        if (half_mode) {
+        if (sparse_limit >= 0 &&
+            nonzeros_at_most(in_s, in_stride, sparse_limit)) {
+          ++sparse_samples;
+          sparse_taps += forward_sparse(in_s, g, whalf, wq, out_s);
+        } else if (half_mode) {
           auto& inh = f16_scratch_b();
           inh.resize(static_cast<std::size_t>(in_stride));
           // Saturating cast: an activation past the fp16 range (untrained or
@@ -185,8 +284,51 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
       },
       mode == Mode::kTrain ? n + 1 : 1);  // train: serial sample loop
 
-  if (prof) record_profile(label_, timer.elapsed_s(), out_c_, cols, rows, n);
+  if (prof) {
+    const double dense_samples = static_cast<double>(n - sparse_samples.load());
+    const double flops =
+        2.0 * static_cast<double>(out_c_) *
+        (dense_samples * static_cast<double>(cols) * static_cast<double>(rows) +
+         static_cast<double>(sparse_taps.load()));
+    Profiler::instance().record(label_, timer.elapsed_s(), flops, out_c_, cols,
+                                rows);
+  }
   return out;
+}
+
+std::int64_t Conv2d::forward_sparse(const float* in, const Conv2dGeom& g,
+                                    const HalfTensor* whalf,
+                                    const QuantizedRows* wq, float* out) {
+  const std::int64_t numel = g.c * g.h * g.w;
+  const std::int64_t rows = g.rows(), cols = g.cols();
+  // The scatter reads the input as fp32 holding exactly the values the
+  // dense lowering multiplies: binary16-rounded, or the int8 codes.
+  auto& xs = f32_scratch();
+  xs.resize(static_cast<std::size_t>(numel));
+  float act_scale = 1.f;
+  const std::vector<float>* slab = nullptr;
+  if (wq) {
+    auto& q = i8_scratch();
+    q.resize(static_cast<std::size_t>(numel));
+    act_scale = quantize_tensor(in, numel, q.data());
+    std::copy(q.begin(), q.end(), xs.begin());  // int8 codes, widened
+    slab = &slab_q_.get(
+        [&] { return widen_slab(wq->values.data(), out_c_, rows); });
+  } else {
+    auto& inh = f16_scratch_b();
+    inh.resize(static_cast<std::size_t>(numel));
+    util::float_to_half_sat_n(in, inh.data(), numel);
+    util::half_to_float_n(inh.data(), xs.data(), numel);
+    slab = &slab_half_.get(
+        [&] { return widen_slab(whalf->data(), out_c_, rows); });
+  }
+  auto& acc = acc_scratch();
+  acc.assign(static_cast<std::size_t>(cols * out_c_), 0.f);
+  const std::int64_t taps = simd::kernels().scatter_conv2d(
+      xs.data(), g, out_c_, slab->data(), acc.data());
+  store_transposed(acc.data(), cols, out_c_, wq ? wq->scales.data() : nullptr,
+                   act_scale, out);
+  return taps;
 }
 
 Tensor Conv2d::backward(const Tensor& gy) {

@@ -22,10 +22,40 @@
 /// loop with serial inner kernels, which is what makes encoder throughput
 /// grow with batch size (Fig. 6 A–C) — small batches cannot occupy all
 /// cores, exactly as small kernels cannot occupy a GPU.
+///
+/// Conv2d eval has two lowerings.  Zero-suppressed TPC wedges are ~90 %
+/// zeros, so the encoder's first layer mostly multiplies zeros when it is
+/// lowered densely.
+///   * dense:  im2col into a column matrix, then `hgemm` (kEvalHalf) or
+///             input quantization + `qgemm` (kEvalInt8).  Every mode.
+///   * sparse: scatter each nonzero input voxel, times its (kh*kw, out_c)
+///             weight slab, into a pixel-major fp32 accumulator
+///             (`simd::Kernels::scatter_conv2d`), then transpose (and, for
+///             int8, scale) into the output.  kEvalHalf and kEvalInt8 only.
+/// The gate is per sample: the sparse lowering runs when the sample's
+/// nonzero fraction is at most `kSparseMaxDensityHalf` /
+/// `kSparseMaxDensityInt8`.  int8 also needs exact fp32 sums
+/// (c * kh * kw * 127^2 < 2^24) and every input voxel inside some window
+/// (so that quantizing the input gives its im2col's scale); otherwise it
+/// stays dense.  fp32 kEval, kTrain, Conv3d and the transposed convs are
+/// always dense.
+///
+/// Output-bit contract (pinned by tests/test_conv_oracle.cpp against a
+/// test-only copy of the dense lowering): for finite inputs and finite
+/// binary16 weights, Conv2d's kEvalHalf and kEvalInt8 outputs are
+/// bit-identical between the two lowerings and across every SIMD tier.
+/// Why it holds: binary16 x binary16 and int8 x int8 products are exact in
+/// binary32, so FMA and multiply-then-add round alike; the scatter visits
+/// voxels in (c, y, x) order, which hands each output its terms in the
+/// ascending (c, ky, kx) order of the dense GEMM; skipped terms are exact
+/// zeros; and int8 partial sums are integers below 2^24.  Any change that
+/// reorders an fp16 sum, or fuses a rounding step (e.g. contracting the
+/// int8 epilogue `acc * scale + bias` into one FMA), breaks the contract.
 #pragma once
 
 #include <array>
 #include <optional>
+#include <vector>
 
 #include "core/im2col.hpp"
 #include "core/layer.hpp"
@@ -33,6 +63,21 @@
 #include "util/rng.hpp"
 
 namespace nc::core {
+
+/// Largest nonzero fraction of a sample's input at which Conv2d's kEvalHalf
+/// and kEvalInt8 forwards take the sparse lowering (see the file comment).
+/// Each sits just below the lowest density at which the dense lowering won
+/// on a vector tier in two runs of bench_kernels' dense-vs-sparse sweep
+/// (single thread, 4-vCPU AVX-512 Xeon, GCC 12).  fp16: the scatter won at
+/// every swept density up to 100 % on the 16 -> 32 7x7 input layer; on a
+/// 32 -> 32 3x3 layer the dense GEMM overtook it at 45-70 % (avx2) and
+/// 50-90 % (avx512).  int8: the dense GEMM overtook it at ~30 % on the 3x3
+/// layer with avx2 and 45-50 % with avx512, and at 30-50 % (avx2) and
+/// 50-100 % (avx512) on the 7x7 layer.  BCAE-2D's zero-suppressed wedges
+/// are 11-13 % nonzero.  A faster dense kernel moves these crossovers:
+/// re-measure when it changes.
+inline constexpr double kSparseMaxDensityHalf = 0.4;
+inline constexpr double kSparseMaxDensityInt8 = 0.25;
 
 /// 2-D convolution over (N, C, H, W).
 class Conv2d final : public Layer {
@@ -48,6 +93,8 @@ class Conv2d final : public Layer {
   void invalidate_half_cache() override {
     weight_half_.invalidate();
     weight_q_.invalidate();
+    slab_half_.invalidate();
+    slab_q_.invalidate();
   }
   std::string name() const override { return label_; }
 
@@ -59,6 +106,13 @@ class Conv2d final : public Layer {
  private:
   Conv2dGeom geom_for(const Tensor& x) const;
 
+  /// The sparse lowering of one sample (kEvalHalf when `wq` is null,
+  /// kEvalInt8 otherwise), without bias.  Returns the (voxel, tap) pairs
+  /// scattered.
+  std::int64_t forward_sparse(const float* in, const Conv2dGeom& g,
+                              const HalfTensor* whalf, const QuantizedRows* wq,
+                              float* out);
+
   std::int64_t in_c_, out_c_;
   std::array<std::int64_t, 2> k_, s_, p_;
   Param weight_;  ///< (out_c, in_c, kh, kw)
@@ -68,6 +122,10 @@ class Conv2d final : public Layer {
   Tensor cached_input_;
   LazyCache<HalfTensor> weight_half_;
   LazyCache<QuantizedRows> weight_q_;
+  /// Sparse-lowering weight slabs, (in_c * kh * kw, out_c) fp32 widened
+  /// from weight_half_ / weight_q_.
+  LazyCache<std::vector<float>> slab_half_;
+  LazyCache<std::vector<float>> slab_q_;
 };
 
 /// 3-D convolution over (N, C, D, H, W); D is the TPC radial dimension.

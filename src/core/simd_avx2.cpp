@@ -28,7 +28,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
+#include "core/im2col.hpp"
 #include "core/simd_qpack.hpp"
 #include "util/parallel.hpp"
 
@@ -313,6 +315,69 @@ void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   }
 }
 
+/// Sparse conv scatter (contract in simd_dispatch.hpp): finds the nonzeros
+/// of each input row eight at a time with a compare mask, in ascending x,
+/// and adds each voxel's slab rows eight output channels per FMA.  The
+/// products are exact, so the FMA (and any contraction of the scalar tail)
+/// rounds exactly like the scalar tier's multiply-then-add.
+std::int64_t scatter_conv2d_avx2(const float* x, const Conv2dGeom& g,
+                                 std::int64_t out_c, const float* slab,
+                                 float* acc) {
+  std::vector<detail::AxisTaps> ytaps(static_cast<std::size_t>(g.h));
+  std::vector<detail::AxisTaps> xtaps(static_cast<std::size_t>(g.w));
+  detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ytaps.data());
+  detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), xtaps.data());
+  const std::int64_t ow = g.out_w();
+  const std::int64_t full = out_c / 8 * 8;
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t taps = 0;
+
+  auto scatter = [&](std::int64_t c, const detail::AxisTaps& ty,
+                     std::int64_t ix, float v) {
+    const detail::AxisTaps tx = xtaps[static_cast<std::size_t>(ix)];
+    const __m256 vv = _mm256_set1_ps(v);
+    for (std::int64_t a = 0; a < ty.count; ++a) {
+      const std::int64_t ky = ty.first + a * g.sh, oy = ty.out - a;
+      for (std::int64_t b = 0; b < tx.count; ++b) {
+        const std::int64_t kx = tx.first + b * g.sw, ox = tx.out - b;
+        const float* w = slab + ((c * g.kh + ky) * g.kw + kx) * out_c;
+        float* out = acc + (oy * ow + ox) * out_c;
+        std::int64_t o = 0;
+        for (; o < full; o += 8) {
+          _mm256_storeu_ps(out + o,
+                           _mm256_fmadd_ps(vv, _mm256_loadu_ps(w + o),
+                                           _mm256_loadu_ps(out + o)));
+        }
+        for (; o < out_c; ++o) out[o] += v * w[o];
+      }
+    }
+    taps += ty.count * tx.count;
+  };
+
+  for (std::int64_t c = 0; c < g.c; ++c) {
+    for (std::int64_t iy = 0; iy < g.h; ++iy) {
+      const detail::AxisTaps ty = ytaps[static_cast<std::size_t>(iy)];
+      if (ty.count == 0) continue;
+      const float* row = x + (c * g.h + iy) * g.w;
+      std::int64_t ix = 0;
+      for (; ix + 8 <= g.w; ix += 8) {
+        // NEQ_UQ: a NaN counts as nonzero, as `v == 0.f` does in scalar.
+        auto nz = static_cast<unsigned>(_mm256_movemask_ps(
+            _mm256_cmp_ps(_mm256_loadu_ps(row + ix), zero, _CMP_NEQ_UQ)));
+        while (nz != 0) {
+          const std::int64_t at = ix + __builtin_ctz(nz);
+          nz &= nz - 1;
+          scatter(c, ty, at, row[at]);
+        }
+      }
+      for (; ix < g.w; ++ix) {
+        if (row[ix] != 0.f) scatter(c, ty, ix, row[ix]);
+      }
+    }
+  }
+  return taps;
+}
+
 }  // namespace
 
 namespace detail {
@@ -323,6 +388,7 @@ Kernels avx2_kernels() {
   t.max_abs = &max_abs_avx2;
   t.quantize_scaled = &quantize_scaled_avx2;
   t.tile_hh = &tile_hh_avx2;
+  t.scatter_conv2d = &scatter_conv2d_avx2;
   return t;
 }
 

@@ -16,9 +16,9 @@
 /// (Contrast with the AVX2 tier, which must use sign-transfer to dodge
 /// `vpmaddubsw` saturation — see simd_avx2.cpp.)
 ///
-/// Only `qgemm` is overridden at this tier; max_abs / quantize_scaled /
-/// tile_hh are inherited from the AVX2 table, whose 256-bit forms already
-/// saturate the load ports at these panel sizes.
+/// `qgemm` and `scatter_conv2d` are overridden at this tier; max_abs /
+/// quantize_scaled / tile_hh are inherited from the AVX2 table, whose
+/// 256-bit forms already saturate the load ports at these panel sizes.
 #include "core/simd_dispatch.hpp"
 
 #if defined(NC_SIMD_BUILD_AVX512) && defined(__AVX512F__) && \
@@ -28,7 +28,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
+#include "core/im2col.hpp"
 #include "core/simd_qpack.hpp"
 #include "util/parallel.hpp"
 
@@ -221,6 +223,73 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
   }
 }
 
+/// Sparse conv scatter (contract in simd_dispatch.hpp): finds the nonzeros
+/// of each input row sixteen at a time with a compare mask, in ascending x,
+/// and adds each voxel's slab rows sixteen output channels per FMA.  The
+/// products are exact, so the FMA rounds exactly like the scalar tier's
+/// multiply-then-add.
+std::int64_t scatter_conv2d_avx512(const float* x, const Conv2dGeom& g,
+                                   std::int64_t out_c, const float* slab,
+                                   float* acc) {
+  std::vector<detail::AxisTaps> ytaps(static_cast<std::size_t>(g.h));
+  std::vector<detail::AxisTaps> xtaps(static_cast<std::size_t>(g.w));
+  detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ytaps.data());
+  detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), xtaps.data());
+  const std::int64_t ow = g.out_w();
+  const std::int64_t full = out_c / 16 * 16;
+  const auto tail = static_cast<__mmask16>((1u << (out_c - full)) - 1u);
+  const __m512 zero = _mm512_setzero_ps();
+  std::int64_t taps = 0;
+
+  auto scatter = [&](std::int64_t c, const detail::AxisTaps& ty,
+                     std::int64_t ix, float v) {
+    const detail::AxisTaps tx = xtaps[static_cast<std::size_t>(ix)];
+    const __m512 vv = _mm512_set1_ps(v);
+    for (std::int64_t a = 0; a < ty.count; ++a) {
+      const std::int64_t ky = ty.first + a * g.sh, oy = ty.out - a;
+      for (std::int64_t b = 0; b < tx.count; ++b) {
+        const std::int64_t kx = tx.first + b * g.sw, ox = tx.out - b;
+        const float* w = slab + ((c * g.kh + ky) * g.kw + kx) * out_c;
+        float* out = acc + (oy * ow + ox) * out_c;
+        std::int64_t o = 0;
+        for (; o < full; o += 16) {
+          _mm512_storeu_ps(out + o,
+                           _mm512_fmadd_ps(vv, _mm512_loadu_ps(w + o),
+                                           _mm512_loadu_ps(out + o)));
+        }
+        if (o < out_c) {
+          _mm512_mask_storeu_ps(
+              out + o, tail,
+              _mm512_fmadd_ps(vv, _mm512_maskz_loadu_ps(tail, w + o),
+                              _mm512_maskz_loadu_ps(tail, out + o)));
+        }
+      }
+    }
+    taps += ty.count * tx.count;
+  };
+
+  for (std::int64_t c = 0; c < g.c; ++c) {
+    for (std::int64_t iy = 0; iy < g.h; ++iy) {
+      const detail::AxisTaps ty = ytaps[static_cast<std::size_t>(iy)];
+      if (ty.count == 0) continue;
+      const float* row = x + (c * g.h + iy) * g.w;
+      for (std::int64_t x0 = 0; x0 < g.w; x0 += 16) {
+        const std::int64_t len = std::min<std::int64_t>(16, g.w - x0);
+        const auto lanes = static_cast<__mmask16>((1u << len) - 1u);
+        // NEQ_UQ: a NaN counts as nonzero, as `v == 0.f` does in scalar.
+        unsigned nz = _mm512_mask_cmp_ps_mask(
+            lanes, _mm512_maskz_loadu_ps(lanes, row + x0), zero, _CMP_NEQ_UQ);
+        while (nz != 0) {
+          const std::int64_t ix = x0 + __builtin_ctz(nz);
+          nz &= nz - 1;
+          scatter(c, ty, ix, row[ix]);
+        }
+      }
+    }
+  }
+  return taps;
+}
+
 }  // namespace
 
 namespace detail {
@@ -228,6 +297,7 @@ namespace detail {
 Kernels avx512_kernels() {
   Kernels t;
   t.qgemm = &qgemm_avx512;
+  t.scatter_conv2d = &scatter_conv2d_avx512;
   return t;
 }
 

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+#include <vector>
 
+#include "core/im2col.hpp"
 #include "core/simd_qpack.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -98,6 +100,39 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   }
 }
 
+std::int64_t scatter_conv2d_scalar(const float* x, const Conv2dGeom& g,
+                                   std::int64_t out_c, const float* slab,
+                                   float* acc) {
+  std::vector<detail::AxisTaps> ytaps(static_cast<std::size_t>(g.h));
+  std::vector<detail::AxisTaps> xtaps(static_cast<std::size_t>(g.w));
+  detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ytaps.data());
+  detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), xtaps.data());
+  const std::int64_t ow = g.out_w();
+  std::int64_t taps = 0;
+  for (std::int64_t c = 0; c < g.c; ++c) {
+    for (std::int64_t iy = 0; iy < g.h; ++iy) {
+      const detail::AxisTaps ty = ytaps[static_cast<std::size_t>(iy)];
+      const float* row = x + (c * g.h + iy) * g.w;
+      for (std::int64_t ix = 0; ix < g.w; ++ix) {
+        const float v = row[ix];
+        if (v == 0.f || ty.count == 0) continue;
+        const detail::AxisTaps tx = xtaps[static_cast<std::size_t>(ix)];
+        for (std::int64_t a = 0; a < ty.count; ++a) {
+          const std::int64_t ky = ty.first + a * g.sh, oy = ty.out - a;
+          for (std::int64_t b = 0; b < tx.count; ++b) {
+            const std::int64_t kx = tx.first + b * g.sw, ox = tx.out - b;
+            const float* w = slab + ((c * g.kh + ky) * g.kw + kx) * out_c;
+            float* out = acc + (oy * ow + ox) * out_c;
+            for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
+          }
+        }
+        taps += ty.count * tx.count;
+      }
+    }
+  }
+  return taps;
+}
+
 // ---------------------------------------------------------------------------
 // CPUID feature probe.  __builtin_cpu_supports requires string literals and
 // only exists on x86 gcc/clang; other targets run scalar.
@@ -124,6 +159,7 @@ Kernels merge(Kernels base, const Kernels& over) {
   if (over.max_abs) base.max_abs = over.max_abs;
   if (over.quantize_scaled) base.quantize_scaled = over.quantize_scaled;
   if (over.tile_hh) base.tile_hh = over.tile_hh;
+  if (over.scatter_conv2d) base.scatter_conv2d = over.scatter_conv2d;
   return base;
 }
 
@@ -137,7 +173,23 @@ Kernels scalar_kernels() {
   t.max_abs = &max_abs_scalar;
   t.quantize_scaled = &quantize_scaled_scalar;
   t.tile_hh = &tile_hh_scalar;
+  t.scatter_conv2d = &scatter_conv2d_scalar;
   return t;
+}
+
+void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
+               std::int64_t out_n, AxisTaps* taps) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    // Tap kk reaches output (i + p - kk) / s when that divides exactly and
+    // lies in [0, out_n).
+    const std::int64_t t = i + p;
+    const std::int64_t lo = std::max<std::int64_t>(0, t - (out_n - 1) * s);
+    const std::int64_t hi = std::min(k - 1, t);
+    AxisTaps& a = taps[i];
+    a.first = lo + (t - lo) % s;
+    a.count = (out_n > 0 && a.first <= hi) ? (hi - a.first) / s + 1 : 0;
+    a.out = (t - a.first) / s;
+  }
 }
 
 // -- packed-B panel layout (shared by the AVX2 and AVX-512 kernels) ---------

@@ -5,8 +5,9 @@
 /// gate means "dead code in every default build" (that was the fate of the
 /// original F16C half-GEMM path).  This layer fixes the pattern structurally:
 ///
-///   * the hot kernels (int8 GEMM, fp16 GEMM tile, activation quantization)
-///     live behind per-kernel function pointers in a `Kernels` table;
+///   * the hot kernels (int8 GEMM, fp16 GEMM tile, activation quantization,
+///     sparse conv scatter) live behind per-kernel function pointers in a
+///     `Kernels` table;
 ///   * per-ISA implementations are compiled in dedicated translation units
 ///     with per-file target flags (`simd_avx2.cpp` with `-mavx2 -mfma
 ///     -mf16c`, `simd_avx512.cpp` with `-mavx512f -mavx512bw -mavx512vnni`)
@@ -16,11 +17,15 @@
 ///     (`__builtin_cpu_supports`), overridable with `NC_SIMD=scalar|avx2|
 ///     avx512|auto` for testing and CI.
 ///
-/// Numerics contract: every dispatched kernel must agree with the scalar
-/// reference — bit-for-bit for the integer kernels (`qgemm`, `max_abs`,
-/// `quantize_scaled`), ULP-bounded for `tile_hh` where FMA contraction
-/// legitimately reassociates.  tests/test_simd_kernels.cpp enforces this for
-/// every ISA the host supports.
+/// Numerics contract: every dispatched kernel agrees with the scalar
+/// reference bit for bit.  For the integer kernels (`qgemm`, `max_abs`,
+/// `quantize_scaled`) the arithmetic is exact.  For `tile_hh` and
+/// `scatter_conv2d` every product is exact in binary32 (binary16 x binary16
+/// has at most 22 significant bits; int8 x int8 at most 14), so an FMA and a
+/// separately rounded multiply-add give the same bits, and each output sums
+/// its terms in the same order on every tier.  tests/test_simd_kernels.cpp
+/// and tests/test_conv_oracle.cpp enforce this for every ISA the host
+/// supports.
 ///
 /// This header is intrinsics-free on purpose: it must compile standalone on
 /// any target (tools/lint/check_headers.py also enforces that `<immintrin.h>`
@@ -30,6 +35,10 @@
 #include <cstdint>
 
 #include "util/half.hpp"
+
+namespace nc::core {
+struct Conv2dGeom;  // core/im2col.hpp
+}  // namespace nc::core
 
 namespace nc::core::simd {
 
@@ -68,13 +77,33 @@ struct Kernels {
                           std::int8_t* out) = nullptr;
 
   /// Half-storage GEMM microkernel on one tile:
-  /// C[i0:i1, j0:j1] += float(A[i, kk]) * float(B[kk, j0:j1]) over kk < k.
-  /// The AVX2 implementation widens B eight lanes at a time (VCVTPH2PS +
-  /// FMA); FMA contraction makes this ULP-close (not bit-equal) to scalar.
+  /// C[i0:i1, j0:j1] += float(A[i, kk]) * float(B[kk, j0:j1]) over kk < k,
+  /// in ascending kk for every element, skipping zero A entries.  The AVX2
+  /// implementation widens B eight lanes at a time (VCVTPH2PS + FMA); the
+  /// products are exact, so it is bit-identical to the scalar tier.
   void (*tile_hh)(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
                   std::int64_t lda, const util::half* b, std::int64_t ldb,
                   float* c, std::int64_t ldc) = nullptr;
+
+  /// Sparse direct 2-D convolution of one (g.c, g.h, g.w) sample.  Every
+  /// nonzero input voxel v = x[c, y, x], visited in (c, y, x) order, adds
+  /// itself times its weight slab row into each output pixel p = (oy, ox)
+  /// that it reaches through kernel tap (ky, kx):
+  ///
+  ///   acc[p * out_c + o] += v * slab[((c * kh + ky) * kw + kx) * out_c + o]
+  ///
+  /// for o < out_c.  `acc` is pixel-major (out_h * out_w, out_c) and is
+  /// added to, not cleared; `slab` is the weight as (c * kh * kw, out_c).
+  /// The visit order hands every output its terms in ascending im2col row
+  /// order (c, ky, kx), the order `tile_hh` sums in, and the skipped terms
+  /// are exact zeros.  So when every product is exact in binary32 (inputs
+  /// and slab hold binary16 values, or integers in [-127, 127]) the sums
+  /// are bit-identical to the dense im2col + GEMM lowering, on every tier.
+  /// Returns the number of (voxel, tap) pairs applied: 2 * out_c flops each.
+  std::int64_t (*scatter_conv2d)(const float* x, const Conv2dGeom& g,
+                                 std::int64_t out_c, const float* slab,
+                                 float* acc) = nullptr;
 };
 
 /// True iff `isa` is usable here: compiled into this binary AND reported by
@@ -115,6 +144,19 @@ Kernels avx2_kernels();
 Kernels avx512_kernels();
 bool avx2_compiled();
 bool avx512_compiled();
+
+/// The kernel taps one input index meets along one conv axis, for the
+/// `scatter_conv2d` kernels: taps first, first + stride, ... (count of them)
+/// reach outputs out, out - 1, ...  count is 0 for an index no window covers.
+struct AxisTaps {
+  std::int64_t first = 0, count = 0, out = 0;
+};
+
+/// taps[i] for every input index i < n of an axis with kernel k, stride s,
+/// zero padding p and out_n outputs.  Defined once, in the portable TU, for
+/// every tier's scatter.
+void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
+               std::int64_t out_n, AxisTaps* taps);
 }  // namespace detail
 
 }  // namespace nc::core::simd

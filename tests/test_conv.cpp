@@ -1,8 +1,11 @@
 /// Convolution layers vs direct references + gradient checks.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/conv.hpp"
 #include "core/gradcheck.hpp"
+#include "core/profiler.hpp"
 #include "tests/reference.hpp"
 
 namespace {
@@ -23,6 +26,13 @@ struct Conv2dCase {
   std::int64_t in_c, out_c, h, w, k, s, p;
   bool bias;
 };
+
+// Names the case in test listings (and so in ctest names) by its fields;
+// gtest would otherwise print the struct's raw bytes, padding included.
+void PrintTo(const Conv2dCase& c, std::ostream* os) {
+  *os << "c" << c.in_c << "-" << c.out_c << " " << c.h << "x" << c.w << " k"
+      << c.k << " s" << c.s << " p" << c.p << (c.bias ? " bias" : "");
+}
 
 class Conv2dParam : public ::testing::TestWithParam<Conv2dCase> {};
 
@@ -100,6 +110,19 @@ struct Conv3dCase {
   std::int64_t in_c, out_c, d, h, w;
   A3 k, s, p;
 };
+
+void PrintTo(const Conv3dCase& c, std::ostream* os) {
+  const auto dims = [os](const A3& a) {
+    *os << a[0] << "x" << a[1] << "x" << a[2];
+  };
+  *os << "c" << c.in_c << "-" << c.out_c << " " << c.d << "x" << c.h << "x"
+      << c.w << " k";
+  dims(c.k);
+  *os << " s";
+  dims(c.s);
+  *os << " p";
+  dims(c.p);
+}
 
 class Conv3dParam : public ::testing::TestWithParam<Conv3dCase> {};
 
@@ -208,6 +231,32 @@ TEST(ConvTranspose3d, HalfForwardCloseToFloat) {
   EXPECT_LT(max_abs_diff(full, half), 0.05);
 }
 
+TEST(Conv2d, ProfilerCountsTheFlopsEachLoweringExecutes) {
+  // Sample 0 holds one interior voxel, so it takes the sparse lowering and
+  // reaches kh*kw = 9 outputs: 2 * out_c * 9 flops.  Sample 1 is dense and
+  // runs the full GEMM: 2 * out_c * (oh * ow) * (c * kh * kw) flops.
+  nc::util::Rng rng(19);
+  Conv2d layer(2, 4, A2{3, 3}, A2{1, 1}, A2{1, 1}, true, rng, "flops_probe");
+  Tensor x({2, 2, 6, 7});
+  x.at({0, 1, 3, 3}) = 1.5f;
+  for (std::int64_t i = 2 * 6 * 7; i < x.numel(); ++i) x[i] = 0.25f;
+  const double want = 2.0 * 4 * 9 + 2.0 * 4 * (6 * 7) * (2 * 9);
+
+  auto& prof = nc::core::Profiler::instance();
+  for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
+    prof.clear();
+    prof.set_enabled(true);
+    (void)layer.forward(x, mode);
+    prof.set_enabled(false);
+    const auto entries = prof.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].first, "flops_probe");
+    EXPECT_DOUBLE_EQ(entries[0].second.flops, want)
+        << (mode == Mode::kEvalHalf ? "fp16" : "int8");
+  }
+  prof.clear();
+}
+
 TEST(Conv2d, HalfCacheInvalidationPicksUpNewWeights) {
   nc::util::Rng rng(18);
   Conv2d layer(1, 1, A2{1, 1}, A2{1, 1}, A2{0, 0}, false, rng);
@@ -220,6 +269,25 @@ TEST(Conv2d, HalfCacheInvalidationPicksUpNewWeights) {
   layer.invalidate_half_cache();
   const Tensor after = layer.forward(x, Mode::kEvalHalf);
   EXPECT_NEAR(after[0] - before[0], 1.f, 1e-2);
+}
+
+TEST(Conv2d, CacheInvalidationReachesTheSparseWeightSlabs) {
+  // One nonzero voxel takes the sparse lowering, whose widened weight slabs
+  // are caches of their own; invalidation must drop them too.
+  nc::util::Rng rng(20);
+  Conv2d layer(1, 1, A2{1, 1}, A2{1, 1}, A2{0, 0}, false, rng);
+  Tensor x({1, 1, 4, 4});
+  x[5] = 1.f;
+  std::vector<nc::core::Param*> params;
+  layer.collect_params(params);
+  for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
+    params[0]->value[0] = 0.5f;
+    layer.invalidate_half_cache();
+    EXPECT_NEAR(layer.forward(x, mode)[5], 0.5f, 1e-2);
+    params[0]->value[0] = 1.5f;
+    layer.invalidate_half_cache();
+    EXPECT_NEAR(layer.forward(x, mode)[5], 1.5f, 1e-2);
+  }
 }
 
 }  // namespace

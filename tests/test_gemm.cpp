@@ -1,6 +1,7 @@
 /// GEMM kernels vs the naive reference, across transpose modes and shapes.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -21,6 +22,13 @@ struct GemmCase {
   bool trans_a, trans_b;
   float alpha, beta;
 };
+
+// Names the case in test listings (and so in ctest names) by its fields;
+// gtest would otherwise print the struct's raw bytes, padding included.
+void PrintTo(const GemmCase& c, std::ostream* os) {
+  *os << c.m << "x" << c.n << "x" << c.k << " " << (c.trans_a ? "T" : "N")
+      << (c.trans_b ? "T" : "N") << " alpha=" << c.alpha << " beta=" << c.beta;
+}
 
 class GemmParam : public ::testing::TestWithParam<GemmCase> {};
 

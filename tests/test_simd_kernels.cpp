@@ -1,8 +1,11 @@
 /// Per-ISA equivalence suite for the runtime SIMD kernel layer
-/// (core/simd_dispatch.hpp).  The contract under test: the integer kernels
-/// (`qgemm`, `max_abs`, `quantize_scaled`) are bit-exact across every ISA
-/// tier the host supports, `tile_hh` is ULP-bounded (FMA contraction), and
-/// the dispatcher resolves NC_SIMD-style requests correctly.  Shapes are
+/// (core/simd_dispatch.hpp).  The contract under test: every kernel is
+/// bit-exact across every ISA tier the host supports — the integer kernels
+/// (`qgemm`, `max_abs`, `quantize_scaled`) because their arithmetic is
+/// exact, `tile_hh` because binary16 products are exact in binary32, so an
+/// FMA rounds like a multiply-then-add — and the dispatcher resolves
+/// NC_SIMD-style requests correctly.  (tests/test_conv_oracle.cpp pins the
+/// conv-level kernels, `scatter_conv2d` included.)  Shapes are
 /// deliberately awkward — k not a multiple of the packing quad, n straddling
 /// the 16-column tile, degenerate m/n/k — so tail paths get the same
 /// scrutiny as the vector body.
@@ -10,6 +13,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -201,13 +205,23 @@ TEST(SimdDispatch, QuantizeTensorRoundsToNearestEven) {
   EXPECT_EQ(q[1], 127);
 }
 
-TEST(SimdDispatch, TileHhUlpBounded) {
+TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
+  // binary16 x binary16 products are exact in binary32, so the vector
+  // tiers' FMA rounds exactly like the scalar multiply-then-add; the sum
+  // order per element is ascending k on every tier.  Values span binary16's
+  // range (subnormals to 65504) and the shape straddles every tail.
   nc::util::Rng rng(404);
   const std::int64_t m = 9, n = 37, k = 41;
   std::vector<nc::util::half> a(static_cast<std::size_t>(m * k));
   std::vector<nc::util::half> b(static_cast<std::size_t>(k * n));
-  for (auto& h : a) h = nc::util::half(static_cast<float>(rng.normal()));
-  for (auto& h : b) h = nc::util::half(static_cast<float>(rng.normal()));
+  auto draw = [&rng] {
+    const double mag = std::pow(10.0, rng.uniform(-7.0, 4.8));
+    return nc::util::half(static_cast<float>(rng.uniform(-1.0, 1.0) * mag));
+  };
+  for (auto& h : a) h = draw();
+  for (auto& h : b) h = draw();
+  a[3] = nc::util::half(nc::util::kHalfMax);
+  b[5] = nc::util::half(-nc::util::kHalfMax);
 
   std::vector<float> c_ref(static_cast<std::size_t>(m * n), 0.f);
   nc::core::simd::kernels_for(Isa::kScalar)
@@ -217,11 +231,9 @@ TEST(SimdDispatch, TileHhUlpBounded) {
     nc::core::simd::kernels_for(isa).tile_hh(0, m, 0, n, k, a.data(), k,
                                              b.data(), n, c.data(), n);
     for (std::size_t i = 0; i < c.size(); ++i) {
-      // FMA contraction reassociates; bound the drift tightly relative to
-      // the accumulated magnitude.
-      const float tol = 1e-5f * (1.f + std::abs(c_ref[i])) * std::sqrt(float(k));
-      EXPECT_NEAR(c[i], c_ref[i], tol)
-          << "isa=" << nc::core::simd::isa_name(isa) << " idx=" << i;
+      ASSERT_EQ(std::memcmp(&c[i], &c_ref[i], sizeof(float)), 0)
+          << "isa=" << nc::core::simd::isa_name(isa) << " idx=" << i << " got "
+          << c[i] << " want " << c_ref[i];
     }
   }
 }
@@ -288,6 +300,49 @@ TEST(SimdDispatch, ConcurrentInt8ForwardIsRaceFree) {
     EXPECT_EQ(nc::testref::max_abs_diff(outs[static_cast<std::size_t>(t)],
                                         outs[0]),
               0.0);
+  }
+}
+
+// The sparse twin of the case above, labeled tsan the same way: a
+// zero-suppressed input sends Conv2d's kEvalHalf and kEvalInt8 forwards down
+// the sparse lowering, so concurrent forwards race on its lazily built
+// weight slab and use their thread-local accumulators.  Each mode gets a
+// fresh layer so the slab is built under the race.
+TEST(SimdDispatch, ConcurrentSparseForwardIsRaceFree) {
+  Tensor x({2, 3, 12, 14});
+  nc::util::Rng fill(607);
+  std::int64_t nonzeros = 0;
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    if (fill.uniform(0.0, 1.0) < 0.1) {
+      x[i] = static_cast<float>(fill.uniform(0.5, 4.0));
+      ++nonzeros;
+    }
+  }
+  const double density =
+      static_cast<double>(nonzeros) / static_cast<double>(x.numel());
+  ASSERT_LT(density, nc::core::kSparseMaxDensityInt8);
+  ASSERT_LT(density, nc::core::kSparseMaxDensityHalf);
+
+  for (const auto mode :
+       {nc::core::Mode::kEvalHalf, nc::core::Mode::kEvalInt8}) {
+    nc::util::Rng rng(608);
+    nc::core::Conv2d conv(3, 6, {3, 3}, {1, 1}, {1, 1}, true, rng);
+    constexpr int kThreads = 4;
+    std::vector<Tensor> outs(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        outs[static_cast<std::size_t>(t)] = conv.forward(x, mode);
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(outs[static_cast<std::size_t>(t)].shape(), outs[0].shape());
+      EXPECT_EQ(nc::testref::max_abs_diff(outs[static_cast<std::size_t>(t)],
+                                          outs[0]),
+                0.0);
+    }
   }
 }
 
