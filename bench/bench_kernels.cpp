@@ -1,6 +1,7 @@
 /// Self-contained microbenchmarks for the compute kernels underlying every
-/// table and figure: fp32/fp16 GEMM, the runtime-dispatched int8 GEMM at
-/// every ISA tier the host supports, the quantization passes feeding it, and
+/// table and figure: fp32 GEMM, the runtime-dispatched fp16 tile and int8
+/// GEMM at every ISA tier the host supports (single thread, one call over
+/// the whole matrix), the quantization passes feeding int8, and
 /// a dense-vs-sparse sweep of the Conv2d eval lowerings over input density
 /// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers).
 ///
@@ -72,6 +73,7 @@ struct GemmShape {
 constexpr GemmShape kShapes[] = {
     {32, 3072, 784, "BCAE-2D L_in (k=7)"},
     {32, 768, 288, "BCAE-2D resblock conv"},
+    {32, 3072, 288, "BCAE-2D decoder conv"},
     {8, 12288, 48, "BCAE++ stage-1 downsample"},
     {2, 12288, 48, "BCAE-HT stage-1 downsample"},
 };
@@ -100,7 +102,7 @@ constexpr ConvShape kConvShapes[] = {
     {32, 32, 24, 32, 3, "resblock 32->32 3x3 24x32"},
 };
 
-constexpr double kDensities[] = {0.01, 0.05, 0.10, 0.20, 0.30, 0.50, 1.00};
+constexpr double kDensities[] = {0.01, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50, 1.00};
 
 struct ConvLowering {
   nc::core::Conv2dGeom g;
@@ -109,8 +111,8 @@ struct ConvLowering {
   nc::core::QuantizedRows w_q;
   std::vector<float> slab_half, slab_q;  ///< (rows, out_c)
   std::vector<nc::util::half> xh, colh;
-  std::vector<float> xs, colf, acc, out;
-  std::vector<std::int8_t> q;
+  std::vector<float> xs, acc, out;
+  std::vector<std::int8_t> xq, q;  ///< input codes, lowered codes
 
   ConvLowering(const ConvShape& s, const Tensor& weight) : out_c(s.out_c) {
     g.c = s.in_c;
@@ -135,36 +137,31 @@ struct ConvLowering {
     const auto numel = static_cast<std::size_t>(g.c * g.h * g.w);
     xh.resize(numel);
     xs.resize(numel);
+    xq.resize(numel);
     q.resize(static_cast<std::size_t>(rows * cols));
     colh.resize(static_cast<std::size_t>(rows * cols));
-    colf.resize(static_cast<std::size_t>(rows * cols));
     acc.resize(static_cast<std::size_t>(cols * out_c));
     out.resize(static_cast<std::size_t>(out_c * cols));
   }
 
-  /// im2col + GEMM, tiled as core::hgemm tiles it (16 rows x 128 columns).
+  /// The dense lowering as Conv2d runs it on one thread: binary16 input,
+  /// im2col, one tile_hh over the whole matrix; or int8 codes of the input
+  /// (every voxel of these layers is covered), im2col of the codes, qgemm.
   void dense(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
     const std::int64_t rows = g.rows(), cols = g.cols();
     const std::int64_t numel = g.c * g.h * g.w;
     if (int8) {
-      nc::core::im2col_2d(x, g, colf.data());
-      const float max_abs = ker.max_abs(colf.data(), rows * cols);
-      const float scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
-      ker.quantize_scaled(colf.data(), rows * cols, 1.f / scale, q.data());
+      const float scale = nc::core::quant_scale(ker.max_abs(x, numel));
+      ker.quantize_scaled(x, numel, 1.f / scale, xq.data());
+      nc::core::im2col_2d(xq.data(), g, q.data());
       ker.qgemm(out_c, cols, rows, w_q.values.data(), w_q.scales.data(),
                 q.data(), scale, out.data(), cols);
       return;
     }
     nc::util::float_to_half_sat_n(x, xh.data(), numel);
     nc::core::im2col_2d(xh.data(), g, colh.data());
-    std::fill(out.begin(), out.end(), 0.f);
-    for (std::int64_t i0 = 0; i0 < out_c; i0 += 16) {
-      for (std::int64_t j0 = 0; j0 < cols; j0 += 128) {
-        ker.tile_hh(i0, std::min(out_c, i0 + 16), j0, std::min(cols, j0 + 128),
-                    rows, w_half.data(), rows, colh.data(), cols, out.data(),
-                    cols);
-      }
-    }
+    ker.tile_hh(0, out_c, 0, cols, rows, w_half.data(), rows, colh.data(),
+                cols, out.data(), cols);
   }
 
   /// Round or quantize the input, scatter, transpose (and scale).
@@ -172,10 +169,9 @@ struct ConvLowering {
     const std::int64_t cols = g.cols(), numel = g.c * g.h * g.w;
     float act_scale = 1.f;
     if (int8) {
-      const float max_abs = ker.max_abs(x, numel);
-      act_scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
-      ker.quantize_scaled(x, numel, 1.f / act_scale, q.data());
-      std::copy(q.begin(), q.begin() + numel, xs.begin());
+      act_scale = nc::core::quant_scale(ker.max_abs(x, numel));
+      ker.quantize_scaled(x, numel, 1.f / act_scale, xq.data());
+      std::copy(xq.begin(), xq.end(), xs.begin());
     } else {
       nc::util::float_to_half_sat_n(x, xh.data(), numel);
       nc::util::half_to_float_n(xh.data(), xs.data(), numel);
@@ -264,17 +260,24 @@ int main() {
   const std::vector<Isa> isas = supported_isas();
 
   // ---- GEMM family ---------------------------------------------------------
-  std::printf("\nGEMM throughput [GFLOP/s] (int8 columns = dispatched qgemm "
-              "per tier, speedup vs its scalar reference):\n");
-  std::printf("  %-28s %8s %8s", "shape (m,n,k)", "sgemm", "hgemm");
-  for (Isa isa : isas) {
-    std::printf(" %10s", nc::core::simd::isa_name(isa));
+  // fp16 columns: each tier's tile_hh over the whole matrix; int8 columns:
+  // each tier's qgemm.  Both single-threaded, as a pipeline worker runs them.
+  nc::util::set_num_threads(1);
+  std::printf("\nGEMM throughput [GFLOP/s, 1 thread] (fp16 = tile_hh, int8 = "
+              "qgemm, per tier; best/sc = speedup of the best tier vs its "
+              "scalar reference):\n");
+  std::printf("  %-28s %8s", "shape (m,n,k)", "sgemm");
+  for (const char* kind : {"fp16", "int8"}) {
+    for (Isa isa : isas) {
+      std::printf(" %4s/%-6s", kind, nc::core::simd::isa_name(isa));
+    }
+    std::printf(" %8s", "best/sc");
   }
-  std::printf(" %8s\n", "best/sc");
+  std::printf("\n");
 
   // JSON accumulators: per-kernel GFLOP/s averaged over the shape set.
   double sum_sgemm = 0.0, sum_hgemm = 0.0;
-  std::vector<double> sum_q(isas.size(), 0.0);
+  std::vector<double> sum_h(isas.size(), 0.0), sum_q(isas.size(), 0.0);
 
   for (const GemmShape& s : kShapes) {
     const double flops = 2.0 * static_cast<double>(s.m) *
@@ -288,41 +291,45 @@ int main() {
           nc::core::sgemm(false, false, s.m, s.n, s.k, 1.f, a.data(), s.k,
                           b.data(), s.n, 0.f, c.data(), s.n);
         }) / 1e9;
+    std::printf("  %3lld x %5lld x %4lld %-9s %8.2f",
+                static_cast<long long>(s.m), static_cast<long long>(s.n),
+                static_cast<long long>(s.k), "", sgemm_g);
 
     std::vector<nc::util::half> ah(static_cast<std::size_t>(s.m * s.k));
     std::vector<nc::util::half> bh(static_cast<std::size_t>(s.k * s.n));
     nc::util::float_to_half_n(a.data(), ah.data(), s.m * s.k);
     nc::util::float_to_half_n(b.data(), bh.data(), s.k * s.n);
-    const double hgemm_g =
-        best_rate(flops, [&] {
-          nc::core::hgemm(s.m, s.n, s.k, ah.data(), s.k, bh.data(), s.n,
-                          c.data(), s.n);
-        }) / 1e9;
-
     const auto qa = nc::core::quantize_rows(a.data(), s.m, s.k);
     std::vector<std::int8_t> qb(static_cast<std::size_t>(s.k * s.n));
     const float b_scale =
         nc::core::quantize_tensor(b.data(), s.k * s.n, qb.data());
 
-    std::printf("  %3lld x %5lld x %4lld %-9s %8.2f %8.2f",
-                static_cast<long long>(s.m), static_cast<long long>(s.n),
-                static_cast<long long>(s.k), "", sgemm_g, hgemm_g);
-    double scalar_g = 0.0, best_g = 0.0;
-    for (std::size_t t = 0; t < isas.size(); ++t) {
-      const auto& ker = nc::core::simd::kernels_for(isas[t]);
-      const double g = best_rate(flops, [&] {
-        ker.qgemm(s.m, s.n, s.k, qa.values.data(), qa.scales.data(), qb.data(),
-                  b_scale, c.data(), s.n);
-      }) / 1e9;
-      if (isas[t] == Isa::kScalar) scalar_g = g;
-      best_g = std::max(best_g, g);
-      sum_q[t] += g;
-      std::printf(" %10.2f", g);
+    for (const bool int8 : {false, true}) {
+      double scalar_g = 0.0, best_g = 0.0;
+      for (std::size_t t = 0; t < isas.size(); ++t) {
+        const auto& ker = nc::core::simd::kernels_for(isas[t]);
+        const double g = best_rate(flops, [&] {
+          if (int8) {
+            ker.qgemm(s.m, s.n, s.k, qa.values.data(), qa.scales.data(),
+                      qb.data(), b_scale, c.data(), s.n);
+          } else {
+            ker.tile_hh(0, s.m, 0, s.n, s.k, ah.data(), s.k, bh.data(), s.n,
+                        c.data(), s.n);
+          }
+        }) / 1e9;
+        if (isas[t] == Isa::kScalar) scalar_g = g;
+        best_g = std::max(best_g, g);
+        (int8 ? sum_q : sum_h)[t] += g;
+        std::printf(" %11.2f", g);
+      }
+      std::printf(" %7.2fx", scalar_g > 0.0 ? best_g / scalar_g : 0.0);
     }
-    std::printf(" %7.2fx  # %s\n", scalar_g > 0.0 ? best_g / scalar_g : 0.0,
-                s.what);
+    std::printf("  # %s\n", s.what);
     sum_sgemm += sgemm_g;
-    sum_hgemm += hgemm_g;
+  }
+  // hgemm on one thread is one call of the active tier's tile_hh.
+  for (std::size_t t = 0; t < isas.size(); ++t) {
+    if (isas[t] == active) sum_hgemm = sum_h[t];
   }
 
   // ---- quantization passes -------------------------------------------------
@@ -352,34 +359,36 @@ int main() {
   for (double r : quant_r) std::printf(" %10.2f", r);
   std::printf("\n");
 
-  nc::util::set_num_threads(1);
   const std::string sweep = sparse_sweep(isas);
 
   // ---- JSON trailer --------------------------------------------------------
   const double n_shapes = static_cast<double>(std::size(kShapes));
-  std::string qjson, spdjson;
-  double scalar_avg = 0.0;
-  for (std::size_t t = 0; t < isas.size(); ++t) {
-    if (isas[t] == Isa::kScalar) scalar_avg = sum_q[t] / n_shapes;
-  }
-  char buf[128];
-  for (std::size_t t = 0; t < isas.size(); ++t) {
-    const double avg = sum_q[t] / n_shapes;
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", t ? "," : "",
-                  nc::core::simd::isa_name(isas[t]), avg);
-    qjson += buf;
-    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", t ? "," : "",
-                  nc::core::simd::isa_name(isas[t]),
-                  scalar_avg > 0.0 ? avg / scalar_avg : 0.0);
-    spdjson += buf;
-  }
+  auto by_tier = [&](const std::vector<double>& sums, bool speedup) {
+    double scalar_avg = 0.0;
+    for (std::size_t t = 0; t < isas.size(); ++t) {
+      if (isas[t] == Isa::kScalar) scalar_avg = sums[t] / n_shapes;
+    }
+    std::string json;
+    char buf[128];
+    for (std::size_t t = 0; t < isas.size(); ++t) {
+      const double avg = sums[t] / n_shapes;
+      std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", t ? "," : "",
+                    nc::core::simd::isa_name(isas[t]),
+                    speedup ? (scalar_avg > 0.0 ? avg / scalar_avg : 0.0) : avg);
+      json += buf;
+    }
+    return json;
+  };
   std::printf(
       "\n{\"bench\":\"kernels\",\"isa\":\"%s\",\"sgemm_gflops\":%.3f,"
-      "\"hgemm_gflops\":%.3f,\"qgemm_gflops\":{%s},"
+      "\"hgemm_gflops\":%.3f,\"hgemm_gflops_by_tier\":{%s},"
+      "\"hgemm_speedup_vs_scalar\":{%s},\"qgemm_gflops\":{%s},"
       "\"qgemm_speedup_vs_scalar\":{%s},\"maxabs_gelems\":%.3f,"
       "\"quantize_gelems\":%.3f,\"conv_lowering_sweep\":[%s]}\n",
       nc::core::simd::isa_name(active), sum_sgemm / n_shapes,
-      sum_hgemm / n_shapes, qjson.c_str(), spdjson.c_str(), maxabs_r.back(),
-      quant_r.back(), sweep.c_str());
+      sum_hgemm / n_shapes, by_tier(sum_h, false).c_str(),
+      by_tier(sum_h, true).c_str(), by_tier(sum_q, false).c_str(),
+      by_tier(sum_q, true).c_str(), maxabs_r.back(), quant_r.back(),
+      sweep.c_str());
   return 0;
 }

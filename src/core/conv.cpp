@@ -37,6 +37,12 @@ std::vector<std::int8_t>& i8_scratch() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
 }
+// Second int8 buffer: the int8 path needs the input codes and the lowered
+// column matrix alive at the same time.
+std::vector<std::int8_t>& i8_scratch_b() {
+  thread_local std::vector<std::int8_t> buf;
+  return buf;
+}
 // Pixel-major accumulator of the sparse Conv2d lowering.
 std::vector<float>& acc_scratch() {
   thread_local std::vector<float> buf;
@@ -56,16 +62,62 @@ bool nonzeros_at_most(const float* x, std::int64_t n, std::int64_t limit) {
   return true;
 }
 
-/// True iff every index in [0, n) of one conv axis lies in some window
-/// [o * s - p, o * s - p + k), o < out_n.
-bool every_index_in_a_window(std::int64_t n, std::int64_t k, std::int64_t s,
-                             std::int64_t p, std::int64_t out_n) {
-  std::int64_t covered = 0;  // [0, covered) lies in a window
-  for (std::int64_t o = 0; o < out_n && covered < n; ++o) {
-    if (o * s - p > covered) return false;
-    covered = std::max(covered, o * s - p + k);
+/// The 3-D geometry (depth 1, depth kernel 1) that lowers exactly as `g`.
+Conv3dGeom as_3d(const Conv2dGeom& g) {
+  Conv3dGeom g3;
+  g3.c = g.c;
+  g3.d = 1;
+  g3.h = g.h;
+  g3.w = g.w;
+  g3.kd = 1;
+  g3.kh = g.kh;
+  g3.kw = g.kw;
+  g3.sh = g.sh;
+  g3.sw = g.sw;
+  g3.ph = g.ph;
+  g3.pw = g.pw;
+  return g3;
+}
+
+/// Quantize one (c, d, h, w) input sample of a conv with geometry `g` into
+/// int8 codes `q`, and return the scale.  The scale is `quant_scale` of the
+/// largest |x| over the voxels some window covers (`axis_taps` count > 0 on
+/// every axis).  That is the largest magnitude in the sample's im2col, so
+/// lowering these codes gives exactly the codes of quantizing the im2col.
+/// When every voxel is covered, as in every BCAE layer, it is one max_abs.
+float quantize_covered(const float* x, const Conv3dGeom& g, std::int8_t* q) {
+  using simd::detail::AxisTaps;
+  const simd::Kernels& ker = simd::kernels();
+  thread_local std::vector<AxisTaps> taps;
+  taps.resize(static_cast<std::size_t>(g.d + g.h + g.w));
+  AxisTaps* tz = taps.data();
+  AxisTaps* ty = tz + g.d;
+  AxisTaps* tx = ty + g.h;
+  simd::detail::axis_taps(g.d, g.kd, g.sd, g.pd, g.out_d(), tz);
+  simd::detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ty);
+  simd::detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), tx);
+  const std::int64_t numel = g.c * g.d * g.h * g.w;
+  float max_abs = 0.f;
+  if (std::all_of(taps.begin(), taps.end(),
+                  [](const AxisTaps& t) { return t.count > 0; })) {
+    max_abs = ker.max_abs(x, numel);
+  } else {
+    for (std::int64_t c = 0; c < g.c; ++c) {
+      for (std::int64_t z = 0; z < g.d; ++z) {
+        if (tz[z].count == 0) continue;
+        for (std::int64_t y = 0; y < g.h; ++y) {
+          if (ty[y].count == 0) continue;
+          const float* row = x + ((c * g.d + z) * g.h + y) * g.w;
+          for (std::int64_t i = 0; i < g.w; ++i) {
+            if (tx[i].count > 0) max_abs = std::max(max_abs, std::abs(row[i]));
+          }
+        }
+      }
+    }
   }
-  return covered >= n;
+  const float scale = quant_scale(max_abs);
+  ker.quantize_scaled(x, numel, 1.f / scale, q);
+  return scale;
 }
 
 /// Most nonzeros a sample may hold for Conv2d to take the sparse lowering
@@ -75,13 +127,8 @@ std::int64_t sparse_nonzero_limit(Mode mode, const Conv2dGeom& g) {
   if (mode == Mode::kEvalHalf) {
     max_density = kSparseMaxDensityHalf;
   } else if (mode == Mode::kEvalInt8) {
-    // fp32 sums of int8 x int8 products stay exact integers, and the
-    // input's max |x| is its im2col's, so both lowerings quantize alike.
-    const bool exact = g.rows() * 127 * 127 < (std::int64_t{1} << 24);
-    const bool covered =
-        every_index_in_a_window(g.h, g.kh, g.sh, g.ph, g.out_h()) &&
-        every_index_in_a_window(g.w, g.kw, g.sw, g.pw, g.out_w());
-    if (!exact || !covered) return -1;
+    // fp32 sums of int8 x int8 products must stay exact integers.
+    if (g.rows() * 127 * 127 >= (std::int64_t{1} << 24)) return -1;
     max_density = kSparseMaxDensityInt8;
   } else {
     return -1;
@@ -256,20 +303,30 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
           // extreme weights, decoder heads especially) clamps to +/-65504
           // instead of turning the rest of the forward non-finite.
           util::float_to_half_sat_n(in_s, inh.data(), in_stride);
-          auto& colbuf = f16_scratch();
-          colbuf.resize(static_cast<std::size_t>(rows * cols));
-          im2col_2d(inh.data(), g, colbuf.data());
-          hgemm(out_c_, cols, rows, whalf->data(), rows, colbuf.data(),
-                cols, out_s, cols);
+          const util::half* colh = inh.data();
+          if (!is_1x1) {
+            auto& colbuf = f16_scratch();
+            colbuf.resize(static_cast<std::size_t>(rows * cols));
+            im2col_2d(inh.data(), g, colbuf.data());
+            colh = colbuf.data();
+          }
+          hgemm(out_c_, cols, rows, whalf->data(), rows, colh, cols, out_s,
+                cols);
         } else if (int8_mode) {
-          auto& colbuf = f32_scratch();
-          colbuf.resize(static_cast<std::size_t>(rows * cols));
-          im2col_2d(in_s, g, colbuf.data());
+          // Quantize first, then lower the codes: 1/(kh*kw) of the
+          // quantize work, and no fp32 column matrix.
           auto& q = i8_scratch();
-          q.resize(static_cast<std::size_t>(rows * cols));
-          const float act_scale = quantize_tensor(colbuf.data(), rows * cols, q.data());
-          qgemm(out_c_, cols, rows, wq->values.data(),
-                wq->scales.data(), q.data(), act_scale, out_s, cols);
+          q.resize(static_cast<std::size_t>(in_stride));
+          const float act_scale = quantize_covered(in_s, as_3d(g), q.data());
+          const std::int8_t* colq = q.data();
+          if (!is_1x1) {
+            auto& colbuf = i8_scratch_b();
+            colbuf.resize(static_cast<std::size_t>(rows * cols));
+            im2col_2d(q.data(), g, colbuf.data());
+            colq = colbuf.data();
+          }
+          qgemm(out_c_, cols, rows, wq->values.data(), wq->scales.data(), colq,
+                act_scale, out_s, cols);
         } else if (is_1x1) {
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, in_s, cols, 0.f, out_s, cols);
@@ -282,7 +339,8 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
         }
         if (bias) add_bias_rows(out_s, bias, out_c_, cols);
       },
-      mode == Mode::kTrain ? n + 1 : 1);  // train: serial sample loop
+      // train: serial sample loop
+      mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
 
   if (prof) {
     const double dense_samples = static_cast<double>(n - sparse_samples.load());
@@ -310,7 +368,7 @@ std::int64_t Conv2d::forward_sparse(const float* in, const Conv2dGeom& g,
   if (wq) {
     auto& q = i8_scratch();
     q.resize(static_cast<std::size_t>(numel));
-    act_scale = quantize_tensor(in, numel, q.data());
+    act_scale = quantize_covered(in, as_3d(g), q.data());
     std::copy(q.begin(), q.end(), xs.begin());  // int8 codes, widened
     slab = &slab_q_.get(
         [&] { return widen_slab(wq->values.data(), out_c_, rows); });
@@ -458,20 +516,28 @@ Tensor Conv3d::forward(const Tensor& x, Mode mode) {
           auto& inh = f16_scratch_b();
           inh.resize(static_cast<std::size_t>(in_stride));
           util::float_to_half_sat_n(in_s, inh.data(), in_stride);
-          auto& colbuf = f16_scratch();
-          colbuf.resize(static_cast<std::size_t>(rows * cols));
-          vol2col_3d(inh.data(), g, colbuf.data());
-          hgemm(out_c_, cols, rows, whalf->data(), rows, colbuf.data(),
-                cols, out_s, cols);
+          const util::half* colh = inh.data();
+          if (!is_1x1) {
+            auto& colbuf = f16_scratch();
+            colbuf.resize(static_cast<std::size_t>(rows * cols));
+            vol2col_3d(inh.data(), g, colbuf.data());
+            colh = colbuf.data();
+          }
+          hgemm(out_c_, cols, rows, whalf->data(), rows, colh, cols, out_s,
+                cols);
         } else if (int8_mode) {
-          auto& colbuf = f32_scratch();
-          colbuf.resize(static_cast<std::size_t>(rows * cols));
-          vol2col_3d(in_s, g, colbuf.data());
           auto& q = i8_scratch();
-          q.resize(static_cast<std::size_t>(rows * cols));
-          const float act_scale = quantize_tensor(colbuf.data(), rows * cols, q.data());
-          qgemm(out_c_, cols, rows, wq->values.data(),
-                wq->scales.data(), q.data(), act_scale, out_s, cols);
+          q.resize(static_cast<std::size_t>(in_stride));
+          const float act_scale = quantize_covered(in_s, g, q.data());
+          const std::int8_t* colq = q.data();
+          if (!is_1x1) {
+            auto& colbuf = i8_scratch_b();
+            colbuf.resize(static_cast<std::size_t>(rows * cols));
+            vol2col_3d(q.data(), g, colbuf.data());
+            colq = colbuf.data();
+          }
+          qgemm(out_c_, cols, rows, wq->values.data(), wq->scales.data(), colq,
+                act_scale, out_s, cols);
         } else if (is_1x1) {
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, in_s, cols, 0.f, out_s, cols);
@@ -484,7 +550,7 @@ Tensor Conv3d::forward(const Tensor& x, Mode mode) {
         }
         if (bias) add_bias_rows(out_s, bias, out_c_, cols);
       },
-      mode == Mode::kTrain ? n + 1 : 1);
+      mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
 
   if (prof) record_profile(label_, timer.elapsed_s(), out_c_, cols, rows, n);
   return out;
@@ -631,7 +697,7 @@ Tensor ConvTranspose2d::forward(const Tensor& x, Mode mode) {
         col2im_2d(gcol.data(), g, out_s);
         if (bias) add_bias_rows(out_s, bias, out_c_, oh * ow);
       },
-      mode == Mode::kTrain ? n + 1 : 1);
+      mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 
   if (prof) record_profile(label_, timer.elapsed_s(), rows, cols, in_c_, n);
   return out;
@@ -783,7 +849,7 @@ Tensor ConvTranspose3d::forward(const Tensor& x, Mode mode) {
         col2vol_3d(gcol.data(), g, out_s);
         if (bias) add_bias_rows(out_s, bias, out_c_, od * oh * ow);
       },
-      mode == Mode::kTrain ? n + 1 : 1);
+      mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 
   if (prof) record_profile(label_, timer.elapsed_s(), rows, cols, in_c_, n);
   return out;

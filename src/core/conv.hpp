@@ -21,36 +21,53 @@
 /// (gradient accumulation stays race-free); eval runs samples in an OpenMP
 /// loop with serial inner kernels, which is what makes encoder throughput
 /// grow with batch size (Fig. 6 A–C) — small batches cannot occupy all
-/// cores, exactly as small kernels cannot occupy a GPU.
+/// cores, exactly as small kernels cannot occupy a GPU.  Every fork site
+/// (the sample loop, the lowerings, the GEMMs) opens a team only for at
+/// least `util::kForkMinWork` multiply-adds or copies, so a tiny conv never
+/// pays for one.
 ///
-/// Conv2d eval has two lowerings.  Zero-suppressed TPC wedges are ~90 %
-/// zeros, so the encoder's first layer mostly multiplies zeros when it is
-/// lowered densely.
-///   * dense:  im2col into a column matrix, then `hgemm` (kEvalHalf) or
-///             input quantization + `qgemm` (kEvalInt8).  Every mode.
-///   * sparse: scatter each nonzero input voxel, times its (kh*kw, out_c)
-///             weight slab, into a pixel-major fp32 accumulator
-///             (`simd::Kernels::scatter_conv2d`), then transpose (and, for
-///             int8, scale) into the output.  kEvalHalf and kEvalInt8 only.
-/// The gate is per sample: the sparse lowering runs when the sample's
+/// The dense eval lowering of Conv2d and Conv3d:
+///   * kEvalHalf: cast the input to binary16 (saturating), im2col/vol2col
+///     it (a run copy per column row, no per-element bounds test), then
+///     `hgemm`, whose register-blocked `tile_hh` overwrites C.  A 1x1
+///     stride-1 unpadded conv skips the lowering: its column matrix is the
+///     input.
+///   * kEvalInt8: quantize the input once, then lower the int8 codes
+///     straight into the column matrix `qgemm` reads.  The scale is
+///     `quant_scale` of the largest |x| over the voxels some window covers,
+///     which is the largest magnitude in the im2col, so the codes are those
+///     of quantizing the im2col; in every BCAE layer every voxel is covered
+///     and the scale is one `max_abs`.
+/// The transposed convs multiply first (`hgemm` in kEvalHalf; kEvalInt8
+/// falls back to fp32) and scatter with col2im/col2vol.
+///
+/// Conv2d eval has a second, sparse lowering.  Zero-suppressed TPC wedges
+/// are ~90 % zeros, so the encoder's first layer mostly multiplies zeros
+/// when it is lowered densely.  It scatters each nonzero input voxel, times
+/// its (kh*kw, out_c) weight slab, into a pixel-major fp32 accumulator
+/// (`simd::Kernels::scatter_conv2d`), then transposes (and, for int8,
+/// scales) into the output; int8 quantizes the input as the dense path
+/// does.  The gate is per sample: the sparse lowering runs when the sample's
 /// nonzero fraction is at most `kSparseMaxDensityHalf` /
-/// `kSparseMaxDensityInt8`.  int8 also needs exact fp32 sums
-/// (c * kh * kw * 127^2 < 2^24) and every input voxel inside some window
-/// (so that quantizing the input gives its im2col's scale); otherwise it
-/// stays dense.  fp32 kEval, kTrain, Conv3d and the transposed convs are
-/// always dense.
+/// `kSparseMaxDensityInt8`, and for int8 only while fp32 sums stay exact
+/// (c * kh * kw * 127^2 < 2^24).  fp32 kEval, kTrain, Conv3d and the
+/// transposed convs are always dense.
 ///
 /// Output-bit contract (pinned by tests/test_conv_oracle.cpp against a
-/// test-only copy of the dense lowering): for finite inputs and finite
-/// binary16 weights, Conv2d's kEvalHalf and kEvalInt8 outputs are
-/// bit-identical between the two lowerings and across every SIMD tier.
-/// Why it holds: binary16 x binary16 and int8 x int8 products are exact in
-/// binary32, so FMA and multiply-then-add round alike; the scatter visits
-/// voxels in (c, y, x) order, which hands each output its terms in the
-/// ascending (c, ky, kx) order of the dense GEMM; skipped terms are exact
-/// zeros; and int8 partial sums are integers below 2^24.  Any change that
-/// reorders an fp16 sum, or fuses a rounding step (e.g. contracting the
-/// int8 epilogue `acc * scale + bias` into one FMA), breaks the contract.
+/// self-contained element-by-element im2col and GEMM loop): for finite
+/// inputs and finite binary16 weights, the kEvalHalf outputs of all four
+/// convs and the kEvalInt8 outputs of Conv2d and Conv3d are bit-identical
+/// between the lowerings and across every SIMD tier.  Why it holds:
+/// binary16 x binary16 and int8 x int8 products are exact in binary32, so
+/// FMA and multiply-then-add round alike; every tier's tile sums each
+/// output from +0 in ascending k, however it blocks registers; B is finite
+/// (the saturating cast), so the tiers that do not skip zero weights add
+/// exact zeros; the scatter visits voxels in (c, y, x) order, which hands
+/// each output its terms in the ascending (c, ky, kx) order of the dense
+/// GEMM; skipped terms are exact zeros; and int8 partial sums are integers
+/// below 2^24.  Any change that reorders an fp16 sum, or fuses a rounding
+/// step (e.g. contracting the int8 epilogue `acc * scale + bias` into one
+/// FMA), breaks the contract.
 #pragma once
 
 #include <array>
@@ -66,16 +83,18 @@ namespace nc::core {
 
 /// Largest nonzero fraction of a sample's input at which Conv2d's kEvalHalf
 /// and kEvalInt8 forwards take the sparse lowering (see the file comment).
-/// Each sits just below the lowest density at which the dense lowering won
-/// on a vector tier in two runs of bench_kernels' dense-vs-sparse sweep
-/// (single thread, 4-vCPU AVX-512 Xeon, GCC 12).  fp16: the scatter won at
-/// every swept density up to 100 % on the 16 -> 32 7x7 input layer; on a
-/// 32 -> 32 3x3 layer the dense GEMM overtook it at 45-70 % (avx2) and
-/// 50-90 % (avx512).  int8: the dense GEMM overtook it at ~30 % on the 3x3
-/// layer with avx2 and 45-50 % with avx512, and at 30-50 % (avx2) and
-/// 50-100 % (avx512) on the 7x7 layer.  BCAE-2D's zero-suppressed wedges
-/// are 11-13 % nonzero.  A faster dense kernel moves these crossovers:
-/// re-measure when it changes.
+/// Three runs of bench_kernels' dense-vs-sparse sweep against the
+/// register-blocked dense lowering (single thread, 4-vCPU AVX-512 Xeon,
+/// GCC 12) put the vector tiers' crossovers on the 16 -> 32 7x7 input
+/// layer, the only BCAE-2D layer whose input is sparse, at 30-50 % (fp16)
+/// and 20-50 % (int8): these values sit below them.  On a 32 -> 32 3x3
+/// layer the faster dense GEMM overtook the scatter at 20-30 % (fp16) and
+/// 15-30 % (int8), but no BCAE 3x3 conv sees inputs that sparse.  Lowering
+/// the gate to 0.15 sent the bench wedges above 15 % nonzero (the mean is
+/// 10.5-13 %) to the dense lowering, whose column buffer for that layer is
+/// 4.7 MB per thread: peak RSS rose from 124 to 155 MB on one perfbench
+/// seed.  A faster kernel on either side moves the crossovers: re-measure
+/// when one changes.
 inline constexpr double kSparseMaxDensityHalf = 0.4;
 inline constexpr double kSparseMaxDensityInt8 = 0.25;
 

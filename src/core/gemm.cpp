@@ -105,7 +105,7 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 #ifdef _OPENMP
 #pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && util::may_fork())
+    if (n_row_blocks * n_col_blocks > 1 && util::may_fork(m * n * k))
 #endif
   for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
     for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {
@@ -125,32 +125,27 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const util::half* a, std::int64_t lda, const util::half* b,
            std::int64_t ldb, float* c, std::int64_t ldc) {
-  apply_beta(m, n, 0.f, c, ldc);
-  if (m == 0 || n == 0 || k == 0) return;
-
-  // Half-storage microkernel: C += float(A[i,k]) * float(B[k, j0:j1]),
-  // runtime-dispatched.  On F16C hardware the B row is widened 8 lanes at a
-  // time (VCVTPH2PS + FMA), streaming half the bytes of the fp32 kernel —
-  // the CPU analogue of the paper's tensor-core half-precision mode.  The
-  // old compile-time __F16C__ gate made this dead code in default builds;
-  // the dispatcher selects it per-process instead.
+  if (m <= 0 || n <= 0) return;
+  // Register-blocked half-storage tile, runtime-dispatched: it widens B on
+  // the fly (VCVTPH2PS), streaming half the bytes of the fp32 kernel — the
+  // CPU analogue of the paper's tensor-core half-precision mode — and
+  // overwrites its block of C, so C needs no clearing pass.
   const auto tile_hh = simd::kernels().tile_hh;
-
-  const std::int64_t n_row_blocks = (m + kMB - 1) / kMB;
-  const std::int64_t n_col_blocks = (n + kNB - 1) / kNB;
-
+  if (!util::may_fork(m * n * k)) {
+    tile_hh(0, m, 0, n, k, a, lda, b, ldb, c, ldc);
+    return;
+  }
+  // One column panel per thread, a multiple of the 32-column register
+  // block wide; each panel widens the (small) A operand for itself.
+  const std::int64_t threads = util::num_threads();
+  const std::int64_t width = ((n + threads - 1) / threads + 31) / 32 * 32;
+  const std::int64_t panels = (n + width - 1) / width;
 #ifdef _OPENMP
-#pragma omp parallel for collapse(2) schedule(static) \
-    if (n_row_blocks * n_col_blocks > 1 && util::may_fork())
+#pragma omp parallel for schedule(static)
 #endif
-  for (std::int64_t rb = 0; rb < n_row_blocks; ++rb) {
-    for (std::int64_t cb = 0; cb < n_col_blocks; ++cb) {
-      const std::int64_t i0 = rb * kMB;
-      const std::int64_t i1 = std::min(m, i0 + kMB);
-      const std::int64_t j0 = cb * kNB;
-      const std::int64_t j1 = std::min(n, j0 + kNB);
-      tile_hh(i0, i1, j0, j1, k, a, lda, b, ldb, c, ldc);
-    }
+  for (std::int64_t p = 0; p < panels; ++p) {
+    const std::int64_t j0 = p * width;
+    tile_hh(0, m, j0, std::min(n, j0 + width), k, a, lda, b, ldb, c, ldc);
   }
 }
 

@@ -9,10 +9,12 @@
 /// accumulation — the same numerics contract as GPU tensor cores, which is
 /// why Table 2's accuracy parity reproduces on CPU).
 ///
-/// Parallelization: 2-D tiling over (row block, column block) with an OpenMP
-/// `collapse(2)` loop.  Tiling over columns as well as rows matters because
-/// conv GEMMs here are "short and fat" (M = out-channels is tiny, N = output
-/// pixels is huge); row-only parallelism would idle most cores.
+/// Parallelization: `sgemm` tiles over (row block, column block) with an
+/// OpenMP `collapse(2)` loop, `hgemm` splits the columns into one panel per
+/// thread.  Splitting columns matters because conv GEMMs here are "short and
+/// fat" (M = out-channels is tiny, N = output pixels is huge); row-only
+/// parallelism would idle most cores.  Both fork only when the call has at
+/// least `util::kForkMinWork` multiply-adds.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,7 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 /// C = A * B with binary16 operands and float32 accumulation (no transposes —
 /// the inference path pre-packs weights in the orientation it needs).
-/// C is overwritten.
+/// C is overwritten; B must be finite (see `simd::Kernels::tile_hh`).
 void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const util::half* a, std::int64_t lda, const util::half* b,
            std::int64_t ldb, float* c, std::int64_t ldc);

@@ -31,7 +31,7 @@ void col2im_2d(const float* cols, const Conv2dGeom& g, float* out) {
           }
         }
       },
-      1);
+      util::grain_for(g.kh * g.kw * oh * ow));
 }
 
 void col2vol_3d(const float* cols, const Conv3dGeom& g, float* out) {
@@ -70,7 +70,7 @@ void col2vol_3d(const float* cols, const Conv3dGeom& g, float* out) {
           }
         }
       },
-      1);
+      util::grain_for(g.kd * g.kh * g.kw * od * oh * ow));
 }
 
 }  // namespace nc::core

@@ -1,6 +1,7 @@
 #include "core/quantize.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "core/simd_dispatch.hpp"
@@ -13,6 +14,10 @@ namespace nc::core {
 // round-to-nearest-even on every tier (VCVTPS2DQ semantics — the scalar
 // fallback uses std::nearbyintf to match bit-for-bit).
 
+float quant_scale(float max_abs) {
+  return max_abs > 0.f ? std::max(max_abs / 127.f, FLT_MIN) : 1.f;
+}
+
 QuantizedRows quantize_rows(const float* w, std::int64_t rows, std::int64_t cols) {
   const simd::Kernels& ker = simd::kernels();
   QuantizedRows q;
@@ -22,8 +27,7 @@ QuantizedRows quantize_rows(const float* w, std::int64_t rows, std::int64_t cols
   q.scales.resize(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = w + r * cols;
-    const float max_abs = ker.max_abs(row, cols);
-    const float scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
+    const float scale = quant_scale(ker.max_abs(row, cols));
     q.scales[static_cast<std::size_t>(r)] = scale;
     ker.quantize_scaled(row, cols, 1.f / scale, q.values.data() + r * cols);
   }
@@ -32,8 +36,7 @@ QuantizedRows quantize_rows(const float* w, std::int64_t rows, std::int64_t cols
 
 float quantize_tensor(const float* x, std::int64_t n, std::int8_t* out) {
   const simd::Kernels& ker = simd::kernels();
-  const float max_abs = ker.max_abs(x, n);
-  const float scale = max_abs > 0.f ? max_abs / 127.f : 1.f;
+  const float scale = quant_scale(ker.max_abs(x, n));
   ker.quantize_scaled(x, n, 1.f / scale, out);
   return scale;
 }

@@ -35,9 +35,16 @@ struct QuantizedRows {
 /// sign-transfer kernel relies on that headroom) and rounded to nearest-even.
 QuantizedRows quantize_rows(const float* w, std::int64_t rows, std::int64_t cols);
 
+/// The dequantization scale of a row or tensor whose largest magnitude is
+/// `max_abs`: max_abs / 127, but at least FLT_MIN so that its reciprocal is
+/// finite (a smaller scale would turn every zero into 0 * inf = NaN), or 1
+/// when max_abs is 0.  Codes of inputs with max_abs >= 127 * FLT_MIN are
+/// those of the plain max_abs / 127.
+float quant_scale(float max_abs);
+
 /// Symmetric per-tensor quantization of activations (dynamic): returns the
-/// dequantization scale; `out` receives round-to-nearest-even(x / scale)
-/// clamped to ±127.  Both passes (max-abs scan + quantize) run through the
+/// dequantization scale `quant_scale(max |x|)`; `out` receives
+/// round-to-nearest-even(x * (1 / scale)) clamped to ±127.  Both passes (max-abs scan + quantize) run through the
 /// runtime SIMD dispatcher (core/simd_dispatch.hpp) and are bit-identical
 /// across ISA tiers.
 float quantize_tensor(const float* x, std::int64_t n, std::int8_t* out);

@@ -172,7 +172,7 @@ void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && util::may_fork())
+    if (row_blocks > 1 && util::may_fork(m * n * k))
 #endif
   for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
     const std::int64_t i0 = rb * kRowBlk;
@@ -278,39 +278,89 @@ void quantize_scaled_avx2(const float* x, std::int64_t n, float inv_scale,
   }
 }
 
+/// One R x W block of C (R <= 6 rows of W / 8 ymm each, 12 accumulators at
+/// most, which with the B vectors and the broadcast fits the 16 ymm
+/// registers) summed over all of k: every accumulator starts at +0 and
+/// takes one FMA per kk in ascending order, so each element gets the scalar
+/// tier's sum.  `aw` is the block's first widened A row (row stride k), `b`
+/// and `c` point at the block's first column.
+template <int R, int W>
+void block_hh(std::int64_t k, const float* aw, const util::half* b,
+              std::int64_t ldb, float* c, std::int64_t ldc) {
+  constexpr int V = W / 8;
+  __m256 acc[R][V];
+#pragma GCC unroll 6
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const util::half* bk = b + kk * ldb;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = _mm256_cvtph_ps(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + 8 * v)));
+    }
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_broadcast_ss(aw + r * k + kk);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+  }
+}
+
+using BlockHh = void (*)(std::int64_t, const float*, const util::half*,
+                         std::int64_t, float*, std::int64_t);
+
+template <int W>
+constexpr BlockHh kBlockHh[7] = {nullptr,           &block_hh<1, W>,
+                                 &block_hh<2, W>,   &block_hh<3, W>,
+                                 &block_hh<4, W>,   &block_hh<5, W>,
+                                 &block_hh<6, W>};
+
+/// Register-blocked fp16 tile (contract in simd_dispatch.hpp).  Column
+/// blocks of 16 (then one of 8) outside, row blocks of 6 inside, so the B
+/// panel of one column block is reused from L1 by every row block; the last
+/// columns (fewer than 8) are summed one element at a time, in the same
+/// order.
 void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
                   std::int64_t lda, const util::half* b, std::int64_t ldb,
                   float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const util::half* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = static_cast<float>(ai[kk]);
-      if (av == 0.f) continue;
-      const util::half* bk = b + kk * ldb;
-      const __m256 av8 = _mm256_set1_ps(av);
-      std::int64_t j = j0;
-      for (; j + 16 <= j1; j += 16) {
-        const __m128i raw0 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j));
-        const __m128i raw1 =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j + 8));
-        __m256 c0 = _mm256_loadu_ps(ci + j);
-        __m256 c1 = _mm256_loadu_ps(ci + j + 8);
-        c0 = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw0), c0);
-        c1 = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw1), c1);
-        _mm256_storeu_ps(ci + j, c0);
-        _mm256_storeu_ps(ci + j + 8, c1);
+  const std::int64_t m = i1 - i0;
+  if (m <= 0 || j1 <= j0) return;
+  auto& aw = detail::tile_a_scratch();
+  aw.resize(static_cast<std::size_t>(m * k));
+  for (std::int64_t i = 0; i < m; ++i) {
+    util::half_to_float_n(a + (i0 + i) * lda, aw.data() + i * k, k);
+  }
+  std::int64_t j = j0;
+  for (; j + 8 <= j1;) {
+    const bool wide = j + 16 <= j1;
+    for (std::int64_t i = 0; i < m; i += 6) {
+      const auto rows = static_cast<int>(std::min<std::int64_t>(6, m - i));
+      const BlockHh block = wide ? kBlockHh<16>[rows] : kBlockHh<8>[rows];
+      block(k, aw.data() + i * k, b + j, ldb, c + (i0 + i) * ldc + j, ldc);
+    }
+    j += wide ? 16 : 8;
+  }
+  for (; j < j1; ++j) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* ai = aw.data() + i * k;
+      float acc = 0.f;
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        acc = std::fma(ai[kk], static_cast<float>(b[kk * ldb + j]), acc);
       }
-      for (; j + 8 <= j1; j += 8) {
-        const __m128i raw =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(bk + j));
-        __m256 cc = _mm256_loadu_ps(ci + j);
-        cc = _mm256_fmadd_ps(av8, _mm256_cvtph_ps(raw), cc);
-        _mm256_storeu_ps(ci + j, cc);
-      }
-      for (; j < j1; ++j) ci[j] += av * static_cast<float>(bk[j]);
+      c[(i0 + i) * ldc + j] = acc;
     }
   }
 }

@@ -16,8 +16,8 @@
 /// (Contrast with the AVX2 tier, which must use sign-transfer to dodge
 /// `vpmaddubsw` saturation — see simd_avx2.cpp.)
 ///
-/// `qgemm` and `scatter_conv2d` are overridden at this tier; max_abs /
-/// quantize_scaled / tile_hh are inherited from the AVX2 table, whose
+/// `qgemm`, `tile_hh` and `scatter_conv2d` are overridden at this tier;
+/// max_abs / quantize_scaled are inherited from the AVX2 table, whose
 /// 256-bit forms already saturate the load ports at these panel sizes.
 #include "core/simd_dispatch.hpp"
 
@@ -179,7 +179,7 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && util::may_fork())
+    if (row_blocks > 1 && util::may_fork(m * n * k))
 #endif
   for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
     const std::int64_t i0 = rb * kRowBlk;
@@ -219,6 +219,92 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
                       static_cast<std::size_t>(n - j0) * sizeof(float));
         }
       }
+    }
+  }
+}
+
+/// One R x 32 block of C (R <= 8 rows of two zmm each, 16 accumulators at
+/// most) summed over all of k: every accumulator starts at +0 and takes one
+/// FMA per kk in ascending order, so each element gets the scalar tier's
+/// sum.  `aw` is the block's first widened A row (row stride k), `b` and `c`
+/// point at the block's first column; `mask` selects its live columns when
+/// the block is not Full.
+template <int R, bool Full>
+void block_hh(std::int64_t k, const float* aw, const util::half* b,
+              std::int64_t ldb, float* c, std::int64_t ldc, __mmask32 mask) {
+  __m512 acc0[R], acc1[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    acc0[r] = _mm512_setzero_ps();
+    acc1[r] = _mm512_setzero_ps();
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    const util::half* bk = b + kk * ldb;
+    __m512 b0, b1;
+    if constexpr (Full) {
+      b0 = _mm512_cvtph_ps(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bk)));
+      b1 = _mm512_cvtph_ps(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bk + 16)));
+    } else {
+      const __m512i raw = _mm512_maskz_loadu_epi16(mask, bk);
+      b0 = _mm512_cvtph_ps(_mm512_castsi512_si256(raw));
+      b1 = _mm512_cvtph_ps(_mm512_extracti64x4_epi64(raw, 1));
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(aw[r * k + kk]);
+      acc0[r] = _mm512_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm512_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + r * ldc;
+    if constexpr (Full) {
+      _mm512_storeu_ps(cr, acc0[r]);
+      _mm512_storeu_ps(cr + 16, acc1[r]);
+    } else {
+      _mm512_mask_storeu_ps(cr, static_cast<__mmask16>(mask), acc0[r]);
+      _mm512_mask_storeu_ps(cr + 16, static_cast<__mmask16>(mask >> 16),
+                            acc1[r]);
+    }
+  }
+}
+
+using BlockHh = void (*)(std::int64_t, const float*, const util::half*,
+                         std::int64_t, float*, std::int64_t, __mmask32);
+
+template <bool Full>
+constexpr BlockHh kBlockHh[9] = {
+    nullptr,           &block_hh<1, Full>, &block_hh<2, Full>,
+    &block_hh<3, Full>, &block_hh<4, Full>, &block_hh<5, Full>,
+    &block_hh<6, Full>, &block_hh<7, Full>, &block_hh<8, Full>};
+
+/// Register-blocked fp16 tile (contract in simd_dispatch.hpp).  Column
+/// blocks of 32 outside, row blocks of 8 inside, so the B panel of one
+/// column block (k x 32 halves) is reused from L1 by every row block.
+void tile_hh_avx512(std::int64_t i0, std::int64_t i1, std::int64_t j0,
+                    std::int64_t j1, std::int64_t k, const util::half* a,
+                    std::int64_t lda, const util::half* b, std::int64_t ldb,
+                    float* c, std::int64_t ldc) {
+  const std::int64_t m = i1 - i0;
+  if (m <= 0 || j1 <= j0) return;
+  auto& aw = detail::tile_a_scratch();
+  aw.resize(static_cast<std::size_t>(m * k));
+  for (std::int64_t i = 0; i < m; ++i) {
+    util::half_to_float_n(a + (i0 + i) * lda, aw.data() + i * k, k);
+  }
+  for (std::int64_t j = j0; j < j1; j += 32) {
+    const std::int64_t width = std::min<std::int64_t>(32, j1 - j);
+    const bool full = width == 32;
+    const auto mask = static_cast<__mmask32>(
+        full ? ~0u : (1u << static_cast<unsigned>(width)) - 1u);
+    for (std::int64_t i = 0; i < m; i += 8) {
+      const auto rows = static_cast<int>(std::min<std::int64_t>(8, m - i));
+      const BlockHh block = full ? kBlockHh<true>[rows] : kBlockHh<false>[rows];
+      block(k, aw.data() + i * k, b + j, ldb, c + (i0 + i) * ldc + j, ldc,
+            mask);
     }
   }
 }
@@ -297,6 +383,7 @@ namespace detail {
 Kernels avx512_kernels() {
   Kernels t;
   t.qgemm = &qgemm_avx512;
+  t.tile_hh = &tile_hh_avx512;
   t.scatter_conv2d = &scatter_conv2d_avx512;
   return t;
 }

@@ -32,7 +32,8 @@ void qgemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
   // K values used by BCAE encoders).
   constexpr std::int64_t kNB = 256;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (m > 1 && util::may_fork())
+#pragma omp parallel for schedule(static) \
+    if (m > 1 && util::may_fork(m * n * k))
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int8_t* ai = a + i * k;
@@ -89,6 +90,7 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   for (std::int64_t i = i0; i < i1; ++i) {
     const util::half* ai = a + i * lda;
     float* ci = c + i * ldc;
+    std::fill(ci + j0, ci + j1, 0.f);
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float av = static_cast<float>(ai[kk]);
       if (av == 0.f) continue;
@@ -236,6 +238,11 @@ std::vector<std::int8_t>& qpad_a_scratch() {
 
 std::vector<std::int32_t>& qrow_sum_scratch() {
   thread_local std::vector<std::int32_t> buf;
+  return buf;
+}
+
+std::vector<float>& tile_a_scratch() {
+  thread_local std::vector<float> buf;
   return buf;
 }
 

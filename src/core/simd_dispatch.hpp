@@ -23,7 +23,7 @@
 /// `scatter_conv2d` every product is exact in binary32 (binary16 x binary16
 /// has at most 22 significant bits; int8 x int8 at most 14), so an FMA and a
 /// separately rounded multiply-add give the same bits, and each output sums
-/// its terms in the same order on every tier.  tests/test_simd_kernels.cpp
+/// its terms in the same order on every tier, however a tier blocks them.  tests/test_simd_kernels.cpp
 /// and tests/test_conv_oracle.cpp enforce this for every ISA the host
 /// supports.
 ///
@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "util/half.hpp"
 
@@ -76,11 +77,17 @@ struct Kernels {
   void (*quantize_scaled)(const float* x, std::int64_t n, float inv_scale,
                           std::int8_t* out) = nullptr;
 
-  /// Half-storage GEMM microkernel on one tile:
-  /// C[i0:i1, j0:j1] += float(A[i, kk]) * float(B[kk, j0:j1]) over kk < k,
-  /// in ascending kk for every element, skipping zero A entries.  The AVX2
-  /// implementation widens B eight lanes at a time (VCVTPH2PS + FMA); the
-  /// products are exact, so it is bit-identical to the scalar tier.
+  /// Half-storage GEMM on one tile of C, which it overwrites:
+  /// C[i, j] = sum over kk < k of float(A[i, kk]) * float(B[kk, j]) for
+  /// i0 <= i < i1, j0 <= j < j1, each element summed from +0 in ascending kk
+  /// and nothing outside the tile written.  B must be finite (every caller
+  /// fills it with `util::float_to_half_sat_n`): then a zero A entry adds an
+  /// exact zero to a sum that is never -0, so the scalar reference may skip
+  /// it and the vector tiers need not.  The vector tiers widen A to fp32
+  /// once per call and keep a register block of C across all of k (8 x 32 on
+  /// AVX-512, 6 x 16 on AVX2), widening B with VCVTPH2PS and adding each
+  /// exact product with one FMA, so they are bit-identical to the scalar
+  /// tier's multiply-then-add.
   void (*tile_hh)(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
                   std::int64_t lda, const util::half* b, std::int64_t ldb,
@@ -157,6 +164,11 @@ struct AxisTaps {
 /// every tier's scatter.
 void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
                std::int64_t out_n, AxisTaps* taps);
+
+/// Thread-local fp32 copy of the A rows a `tile_hh` call multiplies with
+/// (capacity retained across calls, so steady-state inference allocates
+/// nothing).
+std::vector<float>& tile_a_scratch();
 }  // namespace detail
 
 }  // namespace nc::core::simd

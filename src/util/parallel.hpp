@@ -52,6 +52,20 @@ inline int thread_index() {
 /// without the SIMD translation units' target flags.
 bool may_fork();
 
+/// Least work, in multiply-adds or element copies, that a fork site must
+/// have before it opens a team.  Waking and joining a team costs from a few
+/// to tens of microseconds, more than a smaller loop saves by splitting.
+inline constexpr std::int64_t kForkMinWork = std::int64_t{1} << 20;
+
+/// may_fork() for a site about to do `work` multiply-adds or element copies.
+/// Out of line for the same reason as may_fork().
+bool may_fork(std::int64_t work);
+
+/// A parallel_for grain for a loop whose indices each do `work_per_index`
+/// multiply-adds or element copies: the loop forks only when its whole work
+/// reaches kForkMinWork.
+std::int64_t grain_for(std::int64_t work_per_index);
+
 /// parallel_for over [begin, end) with a body taking the index.
 /// `grain` suppresses parallelism for small trip counts where the fork/join
 /// overhead would dominate (important for the tiny BCAE-HT layers).

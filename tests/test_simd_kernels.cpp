@@ -11,6 +11,7 @@
 /// scrutiny as the vector body.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -209,33 +210,93 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
   // binary16 x binary16 products are exact in binary32, so the vector
   // tiers' FMA rounds exactly like the scalar multiply-then-add; the sum
   // order per element is ascending k on every tier.  Values span binary16's
-  // range (subnormals to 65504) and the shape straddles every tail.
+  // range (subnormals to 65504).  The sweep crosses every register-block
+  // edge (8 x 32 on AVX-512, 6 x 16 and 6 x 8 on AVX2, then single
+  // columns), the tile sits at a nonzero (i0, j0) inside a larger C, and a
+  // sentinel border catches a store past the tile.
   nc::util::Rng rng(404);
-  const std::int64_t m = 9, n = 37, k = 41;
-  std::vector<nc::util::half> a(static_cast<std::size_t>(m * k));
-  std::vector<nc::util::half> b(static_cast<std::size_t>(k * n));
   auto draw = [&rng] {
     const double mag = std::pow(10.0, rng.uniform(-7.0, 4.8));
     return nc::util::half(static_cast<float>(rng.uniform(-1.0, 1.0) * mag));
   };
-  for (auto& h : a) h = draw();
-  for (auto& h : b) h = draw();
-  a[3] = nc::util::half(nc::util::kHalfMax);
-  b[5] = nc::util::half(-nc::util::kHalfMax);
+  constexpr std::uint32_t kSentinel = 0x7FC0BEEFu;  // a quiet NaN
+  constexpr std::int64_t i0 = 3, j0 = 5;
+  for (const std::int64_t m : {1, 7, 8, 9, 17, 32}) {
+    for (const std::int64_t n : {1, 15, 16, 17, 33, 48, 129}) {
+      for (const std::int64_t k : {1, 41, 288}) {
+        const std::int64_t lda = k + 3, ldb = j0 + n + 4;
+        const std::int64_t c_rows = i0 + m + 2, ldc = j0 + n + 7;
+        std::vector<nc::util::half> a(static_cast<std::size_t>((i0 + m) * lda));
+        std::vector<nc::util::half> b(static_cast<std::size_t>(k * ldb));
+        for (auto& h : a) h = draw();
+        for (auto& h : b) h = draw();
+        a[static_cast<std::size_t>(i0 * lda)] = nc::util::half(nc::util::kHalfMax);
+        b[static_cast<std::size_t>(j0)] = nc::util::half(-nc::util::kHalfMax);
 
-  std::vector<float> c_ref(static_cast<std::size_t>(m * n), 0.f);
-  nc::core::simd::kernels_for(Isa::kScalar)
-      .tile_hh(0, m, 0, n, k, a.data(), k, b.data(), n, c_ref.data(), n);
-  for (Isa isa : supported_isas()) {
-    std::vector<float> c(static_cast<std::size_t>(m * n), 0.f);
-    nc::core::simd::kernels_for(isa).tile_hh(0, m, 0, n, k, a.data(), k,
-                                             b.data(), n, c.data(), n);
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&c[i], &c_ref[i], sizeof(float)), 0)
-          << "isa=" << nc::core::simd::isa_name(isa) << " idx=" << i << " got "
-          << c[i] << " want " << c_ref[i];
+        auto run = [&](Isa isa) {
+          std::vector<std::uint32_t> c(static_cast<std::size_t>(c_rows * ldc),
+                                       kSentinel);
+          auto* cf = reinterpret_cast<float*>(c.data());
+          nc::core::simd::kernels_for(isa).tile_hh(i0, i0 + m, j0, j0 + n, k,
+                                                   a.data(), lda, b.data(),
+                                                   ldb, cf, ldc);
+          return c;
+        };
+        const std::vector<std::uint32_t> want = run(Isa::kScalar);
+        for (Isa isa : supported_isas()) {
+          const std::vector<std::uint32_t> got = run(isa);
+          for (std::int64_t i = 0; i < c_rows; ++i) {
+            for (std::int64_t j = 0; j < ldc; ++j) {
+              const auto at = static_cast<std::size_t>(i * ldc + j);
+              const bool inside = i >= i0 && i < i0 + m && j >= j0 && j < j0 + n;
+              ASSERT_EQ(got[at], inside ? want[at] : kSentinel)
+                  << "isa=" << nc::core::simd::isa_name(isa) << " m=" << m
+                  << " n=" << n << " k=" << k << " at (" << i << ", " << j
+                  << ")" << (inside ? "" : ", outside the tile");
+            }
+          }
+          // The tile holds sums, not the sentinel.
+          ASSERT_NE(got[static_cast<std::size_t>(i0 * ldc + j0)], kSentinel);
+        }
+      }
     }
   }
+}
+
+TEST(SimdDispatch, TinyMaxAbsQuantizesAlikeOnEveryTier) {
+  // With max |x| below ~3.7e-37, max_abs / 127 used to have an infinite
+  // reciprocal, every zero became 0 * inf = NaN, and the tiers disagreed
+  // (scalar 0 through an undefined cast, AVX2 -128).  quant_scale keeps the
+  // reciprocal finite; the probe's codes are then all zero on every tier.
+  std::vector<float> probe(64, 0.f);
+  for (std::size_t i = 0; i < probe.size(); i += 4) {
+    probe[i] = 1e-40f;
+    probe[i + 2] = -5e-41f;
+  }
+  const auto n = static_cast<std::int64_t>(probe.size());
+  for (Isa isa : supported_isas()) {
+    const Kernels& ker = nc::core::simd::kernels_for(isa);
+    const float scale = nc::core::quant_scale(ker.max_abs(probe.data(), n));
+    ASSERT_TRUE(std::isfinite(1.f / scale)) << nc::core::simd::isa_name(isa);
+    std::vector<std::int8_t> codes(probe.size(), 99);
+    ker.quantize_scaled(probe.data(), n, 1.f / scale, codes.data());
+    EXPECT_EQ(codes, std::vector<std::int8_t>(probe.size(), 0))
+        << nc::core::simd::isa_name(isa);
+  }
+  // The public entry points, on the active tier.
+  std::vector<std::int8_t> codes(probe.size(), 99);
+  EXPECT_TRUE(std::isfinite(
+      1.f / nc::core::quantize_tensor(probe.data(), n, codes.data())));
+  EXPECT_EQ(codes, std::vector<std::int8_t>(probe.size(), 0));
+  const nc::core::QuantizedRows rows =
+      nc::core::quantize_rows(probe.data(), 4, 16);
+  for (float s : rows.scales) EXPECT_TRUE(std::isfinite(1.f / s));
+  EXPECT_EQ(rows.values, std::vector<std::int8_t>(probe.size(), 0));
+  // Normal inputs keep the plain max |x| / 127 scale.
+  for (const float max_abs : {127.f * FLT_MIN, 1e-30f, 1.f, 65504.f}) {
+    EXPECT_EQ(nc::core::quant_scale(max_abs), max_abs / 127.f) << max_abs;
+  }
+  EXPECT_EQ(nc::core::quant_scale(0.f), 1.f);
 }
 
 TEST(SimdDispatch, ResolveIsaParsing) {
