@@ -1,7 +1,8 @@
 /// Self-contained microbenchmarks for the compute kernels underlying every
 /// table and figure: fp32 GEMM, the runtime-dispatched fp16 tile and int8
 /// GEMM at every ISA tier the host supports (single thread, one call over
-/// the whole matrix), the quantization passes feeding int8, and
+/// the whole matrix), the quantization passes feeding int8, the conv
+/// epilogue fused against the unfused chain it replaces, and
 /// a dense-vs-sparse sweep of the Conv2d eval lowerings over input density
 /// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers).
 ///
@@ -17,11 +18,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/act.hpp"
+#include "core/conv.hpp"
 #include "core/gemm.hpp"
 #include "core/im2col.hpp"
+#include "core/ops.hpp"
 #include "core/quantize.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/tensor.hpp"
@@ -189,6 +195,79 @@ struct ConvLowering {
     }
   }
 };
+
+// ---- conv epilogue: fused vs the unfused chain ------------------------------
+//
+// The tail of a norm-free ResBlock's second conv at the shape of enc.b1 (a
+// batch of 8 x 32 x 24 x 32 outputs): bias, the skip add and LeakyReLU.
+// Unfused is the layer-by-layer chain (a bias pass, add_inplace, then the
+// LeakyReLU layer, which allocates its output), once with the branching
+// activation `x > 0 ? x : slope * x` written out and once with the layer's
+// branch-free one; fused is one apply_epilogue pass per sample.  Each call
+// first restores the GEMM output, so every call sees the same signs.
+
+struct EpilogueTimes {
+  double restore_ms, branching_ms, unfused_ms, fused_ms;
+};
+
+EpilogueTimes epilogue_bench() {
+  constexpr std::int64_t kN = 8, kC = 32, kPlane = 24 * 32;
+  constexpr float kSlope = 0.01f;
+  const Tensor acc = random_tensor({kN, kC, 24, 32}, 21);  // 50 % negative
+  const Tensor skip = random_tensor({kN, kC, 24, 32}, 22);
+  const Tensor bias = random_tensor({kC}, 23);
+  Tensor h(acc.shape());
+  const auto bytes = static_cast<std::size_t>(acc.numel()) * sizeof(float);
+  auto restore = [&] { std::memcpy(h.data(), acc.data(), bytes); };
+  auto bias_pass = [&] {
+    for (std::int64_t s = 0; s < kN; ++s) {
+      nc::core::apply_epilogue(h.data() + s * kC * kPlane, kC, kPlane,
+                               bias.data(), nullptr, std::nullopt);
+    }
+  };
+  nc::core::LeakyReLU act(kSlope);
+  volatile float sink = 0.f;
+  EpilogueTimes t{};
+  t.restore_ms = 1e3 / best_rate(1.0, restore);
+  t.branching_ms = 1e3 / best_rate(1.0, [&] {
+    restore();
+    bias_pass();
+    nc::core::add_inplace(h, skip);
+    Tensor y(h.shape());
+    const float* xp = h.data();
+    float* yp = y.data();
+    for (std::int64_t i = 0; i < h.numel(); ++i) {
+      yp[i] = xp[i] > 0.f ? xp[i] : kSlope * xp[i];
+    }
+    sink = yp[0];
+  });
+  t.unfused_ms = 1e3 / best_rate(1.0, [&] {
+    restore();
+    bias_pass();
+    nc::core::add_inplace(h, skip);
+    sink = act.forward(h, nc::core::Mode::kEval)[0];
+  });
+  t.fused_ms = 1e3 / best_rate(1.0, [&] {
+    restore();
+    for (std::int64_t s = 0; s < kN; ++s) {
+      const std::int64_t off = s * kC * kPlane;
+      nc::core::apply_epilogue(h.data() + off, kC, kPlane, bias.data(),
+                               skip.data() + off, kSlope);
+    }
+    sink = h[0];
+  });
+  (void)sink;
+  std::printf("\nconv epilogue at enc.b1 (8 x 32 x 24 x 32 outputs, bias + "
+              "skip add + LeakyReLU) [ms per batch, 1 thread]:\n");
+  std::printf("  %-44s %8.3f\n", "unfused, branching activation",
+              t.branching_ms);
+  std::printf("  %-44s %8.3f\n", "unfused, branch-free LeakyReLU layer",
+              t.unfused_ms);
+  std::printf("  %-44s %8.3f\n", "fused apply_epilogue", t.fused_ms);
+  std::printf("  (each includes restoring the GEMM output: %.3f ms)\n",
+              t.restore_ms);
+  return t;
+}
 
 /// Input with the given nonzero fraction, values uniform in [-1, 1].
 Tensor sparse_input(const ConvShape& s, double density, std::uint64_t seed) {
@@ -359,6 +438,7 @@ int main() {
   for (double r : quant_r) std::printf(" %10.2f", r);
   std::printf("\n");
 
+  const EpilogueTimes ep = epilogue_bench();
   const std::string sweep = sparse_sweep(isas);
 
   // ---- JSON trailer --------------------------------------------------------
@@ -384,11 +464,14 @@ int main() {
       "\"hgemm_gflops\":%.3f,\"hgemm_gflops_by_tier\":{%s},"
       "\"hgemm_speedup_vs_scalar\":{%s},\"qgemm_gflops\":{%s},"
       "\"qgemm_speedup_vs_scalar\":{%s},\"maxabs_gelems\":%.3f,"
-      "\"quantize_gelems\":%.3f,\"conv_lowering_sweep\":[%s]}\n",
+      "\"quantize_gelems\":%.3f,\"epilogue_ms\":{\"restore\":%.4f,"
+      "\"unfused_branching\":%.4f,\"unfused\":%.4f,\"fused\":%.4f},"
+      "\"conv_lowering_sweep\":[%s]}\n",
       nc::core::simd::isa_name(active), sum_sgemm / n_shapes,
       sum_hgemm / n_shapes, by_tier(sum_h, false).c_str(),
       by_tier(sum_h, true).c_str(), by_tier(sum_q, false).c_str(),
       by_tier(sum_q, true).c_str(), maxabs_r.back(), quant_r.back(),
+      ep.restore_ms, ep.branching_ms, ep.unfused_ms, ep.fused_ms,
       sweep.c_str());
   return 0;
 }

@@ -15,7 +15,7 @@ Tensor ReLU::forward(const Tensor& x, Mode mode) {
   const float* xp = x.data();
   float* op = out.data();
   util::parallel_for(
-      0, x.numel(), [&](std::int64_t i) { op[i] = xp[i] > 0.f ? xp[i] : 0.f; },
+      0, x.numel(), [&](std::int64_t i) { op[i] = blend(xp[i] > 0.f, xp[i], 0.f); },
       kGrain);
   if (mode == Mode::kTrain) cached_input_ = x;
   return out;
@@ -28,7 +28,7 @@ Tensor ReLU::backward(const Tensor& gy) {
   float* op = gx.data();
   util::parallel_for(
       0, gy.numel(),
-      [&](std::int64_t i) { op[i] = xp[i] > 0.f ? gp[i] : 0.f; }, kGrain);
+      [&](std::int64_t i) { op[i] = blend(xp[i] > 0.f, gp[i], 0.f); }, kGrain);
   cached_input_ = Tensor();
   return gx;
 }
@@ -40,8 +40,7 @@ Tensor LeakyReLU::forward(const Tensor& x, Mode mode) {
   const float slope = slope_;
   util::parallel_for(
       0, x.numel(),
-      [&](std::int64_t i) { op[i] = xp[i] > 0.f ? xp[i] : slope * xp[i]; },
-      kGrain);
+      [&](std::int64_t i) { op[i] = leaky_relu(xp[i], slope); }, kGrain);
   if (mode == Mode::kTrain) cached_input_ = x;
   return out;
 }
@@ -54,7 +53,7 @@ Tensor LeakyReLU::backward(const Tensor& gy) {
   const float slope = slope_;
   util::parallel_for(
       0, gy.numel(),
-      [&](std::int64_t i) { op[i] = xp[i] > 0.f ? gp[i] : slope * gp[i]; },
+      [&](std::int64_t i) { op[i] = blend(xp[i] > 0.f, gp[i], slope * gp[i]); },
       kGrain);
   cached_input_ = Tensor();
   return gx;

@@ -1,20 +1,33 @@
 #include "core/block.hpp"
 
-#include "core/act.hpp"
-#include "core/conv.hpp"
 #include "core/norm.hpp"
 #include "core/ops.hpp"
 
 namespace nc::core {
 
 Sequential& Sequential::add(LayerPtr layer) {
+  if (const auto* act = dynamic_cast<const LeakyReLU*>(layer.get());
+      act && !layers_.empty()) {
+    if (auto* conv = dynamic_cast<FusableConv*>(layers_.back().get())) {
+      fusions_.back() = {conv, act->slope()};
+    }
+  }
   layers_.push_back(std::move(layer));
+  fusions_.emplace_back();
   return *this;
 }
 
 Tensor Sequential::forward(const Tensor& x, Mode mode) {
   Tensor h = x;
-  for (auto& layer : layers_) h = layer->forward(h, mode);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const Fusion& f = fusions_[i];
+    if (f.conv && mode != Mode::kTrain) {
+      h = f.conv->forward_fused(h, mode, {nullptr, f.slope});
+      ++i;  // the LeakyReLU ran in the conv's store
+    } else {
+      h = layers_[i]->forward(h, mode);
+    }
+  }
   return h;
 }
 
@@ -38,7 +51,8 @@ void Sequential::invalidate_half_cache() {
 // ResBlock
 // ---------------------------------------------------------------------------
 
-ResBlock::ResBlock(LayerPtr conv1, LayerPtr conv2, LayerPtr skip,
+ResBlock::ResBlock(std::unique_ptr<FusableConv> conv1,
+                   std::unique_ptr<FusableConv> conv2, LayerPtr skip,
                    LayerPtr norm1, LayerPtr norm2, LayerPtr norm_skip,
                    std::string label)
     : conv1_(std::move(conv1)),
@@ -112,15 +126,19 @@ LayerPtr ResBlock::make_3d(std::int64_t in_c, std::int64_t out_c,
 }
 
 Tensor ResBlock::forward(const Tensor& x, Mode mode) {
-  Tensor h = conv1_->forward(x, mode);
-  h = act1_->forward(h, mode);
+  const bool fuse = mode != Mode::kTrain;
+  Tensor h = fuse ? conv1_->forward_fused(x, mode, {nullptr, act1_->slope()})
+                  : act1_->forward(conv1_->forward(x, mode), mode);
   if (norm1_) h = norm1_->forward(h, mode);
-  h = conv2_->forward(h, mode);
-  if (norm2_) h = norm2_->forward(h, mode);
 
   Tensor s = skip_ ? skip_->forward(x, mode) : x;
   if (norm_skip_) s = norm_skip_->forward(s, mode);
 
+  if (fuse && !norm2_) {
+    return conv2_->forward_fused(h, mode, {&s, act2_->slope()});
+  }
+  h = conv2_->forward(h, mode);
+  if (norm2_) h = norm2_->forward(h, mode);
   add_inplace(h, s);
   return act2_->forward(h, mode);
 }

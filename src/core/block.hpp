@@ -4,13 +4,17 @@
 
 #include <array>
 
+#include "core/act.hpp"
+#include "core/conv.hpp"
 #include "core/layer.hpp"
 #include "util/rng.hpp"
 
 namespace nc::core {
 
 /// Ordered chain of layers.  forward runs front-to-back, backward back-to-
-/// front; parameter collection and cache invalidation recurse.
+/// front; parameter collection and cache invalidation recurse.  In the eval
+/// modes a Conv2d or Conv3d followed by a LeakyReLU runs as one fused call,
+/// the activation applied in the conv's store (ConvEpilogue, core/conv.hpp).
 class Sequential final : public Layer {
  public:
   explicit Sequential(std::string label = "sequential")
@@ -29,7 +33,14 @@ class Sequential final : public Layer {
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
  private:
+  /// A conv whose next layer is a LeakyReLU of slope `slope`.
+  struct Fusion {
+    FusableConv* conv = nullptr;
+    float slope = 0.f;
+  };
+
   std::vector<LayerPtr> layers_;
+  std::vector<Fusion> fusions_;  ///< per layer; conv null when it has none
   std::string label_;
 };
 
@@ -42,6 +53,10 @@ class Sequential final : public Layer {
 ///
 /// `use_norm` inserts InstanceNorm after each conv — used only by the
 /// original-BCAE baseline; the ++/HT/2D variants run norm-free (§2.3).
+///
+/// The eval modes fuse: conv1 applies the first activation in its store,
+/// and without norms conv2 adds the skip tensor and applies the second
+/// (ConvEpilogue, core/conv.hpp), with the bits of the separate layers.
 class ResBlock final : public Layer {
  public:
   /// 2-D residual block over (N, C, H, W).  kernel/pad apply to both axes.
@@ -62,12 +77,14 @@ class ResBlock final : public Layer {
   std::string name() const override { return label_; }
 
  private:
-  ResBlock(LayerPtr conv1, LayerPtr conv2, LayerPtr skip, LayerPtr norm1,
+  ResBlock(std::unique_ptr<FusableConv> conv1,
+           std::unique_ptr<FusableConv> conv2, LayerPtr skip, LayerPtr norm1,
            LayerPtr norm2, LayerPtr norm_skip, std::string label);
 
-  LayerPtr conv1_, conv2_, skip_;          // skip_ may be null (identity)
+  std::unique_ptr<FusableConv> conv1_, conv2_;
+  LayerPtr skip_;                          // may be null (identity)
   LayerPtr norm1_, norm2_, norm_skip_;     // may be null (norm-free variants)
-  LayerPtr act1_, act2_;                   // leaky ReLU instances
+  std::unique_ptr<LeakyReLU> act1_, act2_;
   std::string label_;
 };
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/act.hpp"
 #include "core/gemm.hpp"
 #include "core/init.hpp"
 #include "core/ops.hpp"
@@ -174,13 +175,42 @@ void store_transposed(const float* acc, std::int64_t cols, std::int64_t out_c,
   }
 }
 
-void add_bias_rows(float* mat, const float* bias, std::int64_t rows,
-                   std::int64_t cols) {
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float b = bias[r];
-    float* row = mat + r * cols;
-    for (std::int64_t j = 0; j < cols; ++j) row[j] += b;
+/// apply_epilogue with its steps chosen at compile time, so the element
+/// loop holds no test and vectorizes.
+template <bool kBias, bool kResidual, bool kAct>
+void epilogue_rows(float* out, std::int64_t out_c, std::int64_t plane,
+                   const float* bias, const float* residual, float slope) {
+  for (std::int64_t o = 0; o < out_c; ++o) {
+    float* row = out + o * plane;
+    const float* res = kResidual ? residual + o * plane : nullptr;
+    const float b = kBias ? bias[o] : 0.f;
+    for (std::int64_t j = 0; j < plane; ++j) {
+      float v = row[j];
+      if constexpr (kBias) v = v + b;
+      if constexpr (kResidual) v = v + res[j];
+      if constexpr (kAct) v = leaky_relu(v, slope);
+      row[j] = v;
+    }
   }
+}
+
+/// The residual data of a fused call, or null; checks `ep` against the mode
+/// and the output.
+const float* epilogue_residual(const std::string& label, Mode mode,
+                               const ConvEpilogue& ep, const Tensor& out) {
+  if (mode == Mode::kTrain && !ep.empty()) {
+    throw std::logic_error(label +
+                           ": a fused epilogue needs an eval mode (backward "
+                           "needs the pre-activation output)");
+  }
+  if (!ep.residual) return nullptr;
+  if (ep.residual->shape() != out.shape()) {
+    throw std::invalid_argument(label + ": residual " +
+                                shape_to_string(ep.residual->shape()) +
+                                " does not match the output " +
+                                shape_to_string(out.shape()));
+  }
+  return ep.residual->data();
 }
 
 void accum_bias_grad(const float* gy_mat, float* gb, std::int64_t rows,
@@ -204,6 +234,26 @@ void record_profile(const std::string& label, double seconds, std::int64_t m,
 }
 
 }  // namespace
+
+void apply_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
+                    const float* bias, const float* residual,
+                    std::optional<float> leaky_slope) {
+  using Pass = void (*)(float*, std::int64_t, std::int64_t, const float*,
+                        const float*, float);
+  // Indexed by (bias, residual, activation) as three bits.
+  static constexpr Pass kPasses[8] = {
+      nullptr,
+      &epilogue_rows<false, false, true>,
+      &epilogue_rows<false, true, false>,
+      &epilogue_rows<false, true, true>,
+      &epilogue_rows<true, false, false>,
+      &epilogue_rows<true, false, true>,
+      &epilogue_rows<true, true, false>,
+      &epilogue_rows<true, true, true>};
+  const int steps = (bias ? 4 : 0) | (residual ? 2 : 0) | (leaky_slope ? 1 : 0);
+  if (steps == 0) return;
+  kPasses[steps](out, out_c, plane, bias, residual, leaky_slope.value_or(0.f));
+}
 
 // ---------------------------------------------------------------------------
 // Conv2d
@@ -253,12 +303,14 @@ std::array<std::int64_t, 2> Conv2d::out_hw(std::array<std::int64_t, 2> in_hw) co
           (in_hw[1] + 2 * p_[1] - k_[1]) / s_[1] + 1};
 }
 
-Tensor Conv2d::forward(const Tensor& x, Mode mode) {
+Tensor Conv2d::forward_fused(const Tensor& x, Mode mode,
+                             const ConvEpilogue& ep) {
   const Conv2dGeom g = geom_for(x);
   const std::int64_t n = x.dim(0);
   const std::int64_t rows = g.rows(), cols = g.cols();
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   Tensor out({n, out_c_, oh, ow});
+  const float* residual = epilogue_residual(label_, mode, ep, out);
 
   if (mode == Mode::kTrain) cached_input_ = x;
 
@@ -337,7 +389,9 @@ Tensor Conv2d::forward(const Tensor& x, Mode mode) {
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, colbuf.data(), cols, 0.f, out_s, cols);
         }
-        if (bias) add_bias_rows(out_s, bias, out_c_, cols);
+        apply_epilogue(out_s, out_c_, cols, bias,
+                       residual ? residual + sample * out_stride : nullptr,
+                       ep.leaky_slope);
       },
       // train: serial sample loop
       mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
@@ -477,12 +531,14 @@ Conv3dGeom Conv3d::geom_for(const Tensor& x) const {
   return g;
 }
 
-Tensor Conv3d::forward(const Tensor& x, Mode mode) {
+Tensor Conv3d::forward_fused(const Tensor& x, Mode mode,
+                             const ConvEpilogue& ep) {
   const Conv3dGeom g = geom_for(x);
   const std::int64_t n = x.dim(0);
   const std::int64_t rows = g.rows(), cols = g.cols();
   const std::int64_t od = g.out_d(), oh = g.out_h(), ow = g.out_w();
   Tensor out({n, out_c_, od, oh, ow});
+  const float* residual = epilogue_residual(label_, mode, ep, out);
 
   if (mode == Mode::kTrain) cached_input_ = x;
 
@@ -548,7 +604,9 @@ Tensor Conv3d::forward(const Tensor& x, Mode mode) {
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, colbuf.data(), cols, 0.f, out_s, cols);
         }
-        if (bias) add_bias_rows(out_s, bias, out_c_, cols);
+        apply_epilogue(out_s, out_c_, cols, bias,
+                       residual ? residual + sample * out_stride : nullptr,
+                       ep.leaky_slope);
       },
       mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
 
@@ -695,7 +753,7 @@ Tensor ConvTranspose2d::forward(const Tensor& x, Mode mode) {
                 rows, x_s, cols, 0.f, gcol.data(), cols);
         }
         col2im_2d(gcol.data(), g, out_s);
-        if (bias) add_bias_rows(out_s, bias, out_c_, oh * ow);
+        apply_epilogue(out_s, out_c_, oh * ow, bias, nullptr, std::nullopt);
       },
       mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 
@@ -847,7 +905,8 @@ Tensor ConvTranspose3d::forward(const Tensor& x, Mode mode) {
                 rows, x_s, cols, 0.f, gcol.data(), cols);
         }
         col2vol_3d(gcol.data(), g, out_s);
-        if (bias) add_bias_rows(out_s, bias, out_c_, od * oh * ow);
+        apply_epilogue(out_s, out_c_, od * oh * ow, bias, nullptr,
+                       std::nullopt);
       },
       mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 

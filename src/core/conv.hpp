@@ -68,6 +68,27 @@
 /// below 2^24.  Any change that reorders an fp16 sum, or fuses a rounding
 /// step (e.g. contracting the int8 epilogue `acc * scale + bias` into one
 /// FMA), breaks the contract.
+///
+/// The epilogue.  Every lowering of Conv2d and Conv3d (sparse, dense fp16,
+/// int8, fp32 and 1x1) ends each sample in one pass, `apply_epilogue`, that
+/// turns the stored GEMM (or scatter) result `acc` of output channel o and
+/// element i into
+///   v = acc + bias[o]               when the layer has a bias,
+///   v = v + residual[i]             when the call passes a residual,
+///   v = v > 0.f ? v : slope * v     when the call passes a LeakyReLU slope,
+/// each step rounded on its own, in this order.  These are the roundings of
+/// the unfused chain (bias pass, `add_inplace` of the skip, LeakyReLU
+/// layer), so fusing changes no output bit.  The activation is a bit-mask
+/// blend (`leaky_relu` in core/act.hpp), equal to the branch for every x and
+/// slope, so the pass has no control flow and vectorizes.  It is compiled in
+/// this portable translation unit, without -mfma, so no step can contract
+/// into an FMA.  The epilogue is an argument of each call (`forward_fused`),
+/// never layer state, because concurrent pipeline workers share one layer.
+/// In the eval modes `Sequential` runs a conv and the LeakyReLU after it as
+/// one fused call, and a norm-free `ResBlock` runs conv1 with its activation
+/// and conv2 with the skip tensor and the activation; kTrain keeps the
+/// separate layers, whose backward needs the pre-activation caches.  The
+/// transposed convs end in the same pass with the bias alone.
 #pragma once
 
 #include <array>
@@ -98,15 +119,50 @@ namespace nc::core {
 inline constexpr double kSparseMaxDensityHalf = 0.4;
 inline constexpr double kSparseMaxDensityInt8 = 0.25;
 
+/// What a fused eval forward applies after the bias (see "The epilogue" in
+/// the file comment).
+struct ConvEpilogue {
+  /// Added after the bias; must have the output's shape.  Null: none.
+  const Tensor* residual = nullptr;
+  /// LeakyReLU slope applied last.  Empty: no activation.
+  std::optional<float> leaky_slope;
+
+  bool empty() const { return residual == nullptr && !leaky_slope; }
+};
+
+/// The epilogue pass over one sample's (out_c, plane) output, in place:
+/// out = act(out + bias[o] + residual), each step rounded on its own, in
+/// that order.  A null `bias` or `residual` or an empty `leaky_slope` skips
+/// its step (no `+ 0.f`, which would turn -0 into +0).
+void apply_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
+                    const float* bias, const float* residual,
+                    std::optional<float> leaky_slope);
+
+/// A conv whose eval forward can run a ConvEpilogue in its store: Conv2d and
+/// Conv3d.
+class FusableConv : public Layer {
+ public:
+  /// forward(x, mode) with `ep` applied to every sample as it is stored.
+  /// Throws std::logic_error for a non-empty `ep` in kTrain (backward needs
+  /// the pre-activation output) and std::invalid_argument for a residual
+  /// whose shape is not the output's.
+  virtual Tensor forward_fused(const Tensor& x, Mode mode,
+                               const ConvEpilogue& ep) = 0;
+};
+
 /// 2-D convolution over (N, C, H, W).
-class Conv2d final : public Layer {
+class Conv2d final : public FusableConv {
  public:
   /// kernel/stride/pad are (height, width) pairs.
   Conv2d(std::int64_t in_c, std::int64_t out_c, std::array<std::int64_t, 2> kernel,
          std::array<std::int64_t, 2> stride, std::array<std::int64_t, 2> pad,
          bool with_bias, util::Rng& rng, std::string label = "conv2d");
 
-  Tensor forward(const Tensor& x, Mode mode) override;
+  Tensor forward(const Tensor& x, Mode mode) override {
+    return forward_fused(x, mode, {});
+  }
+  Tensor forward_fused(const Tensor& x, Mode mode,
+                       const ConvEpilogue& ep) override;
   Tensor backward(const Tensor& gy) override;
   void collect_params(std::vector<Param*>& out) override;
   void invalidate_half_cache() override {
@@ -126,8 +182,8 @@ class Conv2d final : public Layer {
   Conv2dGeom geom_for(const Tensor& x) const;
 
   /// The sparse lowering of one sample (kEvalHalf when `wq` is null,
-  /// kEvalInt8 otherwise), without bias.  Returns the (voxel, tap) pairs
-  /// scattered.
+  /// kEvalInt8 otherwise), without the epilogue.  Returns the (voxel, tap)
+  /// pairs scattered.
   std::int64_t forward_sparse(const float* in, const Conv2dGeom& g,
                               const HalfTensor* whalf, const QuantizedRows* wq,
                               float* out);
@@ -148,13 +204,17 @@ class Conv2d final : public Layer {
 };
 
 /// 3-D convolution over (N, C, D, H, W); D is the TPC radial dimension.
-class Conv3d final : public Layer {
+class Conv3d final : public FusableConv {
  public:
   Conv3d(std::int64_t in_c, std::int64_t out_c, std::array<std::int64_t, 3> kernel,
          std::array<std::int64_t, 3> stride, std::array<std::int64_t, 3> pad,
          bool with_bias, util::Rng& rng, std::string label = "conv3d");
 
-  Tensor forward(const Tensor& x, Mode mode) override;
+  Tensor forward(const Tensor& x, Mode mode) override {
+    return forward_fused(x, mode, {});
+  }
+  Tensor forward_fused(const Tensor& x, Mode mode,
+                       const ConvEpilogue& ep) override;
   Tensor backward(const Tensor& gy) override;
   void collect_params(std::vector<Param*>& out) override;
   void invalidate_half_cache() override {

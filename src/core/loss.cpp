@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/act.hpp"
 #include "core/ops.hpp"
 #include "util/parallel.hpp"
 
@@ -176,8 +177,10 @@ Tensor apply_segmentation_mask(const Tensor& pred, const Tensor& seg_logits,
   const float* zp = seg_logits.data();
   float* op = out.data();
   const float z_cut = std::log(threshold / (1.f - threshold));
+  // A blend, not a branch: masked voxels sit in no pattern the branch
+  // predictor could learn (see core/act.hpp).
   for (std::int64_t i = 0; i < pred.numel(); ++i) {
-    op[i] = zp[i] > z_cut ? vp[i] : 0.f;
+    op[i] = blend(zp[i] > z_cut, vp[i], 0.f);
   }
   return out;
 }

@@ -4,6 +4,35 @@
 
 namespace nc::core {
 
+namespace {
+
+/// One (h, w) plane of a k x k, stride-k average pool.  Each output sums its
+/// window from +0 in row-major order, (((0.f + r0[0]) + r0[1]) + r1[0]) +
+/// r1[1] for k = 2, then multiplies by `inv`.  The loop runs across output
+/// columns, so it vectorizes when K fixes k at compile time (K = 0 reads k
+/// at run time); an output's sum is a chain of dependent adds, and summing
+/// one output at a time would wait on that chain.
+template <std::int64_t K>
+void avg_pool_plane(const float* in, std::int64_t w, std::int64_t k,
+                    std::int64_t oh, std::int64_t ow, float inv, float* out) {
+  const std::int64_t kk = K > 0 ? K : k;
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    const float* rows = in + oy * kk * w;
+    float* orow = out + oy * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox) {
+      float acc = 0.f;
+      for (std::int64_t ky = 0; ky < kk; ++ky) {
+        for (std::int64_t kx = 0; kx < kk; ++kx) {
+          acc += rows[ky * w + ox * kk + kx];
+        }
+      }
+      orow[ox] = acc * inv;
+    }
+  }
+}
+
+}  // namespace
+
 Tensor AvgPool2d::forward(const Tensor& x, Mode mode) {
   if (x.ndim() != 4) throw std::invalid_argument(label_ + ": expected 4-D input");
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -20,15 +49,10 @@ Tensor AvgPool2d::forward(const Tensor& x, Mode mode) {
       [&](std::int64_t plane) {
         const float* in_p = xp + plane * h * w;
         float* out_p = op + plane * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            float acc = 0.f;
-            for (std::int64_t ky = 0; ky < k_; ++ky) {
-              const float* row = in_p + (oy * k_ + ky) * w + ox * k_;
-              for (std::int64_t kx = 0; kx < k_; ++kx) acc += row[kx];
-            }
-            out_p[oy * ow + ox] = acc * inv;
-          }
+        if (k_ == 2) {
+          avg_pool_plane<2>(in_p, w, k_, oh, ow, inv, out_p);
+        } else {
+          avg_pool_plane<0>(in_p, w, k_, oh, ow, inv, out_p);
         }
       },
       1);

@@ -87,16 +87,30 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                     std::int64_t j1, std::int64_t k, const util::half* a,
                     std::int64_t lda, const util::half* b, std::int64_t ldb,
                     float* c, std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    const util::half* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    std::fill(ci + j0, ci + j1, 0.f);
+  // Widen A once per call and each B row once per column block, not once
+  // per product: converting binary16 in the inner loop cost more than the
+  // arithmetic.  The block keeps its rows of C in cache while k runs.  Each
+  // C element still sums from +0 in ascending kk and skips zero A entries.
+  constexpr std::int64_t kColBlock = 256;
+  const std::int64_t m = i1 - i0;
+  std::vector<float>& aw = detail::tile_a_scratch();
+  aw.resize(static_cast<std::size_t>(m * k));
+  for (std::int64_t i = 0; i < m; ++i) {
+    util::half_to_float_n(a + (i0 + i) * lda, aw.data() + i * k, k);
+  }
+  float brow[kColBlock];
+  for (std::int64_t jb = j0; jb < j1; jb += kColBlock) {
+    const std::int64_t width = std::min(kColBlock, j1 - jb);
+    for (std::int64_t i = i0; i < i1; ++i) {
+      std::fill(c + i * ldc + jb, c + i * ldc + jb + width, 0.f);
+    }
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = static_cast<float>(ai[kk]);
-      if (av == 0.f) continue;
-      const util::half* bk = b + kk * ldb;
-      for (std::int64_t j = j0; j < j1; ++j) {
-        ci[j] += av * static_cast<float>(bk[j]);
+      util::half_to_float_n(b + kk * ldb + jb, brow, width);
+      for (std::int64_t i = 0; i < m; ++i) {
+        const float av = aw[static_cast<std::size_t>(i * k + kk)];
+        if (av == 0.f) continue;
+        float* ci = c + (i0 + i) * ldc + jb;
+        for (std::int64_t j = 0; j < width; ++j) ci[j] += av * brow[j];
       }
     }
   }

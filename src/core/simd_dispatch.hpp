@@ -87,7 +87,8 @@ struct Kernels {
   /// once per call and keep a register block of C across all of k (8 x 32 on
   /// AVX-512, 6 x 16 on AVX2), widening B with VCVTPH2PS and adding each
   /// exact product with one FMA, so they are bit-identical to the scalar
-  /// tier's multiply-then-add.
+  /// tier's multiply-then-add.  The scalar tier widens A once per call and
+  /// each B row once per 256-column block.
   void (*tile_hh)(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
                   std::int64_t lda, const util::half* b, std::int64_t ldb,

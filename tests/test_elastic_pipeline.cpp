@@ -68,17 +68,20 @@ std::string fresh_dir() {
   return ::testing::TempDir() + "nc-elastic-" + name;
 }
 
-/// Cycles the live target through up/down transitions until stopped.
+/// Cycles the live target through up/down transitions until stopped.  The
+/// first transition happens before the constructor returns, so every test
+/// sees at least one scale event however fast its items drain.
 class ScalerThread {
  public:
   template <typename Pipeline>
   explicit ScalerThread(Pipeline& pipeline) {
+    static constexpr std::size_t kTargets[] = {1, 4, 2, 3};
+    pipeline.set_live_workers(kTargets[0]);
     thread_ = std::thread([this, &pipeline] {
-      const std::size_t targets[] = {1, 4, 2, 3};
-      std::size_t i = 0;
+      std::size_t i = 1;
       while (!stop_.load(std::memory_order_acquire)) {
-        pipeline.set_live_workers(targets[i++ % 4]);
         std::this_thread::sleep_for(std::chrono::microseconds(500));
+        pipeline.set_live_workers(kTargets[i++ % 4]);
       }
     });
   }

@@ -2,13 +2,17 @@
 /// sequential containers: values + gradient checks.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/act.hpp"
 #include "core/block.hpp"
 #include "core/conv.hpp"
 #include "core/gradcheck.hpp"
 #include "core/norm.hpp"
+#include "core/ops.hpp"
 #include "core/pool.hpp"
 #include "tests/reference.hpp"
 
@@ -35,6 +39,54 @@ TEST(Activations, LeakyReLUValues) {
   const Tensor y = leaky.forward(x, Mode::kEval);
   EXPECT_FLOAT_EQ(y[0], -0.2f);
   EXPECT_FLOAT_EQ(y[2], 4.f);
+}
+
+/// Signed zeros, the smallest subnormals (whose products with a slope
+/// underflow to -0), binary16's extremes and plain values of both signs.
+const std::vector<float> kSignedInputs = {
+    -0.f, 0.f,     -1e-45f, 1e-45f,  -FLT_MIN, FLT_MIN, -65504.f,
+    65504.f, -2.f, 3.f,     -0.5f,  0.25f,    -1e-9f,  1e-9f};
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Activations, BranchFreeForwardMatchesTheBranchBitForBit) {
+  const Tensor x = Tensor::from_vector(
+      {static_cast<std::int64_t>(kSignedInputs.size())}, kSignedInputs);
+  nc::core::ReLU relu;
+  const Tensor r = relu.forward(x, Mode::kEval);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    EXPECT_TRUE(same_bits(r[i], x[i] > 0.f ? x[i] : 0.f)) << "relu " << x[i];
+  }
+  for (const float slope : {0.f, 0.01f, 0.1f, 0.5f, 1.f, -0.5f, 2.f}) {
+    nc::core::LeakyReLU leaky(slope);
+    const Tensor y = leaky.forward(x, Mode::kEval);
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      EXPECT_TRUE(same_bits(y[i], x[i] > 0.f ? x[i] : slope * x[i]))
+          << "slope " << slope << " x " << x[i];
+    }
+  }
+}
+
+TEST(Activations, BranchFreeBackwardMatchesTheBranchBitForBit) {
+  const auto n = static_cast<std::int64_t>(kSignedInputs.size());
+  const Tensor x = Tensor::from_vector({n}, kSignedInputs);
+  std::vector<float> g(kSignedInputs.rbegin(), kSignedInputs.rend());
+  const Tensor gy = Tensor::from_vector({n}, g);
+  nc::core::ReLU relu;
+  relu.forward(x, Mode::kTrain);
+  const Tensor gr = relu.backward(gy);
+  for (std::int64_t i = 0; i < n; ++i) {
+    EXPECT_TRUE(same_bits(gr[i], x[i] > 0.f ? gy[i] : 0.f)) << "relu " << x[i];
+  }
+  for (const float slope : {0.f, 0.01f, 0.5f, 1.f, -0.5f}) {
+    nc::core::LeakyReLU leaky(slope);
+    leaky.forward(x, Mode::kTrain);
+    const Tensor gl = leaky.backward(gy);
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(same_bits(gl[i], x[i] > 0.f ? gy[i] : slope * gy[i]))
+          << "slope " << slope << " x " << x[i];
+    }
+  }
 }
 
 TEST(Activations, SigmoidValues) {
@@ -90,6 +142,44 @@ TEST(AvgPool2d, Values) {
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 2}));
   EXPECT_FLOAT_EQ(y[0], (1 + 2 + 5 + 6) / 4.f);
   EXPECT_FLOAT_EQ(y[1], (3 + 4 + 7 + 8) / 4.f);
+}
+
+TEST(AvgPool2d, VectorizedKeepsEachOutputsSumOrder) {
+  // Every window reads 1e8, 1, ..., -1e8, 1, ... in row-major order, so its
+  // sum depends on the order (1e8 + 1 rounds back to 1e8), and one row of
+  // windows is all -0 (0.f + -0 is +0): every output must have the bits of
+  // the scalar window sum from +0 in row-major order, times 1/k^2, for the
+  // k = 2 fast path and the general one, with odd output widths for the
+  // vector tails.
+  for (const std::int64_t k : {2, 3}) {
+    const std::int64_t h = 3 * k, w = 7 * k;
+    Tensor x({2, 3, h, w});
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const std::int64_t y = (i / w) % h, col = i % w;
+      const std::int64_t tap = (y % k) * k + col % k;
+      const float sign = ((y / k + col / k) % 2) ? -1.f : 1.f;
+      x[i] = sign * (tap == 0 ? 1e8f : tap == k ? -1e8f : 1.f + 0.25f * tap);
+    }
+    for (std::int64_t i = 0; i < k * w; ++i) x[i] = -0.f;  // row of -0 windows
+    nc::core::AvgPool2d pool(k);
+    const Tensor y = pool.forward(x, Mode::kEval);
+    const float inv = 1.f / static_cast<float>(k * k);
+    const std::int64_t oh = h / k, ow = w / k;
+    for (std::int64_t p = 0; p < 2 * 3; ++p) {
+      for (std::int64_t oy = 0; oy < oh; ++oy) {
+        for (std::int64_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.f;
+          for (std::int64_t ky = 0; ky < k; ++ky) {
+            for (std::int64_t kx = 0; kx < k; ++kx) {
+              acc += x[(p * h + oy * k + ky) * w + ox * k + kx];
+            }
+          }
+          EXPECT_TRUE(same_bits(y[(p * oh + oy) * ow + ox], acc * inv))
+              << "k " << k << " plane " << p << " (" << oy << ", " << ox << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(AvgPool2d, RejectsIndivisibleInput) {
@@ -233,6 +323,90 @@ TEST(Sequential, ComposesAndBackpropagates) {
 
   const auto res = nc::core::gradcheck_layer(*seq, x, 212);
   EXPECT_LT(res.max_rel_err, 5e-2) << "worst: " << res.worst_param;
+}
+
+constexpr Mode kEvalModes[] = {Mode::kEval, Mode::kEvalHalf, Mode::kEvalInt8};
+
+std::int64_t differing_bits(const Tensor& a, const Tensor& b) {
+  EXPECT_EQ(a.shape(), b.shape());
+  std::int64_t diff = 0;
+  for (std::int64_t i = 0; i < a.numel(); ++i) diff += same_bits(a[i], b[i]) ? 0 : 1;
+  return diff;
+}
+
+TEST(Sequential, FusedEvalMatchesLayerByLayerBits) {
+  // In the eval modes a conv and the LeakyReLU after it run as one fused
+  // call, with the activation's own slope; the output must have the bits of
+  // running each layer in turn.
+  nc::util::Rng rng(50);
+  nc::core::Sequential seq("fused_seq");
+  seq.add(std::make_unique<nc::core::Conv2d>(
+      3, 5, std::array<std::int64_t, 2>{3, 3}, std::array<std::int64_t, 2>{1, 1},
+      std::array<std::int64_t, 2>{1, 1}, true, rng));
+  seq.add(std::make_unique<nc::core::LeakyReLU>(0.2f));
+  seq.add(std::make_unique<nc::core::Conv2d>(
+      5, 4, std::array<std::int64_t, 2>{1, 1}, std::array<std::int64_t, 2>{1, 1},
+      std::array<std::int64_t, 2>{0, 0}, true, rng));
+  seq.add(std::make_unique<nc::core::LeakyReLU>(0.5f));
+  seq.add(std::make_unique<nc::core::AvgPool2d>(2));
+  const Tensor x = random_tensor({2, 3, 6, 8}, 51);
+  for (const Mode mode : kEvalModes) {
+    Tensor want = x;
+    for (std::size_t i = 0; i < seq.size(); ++i) want = seq.layer(i).forward(want, mode);
+    EXPECT_EQ(differing_bits(seq.forward(x, mode), want), 0)
+        << "mode " << static_cast<int>(mode);
+  }
+}
+
+TEST(ResBlock, FusedEvalMatchesLayerByLayerBits) {
+  // The eval forward fuses conv1 with its activation and, without norms,
+  // conv2 with the skip add and the second activation.  Rebuild the block
+  // from standalone layers with the same parameters and compare bits, for
+  // an identity skip, a 1x1 projection skip and the normed variant.
+  struct Shape2 {
+    std::int64_t in_c, out_c;
+    bool norm;
+  };
+  for (const Shape2 b : {Shape2{4, 4, false}, Shape2{2, 4, false},
+                         Shape2{2, 4, true}}) {
+    nc::util::Rng rng(52);
+    auto block = nc::core::ResBlock::make_2d(b.in_c, b.out_c, 3, 1, b.norm, rng);
+    const std::array<std::int64_t, 2> k3{3, 3}, k1{1, 1}, s1{1, 1}, p1{1, 1},
+        p0{0, 0};
+    nc::util::Rng other(53);
+    nc::core::Conv2d conv1(b.in_c, b.out_c, k3, s1, p1, true, other);
+    nc::core::Conv2d conv2(b.out_c, b.out_c, k3, s1, p1, true, other);
+    nc::core::Conv2d skip(b.in_c, b.out_c, k1, s1, p0, true, other);
+    nc::core::InstanceNorm norm1(b.out_c), norm2(b.out_c), norm_skip(b.out_c);
+    const bool projected = b.in_c != b.out_c;
+    std::vector<nc::core::Layer*> parts = {&conv1, &conv2};
+    if (projected) parts.push_back(&skip);
+    if (b.norm) {
+      parts.push_back(&norm1);
+      parts.push_back(&norm2);
+      if (projected) parts.push_back(&norm_skip);
+    }
+    std::vector<nc::core::Param*> from, to;
+    block->collect_params(from);
+    for (nc::core::Layer* l : parts) l->collect_params(to);
+    ASSERT_EQ(from.size(), to.size());
+    for (std::size_t i = 0; i < from.size(); ++i) to[i]->value = from[i]->value.clone();
+    nc::core::LeakyReLU act(0.01f);
+    const Tensor x = random_tensor({2, b.in_c, 5, 6}, 54);
+    for (const Mode mode : kEvalModes) {
+      Tensor h = act.forward(conv1.forward(x, mode), mode);
+      if (b.norm) h = norm1.forward(h, mode);
+      h = conv2.forward(h, mode);
+      if (b.norm) h = norm2.forward(h, mode);
+      Tensor s = projected ? skip.forward(x, mode) : x;
+      if (b.norm && projected) s = norm_skip.forward(s, mode);
+      nc::core::add_inplace(h, s);
+      const Tensor want = act.forward(h, mode);
+      EXPECT_EQ(differing_bits(block->forward(x, mode), want), 0)
+          << b.in_c << "->" << b.out_c << " norm " << b.norm << " mode "
+          << static_cast<int>(mode);
+    }
+  }
 }
 
 }  // namespace

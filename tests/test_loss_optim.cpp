@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 #include "core/loss.hpp"
 #include "core/optim.hpp"
@@ -140,6 +142,21 @@ TEST(ApplySegmentationMask, ThresholdBehaviour) {
   const Tensor recon = nc::core::apply_segmentation_mask(pred, logits, 0.5f);
   EXPECT_EQ(recon[0], 7.f);  // sigmoid(0.1) > 0.5
   EXPECT_EQ(recon[1], 0.f);  // sigmoid(-0.1) < 0.5
+}
+
+TEST(ApplySegmentationMask, BranchFreeMaskKeepsEveryBit) {
+  // Kept voxels keep their exact bits (-0 and subnormals included); masked
+  // ones become +0, as the branch `z > z_cut ? v : 0.f` gives.
+  const float kPred[] = {-0.f, 1e-45f, -65504.f, 7.5f, -0.f, 6.f};
+  const float kLogits[] = {1.f, 2.f, 0.5f, -1.f, -3.f, 0.f};
+  const Tensor pred = Tensor::from_vector({6}, {std::begin(kPred), std::end(kPred)});
+  const Tensor logits =
+      Tensor::from_vector({6}, {std::begin(kLogits), std::end(kLogits)});
+  const Tensor recon = nc::core::apply_segmentation_mask(pred, logits, 0.5f);
+  for (std::int64_t i = 0; i < 6; ++i) {
+    const float got = recon[i], want = logits[i] > 0.f ? pred[i] : 0.f;
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof want), 0) << "voxel " << i;
+  }
 }
 
 TEST(DynamicBalancing, CoefficientRecurrence) {

@@ -212,8 +212,9 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
   // order per element is ascending k on every tier.  Values span binary16's
   // range (subnormals to 65504).  The sweep crosses every register-block
   // edge (8 x 32 on AVX-512, 6 x 16 and 6 x 8 on AVX2, then single
-  // columns), the tile sits at a nonzero (i0, j0) inside a larger C, and a
-  // sentinel border catches a store past the tile.
+  // columns) and the scalar tier's 256-column block, the tile sits at a
+  // nonzero (i0, j0) inside a larger C, and a sentinel border catches a
+  // store past the tile.
   nc::util::Rng rng(404);
   auto draw = [&rng] {
     const double mag = std::pow(10.0, rng.uniform(-7.0, 4.8));
@@ -222,7 +223,7 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
   constexpr std::uint32_t kSentinel = 0x7FC0BEEFu;  // a quiet NaN
   constexpr std::int64_t i0 = 3, j0 = 5;
   for (const std::int64_t m : {1, 7, 8, 9, 17, 32}) {
-    for (const std::int64_t n : {1, 15, 16, 17, 33, 48, 129}) {
+    for (const std::int64_t n : {1, 15, 16, 17, 33, 48, 129, 300}) {
       for (const std::int64_t k : {1, 41, 288}) {
         const std::int64_t lda = k + 3, ldb = j0 + n + 4;
         const std::int64_t c_rows = i0 + m + 2, ldc = j0 + n + 7;
