@@ -1,9 +1,10 @@
 /// Self-contained microbenchmarks for the compute kernels underlying every
 /// table and figure: fp32 GEMM, the runtime-dispatched fp16 tile and int8
 /// GEMM at every ISA tier the host supports (single thread, one call over
-/// the whole matrix), the quantization passes feeding int8, the conv
-/// epilogue fused against the unfused chain it replaces, and
-/// a dense-vs-sparse sweep of the Conv2d eval lowerings over input density
+/// the whole matrix; each cell the median and range of interleaved passes),
+/// the quantization passes feeding int8, the conv epilogue fused against
+/// the unfused chain it replaces, and a dense-vs-sparse sweep of the conv
+/// eval lowerings over input density, at 2-D and 3-D first-layer shapes
 /// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers).
 ///
 /// These isolate the substrate so regressions in the headline throughput
@@ -15,10 +16,12 @@
 /// Output ends with a one-line JSON trailer (grep '^{') consumed by CI as
 /// BENCH_kernels.json.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,23 +53,52 @@ Tensor random_tensor(nc::core::Shape shape, std::uint64_t seed) {
   return t;
 }
 
-/// Best-of-3 throughput: run `fn` in timed batches of >= `min_s` seconds and
-/// return work/second of the fastest batch (work = flops or bytes per call).
+/// Work/second of one timed batch of >= `min_s` seconds of `fn` (work =
+/// flops or bytes per call).
+template <typename Fn>
+double batch_rate(double work_per_call, Fn&& fn, double min_s) {
+  std::int64_t iters = 0;
+  nc::util::Timer t;
+  do {
+    fn();
+    ++iters;
+  } while (t.elapsed_s() < min_s);
+  return work_per_call * static_cast<double>(iters) / t.elapsed_s();
+}
+
+/// Best-of-3 throughput: the fastest of three timed batches.
 template <typename Fn>
 double best_rate(double work_per_call, Fn&& fn, double min_s = 0.12) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    std::int64_t iters = 0;
-    nc::util::Timer t;
-    do {
-      fn();
-      ++iters;
-    } while (t.elapsed_s() < min_s);
-    const double rate =
-        work_per_call * static_cast<double>(iters) / t.elapsed_s();
-    best = std::max(best, rate);
+    best = std::max(best, batch_rate(work_per_call, fn, min_s));
   }
   return best;
+}
+
+/// The median and range of one kernel's rates over several passes.
+struct Spread {
+  double median = 0.0, lo = 0.0, hi = 0.0;
+};
+
+/// Time every kernel of `fns` once per pass, for `passes` passes, so that a
+/// change in the host's speed during the run reaches every kernel alike;
+/// return each kernel's median and min-max rate in GFLOP/s.  One timed
+/// batch per cell read 84.7 and 119.8 GFLOP/s for the same tile on two runs.
+std::vector<Spread> interleaved_gflops(
+    double flops, const std::vector<std::function<void()>>& fns, int passes) {
+  std::vector<std::vector<double>> rates(fns.size());
+  for (int pass = 0; pass < passes; ++pass) {
+    for (std::size_t f = 0; f < fns.size(); ++f) {
+      rates[f].push_back(batch_rate(flops, fns[f], 0.12) / 1e9);
+    }
+  }
+  std::vector<Spread> out;
+  for (std::vector<double>& r : rates) {
+    std::sort(r.begin(), r.end());
+    out.push_back({r[r.size() / 2], r.front(), r.back()});
+  }
+  return out;
 }
 
 /// Conv-forward shaped GEMMs: M = out channels, N = output pixels, K =
@@ -92,26 +124,35 @@ std::vector<Isa> supported_isas() {
   return out;
 }
 
-// ---- dense vs sparse Conv2d lowering --------------------------------------
+// ---- dense vs sparse conv lowering -----------------------------------------
 //
-// One sample through each lowering Conv2d::forward can take in kEvalHalf /
-// kEvalInt8, with an explicit tier's kernels and without the bias (which
-// both share).  Single-threaded, as each pipeline worker runs its convs.
+// One sample through each lowering Conv2d/Conv3d::forward can take in
+// kEvalHalf / kEvalInt8, with an explicit tier's kernels and without the
+// bias (which both share).  Single-threaded, as each pipeline worker runs
+// its convs.  The 2-D shapes are depth-1 volumes, as the layers run them.
 
 struct ConvShape {
-  std::int64_t in_c, out_c, h, w, k;
+  std::int64_t in_c, out_c;
+  std::array<std::int64_t, 3> dhw, k, s, p;  ///< (depth, height, width)
   const char* what;
 };
 
 constexpr ConvShape kConvShapes[] = {
-    {16, 32, 48, 64, 7, "enc.in 16->32 7x7 48x64"},
-    {32, 32, 24, 32, 3, "resblock 32->32 3x3 24x32"},
+    {16, 32, {1, 48, 64}, {1, 7, 7}, {1, 1, 1}, {0, 3, 3},
+     "enc.in 16->32 7x7 48x64"},
+    {32, 32, {1, 24, 32}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1},
+     "resblock 32->32 3x3 24x32"},
+    // The 3-D models' first conv (enc.s0.down) on a 16x48x64 wedge.
+    {1, 8, {16, 48, 64}, {3, 4, 4}, {1, 2, 2}, {1, 1, 1},
+     "BCAE++ 1->8 3x4x4 s1x2x2"},
+    {1, 2, {16, 48, 64}, {3, 4, 4}, {1, 2, 2}, {1, 1, 1},
+     "BCAE-HT 1->2 3x4x4 s1x2x2"},
 };
 
 constexpr double kDensities[] = {0.01, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50, 1.00};
 
 struct ConvLowering {
-  nc::core::Conv2dGeom g;
+  nc::core::Conv3dGeom g;
   std::int64_t out_c;
   std::vector<nc::util::half> w_half;  ///< (out_c, rows)
   nc::core::QuantizedRows w_q;
@@ -122,10 +163,18 @@ struct ConvLowering {
 
   ConvLowering(const ConvShape& s, const Tensor& weight) : out_c(s.out_c) {
     g.c = s.in_c;
-    g.h = s.h;
-    g.w = s.w;
-    g.kh = g.kw = s.k;
-    g.ph = g.pw = s.k / 2;
+    g.d = s.dhw[0];
+    g.h = s.dhw[1];
+    g.w = s.dhw[2];
+    g.kd = s.k[0];
+    g.kh = s.k[1];
+    g.kw = s.k[2];
+    g.sd = s.s[0];
+    g.sh = s.s[1];
+    g.sw = s.s[2];
+    g.pd = s.p[0];
+    g.ph = s.p[1];
+    g.pw = s.p[2];
     const std::int64_t rows = g.rows(), cols = g.cols();
     w_half.resize(static_cast<std::size_t>(out_c * rows));
     nc::util::float_to_half_n(weight.data(), w_half.data(), out_c * rows);
@@ -140,7 +189,7 @@ struct ConvLowering {
         slab_q[j] = static_cast<float>(w_q.values[i]);
       }
     }
-    const auto numel = static_cast<std::size_t>(g.c * g.h * g.w);
+    const auto numel = static_cast<std::size_t>(g.c * g.d * g.h * g.w);
     xh.resize(numel);
     xs.resize(numel);
     xq.resize(numel);
@@ -150,29 +199,30 @@ struct ConvLowering {
     out.resize(static_cast<std::size_t>(out_c * cols));
   }
 
-  /// The dense lowering as Conv2d runs it on one thread: binary16 input,
-  /// im2col, one tile_hh over the whole matrix; or int8 codes of the input
-  /// (every voxel of these layers is covered), im2col of the codes, qgemm.
+  /// The dense lowering as the conv layers run it on one thread: binary16
+  /// input, vol2col, one tile_hh over the whole matrix; or int8 codes of the
+  /// input (every voxel of these layers is covered), vol2col of the codes,
+  /// qgemm.
   void dense(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
     const std::int64_t rows = g.rows(), cols = g.cols();
-    const std::int64_t numel = g.c * g.h * g.w;
+    const std::int64_t numel = g.c * g.d * g.h * g.w;
     if (int8) {
       const float scale = nc::core::quant_scale(ker.max_abs(x, numel));
       ker.quantize_scaled(x, numel, 1.f / scale, xq.data());
-      nc::core::im2col_2d(xq.data(), g, q.data());
+      nc::core::vol2col_3d(xq.data(), g, q.data());
       ker.qgemm(out_c, cols, rows, w_q.values.data(), w_q.scales.data(),
                 q.data(), scale, out.data(), cols);
       return;
     }
     nc::util::float_to_half_sat_n(x, xh.data(), numel);
-    nc::core::im2col_2d(xh.data(), g, colh.data());
+    nc::core::vol2col_3d(xh.data(), g, colh.data());
     ker.tile_hh(0, out_c, 0, cols, rows, w_half.data(), rows, colh.data(),
                 cols, out.data(), cols);
   }
 
   /// Round or quantize the input, scatter, transpose (and scale).
   void sparse(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
-    const std::int64_t cols = g.cols(), numel = g.c * g.h * g.w;
+    const std::int64_t cols = g.cols(), numel = g.c * g.d * g.h * g.w;
     float act_scale = 1.f;
     if (int8) {
       act_scale = nc::core::quant_scale(ker.max_abs(x, numel));
@@ -183,8 +233,8 @@ struct ConvLowering {
       nc::util::half_to_float_n(xh.data(), xs.data(), numel);
     }
     std::fill(acc.begin(), acc.end(), 0.f);
-    ker.scatter_conv2d(xs.data(), g, out_c,
-                       int8 ? slab_q.data() : slab_half.data(), acc.data());
+    ker.scatter_conv(xs.data(), g, out_c,
+                     int8 ? slab_q.data() : slab_half.data(), acc.data());
     for (std::int64_t o = 0; o < out_c; ++o) {
       const float scale =
           int8 ? w_q.scales[static_cast<std::size_t>(o)] * act_scale : 1.f;
@@ -272,7 +322,7 @@ EpilogueTimes epilogue_bench() {
 /// Input with the given nonzero fraction, values uniform in [-1, 1].
 Tensor sparse_input(const ConvShape& s, double density, std::uint64_t seed) {
   nc::util::Rng rng(seed);
-  Tensor t({s.in_c, s.h, s.w});
+  Tensor t({s.in_c, s.dhw[0], s.dhw[1], s.dhw[2]});
   for (std::int64_t i = 0; i < t.numel(); ++i) {
     if (rng.uniform(0.0, 1.0) < density) {
       t[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
@@ -283,15 +333,16 @@ Tensor sparse_input(const ConvShape& s, double density, std::uint64_t seed) {
 
 /// Print the sweep table; return its rows as JSON objects.
 std::string sparse_sweep(const std::vector<Isa>& isas) {
-  std::printf("\nConv2d eval lowering, dense vs sparse [ms per sample, 1 "
-              "thread] by input density:\n");
+  std::printf("\nConv2d/Conv3d eval lowering, dense vs sparse [ms per sample, "
+              "1 thread] by input density:\n");
   std::printf("  %-26s %-5s %-7s", "layer", "mode", "tier");
   for (double d : kDensities) std::printf(" %13.0f%%", 100.0 * d);
   std::printf("   crossover\n");
   std::string rows;
   char buf[256];
   for (const ConvShape& s : kConvShapes) {
-    ConvLowering low(s, random_tensor({s.out_c, s.in_c * s.k * s.k}, 4));
+    ConvLowering low(
+        s, random_tensor({s.out_c, s.in_c * s.k[0] * s.k[1] * s.k[2]}, 4));
     std::vector<Tensor> inputs;
     for (std::size_t d = 0; d < std::size(kDensities); ++d) {
       inputs.push_back(sparse_input(s, kDensities[d], 10 + d));
@@ -342,19 +393,26 @@ int main() {
   // fp16 columns: each tier's tile_hh over the whole matrix; int8 columns:
   // each tier's qgemm.  Both single-threaded, as a pipeline worker runs them.
   nc::util::set_num_threads(1);
+  constexpr int kPasses = 5;
   std::printf("\nGEMM throughput [GFLOP/s, 1 thread] (fp16 = tile_hh, int8 = "
-              "qgemm, per tier; best/sc = speedup of the best tier vs its "
-              "scalar reference):\n");
-  std::printf("  %-28s %8s", "shape (m,n,k)", "sgemm");
+              "qgemm, per tier; each cell the median (min-max) of %d "
+              "interleaved passes; best/sc = speedup of the best tier's "
+              "median vs its scalar reference's):\n",
+              kPasses);
+  std::printf("  %-26s %-20s", "shape (m,n,k)", "sgemm");
   for (const char* kind : {"fp16", "int8"}) {
     for (Isa isa : isas) {
-      std::printf(" %4s/%-6s", kind, nc::core::simd::isa_name(isa));
+      std::printf(" %4s/%-15s", kind, nc::core::simd::isa_name(isa));
     }
-    std::printf(" %8s", "best/sc");
+    std::printf(" %7s", "best/sc");
   }
   std::printf("\n");
+  auto print_cell = [](const Spread& r) {
+    std::printf(" %6.1f (%5.1f-%5.1f)", r.median, r.lo, r.hi);
+  };
 
-  // JSON accumulators: per-kernel GFLOP/s averaged over the shape set.
+  // JSON accumulators: per-kernel median GFLOP/s averaged over the shape
+  // set.
   double sum_sgemm = 0.0, sum_hgemm = 0.0;
   std::vector<double> sum_h(isas.size(), 0.0), sum_q(isas.size(), 0.0);
 
@@ -364,16 +422,6 @@ int main() {
     const Tensor a = random_tensor({s.m, s.k}, 1);
     const Tensor b = random_tensor({s.k, s.n}, 2);
     Tensor c({s.m, s.n});
-
-    const double sgemm_g =
-        best_rate(flops, [&] {
-          nc::core::sgemm(false, false, s.m, s.n, s.k, 1.f, a.data(), s.k,
-                          b.data(), s.n, 0.f, c.data(), s.n);
-        }) / 1e9;
-    std::printf("  %3lld x %5lld x %4lld %-9s %8.2f",
-                static_cast<long long>(s.m), static_cast<long long>(s.n),
-                static_cast<long long>(s.k), "", sgemm_g);
-
     std::vector<nc::util::half> ah(static_cast<std::size_t>(s.m * s.k));
     std::vector<nc::util::half> bh(static_cast<std::size_t>(s.k * s.n));
     nc::util::float_to_half_n(a.data(), ah.data(), s.m * s.k);
@@ -383,28 +431,44 @@ int main() {
     const float b_scale =
         nc::core::quantize_tensor(b.data(), s.k * s.n, qb.data());
 
+    // sgemm, then each tier's tile_hh, then each tier's qgemm.
+    std::vector<std::function<void()>> kernels{[&] {
+      nc::core::sgemm(false, false, s.m, s.n, s.k, 1.f, a.data(), s.k,
+                      b.data(), s.n, 0.f, c.data(), s.n);
+    }};
+    for (const bool int8 : {false, true}) {
+      for (Isa isa : isas) {
+        const nc::core::simd::Kernels* ker = &nc::core::simd::kernels_for(isa);
+        kernels.emplace_back([&, ker, int8] {
+          if (int8) {
+            ker->qgemm(s.m, s.n, s.k, qa.values.data(), qa.scales.data(),
+                       qb.data(), b_scale, c.data(), s.n);
+          } else {
+            ker->tile_hh(0, s.m, 0, s.n, s.k, ah.data(), s.k, bh.data(), s.n,
+                         c.data(), s.n);
+          }
+        });
+      }
+    }
+    const std::vector<Spread> r = interleaved_gflops(flops, kernels, kPasses);
+
+    std::printf("  %3lld x %5lld x %4lld %-7s", static_cast<long long>(s.m),
+                static_cast<long long>(s.n), static_cast<long long>(s.k), "");
+    print_cell(r[0]);
+    sum_sgemm += r[0].median;
+    std::size_t at = 1;
     for (const bool int8 : {false, true}) {
       double scalar_g = 0.0, best_g = 0.0;
-      for (std::size_t t = 0; t < isas.size(); ++t) {
-        const auto& ker = nc::core::simd::kernels_for(isas[t]);
-        const double g = best_rate(flops, [&] {
-          if (int8) {
-            ker.qgemm(s.m, s.n, s.k, qa.values.data(), qa.scales.data(),
-                      qb.data(), b_scale, c.data(), s.n);
-          } else {
-            ker.tile_hh(0, s.m, 0, s.n, s.k, ah.data(), s.k, bh.data(), s.n,
-                        c.data(), s.n);
-          }
-        }) / 1e9;
+      for (std::size_t t = 0; t < isas.size(); ++t, ++at) {
+        const double g = r[at].median;
         if (isas[t] == Isa::kScalar) scalar_g = g;
         best_g = std::max(best_g, g);
         (int8 ? sum_q : sum_h)[t] += g;
-        std::printf(" %11.2f", g);
+        print_cell(r[at]);
       }
-      std::printf(" %7.2fx", scalar_g > 0.0 ? best_g / scalar_g : 0.0);
+      std::printf(" %6.2fx", scalar_g > 0.0 ? best_g / scalar_g : 0.0);
     }
     std::printf("  # %s\n", s.what);
-    sum_sgemm += sgemm_g;
   }
   // hgemm on one thread is one call of the active tier's tile_hh.
   for (std::size_t t = 0; t < isas.size(); ++t) {

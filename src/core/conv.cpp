@@ -44,7 +44,7 @@ std::vector<std::int8_t>& i8_scratch_b() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
 }
-// Pixel-major accumulator of the sparse Conv2d lowering.
+// Voxel-major accumulator of the sparse lowering.
 std::vector<float>& acc_scratch() {
   thread_local std::vector<float> buf;
   return buf;
@@ -63,54 +63,32 @@ bool nonzeros_at_most(const float* x, std::int64_t n, std::int64_t limit) {
   return true;
 }
 
-/// The 3-D geometry (depth 1, depth kernel 1) that lowers exactly as `g`.
-Conv3dGeom as_3d(const Conv2dGeom& g) {
-  Conv3dGeom g3;
-  g3.c = g.c;
-  g3.d = 1;
-  g3.h = g.h;
-  g3.w = g.w;
-  g3.kd = 1;
-  g3.kh = g.kh;
-  g3.kw = g.kw;
-  g3.sh = g.sh;
-  g3.sw = g.sw;
-  g3.ph = g.ph;
-  g3.pw = g.pw;
-  return g3;
-}
-
 /// Quantize one (c, d, h, w) input sample of a conv with geometry `g` into
 /// int8 codes `q`, and return the scale.  The scale is `quant_scale` of the
-/// largest |x| over the voxels some window covers (`axis_taps` count > 0 on
-/// every axis).  That is the largest magnitude in the sample's im2col, so
-/// lowering these codes gives exactly the codes of quantizing the im2col.
+/// largest |x| over the voxels some window covers (`volume_taps` count > 0
+/// on every axis).  That is the largest magnitude in the sample's column
+/// matrix, so lowering these codes gives exactly the codes of quantizing the
+/// column matrix.
 /// When every voxel is covered, as in every BCAE layer, it is one max_abs.
 float quantize_covered(const float* x, const Conv3dGeom& g, std::int8_t* q) {
   using simd::detail::AxisTaps;
   const simd::Kernels& ker = simd::kernels();
   thread_local std::vector<AxisTaps> taps;
-  taps.resize(static_cast<std::size_t>(g.d + g.h + g.w));
-  AxisTaps* tz = taps.data();
-  AxisTaps* ty = tz + g.d;
-  AxisTaps* tx = ty + g.h;
-  simd::detail::axis_taps(g.d, g.kd, g.sd, g.pd, g.out_d(), tz);
-  simd::detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ty);
-  simd::detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), tx);
+  const simd::detail::VolumeTaps t = simd::detail::volume_taps(g, taps);
   const std::int64_t numel = g.c * g.d * g.h * g.w;
   float max_abs = 0.f;
   if (std::all_of(taps.begin(), taps.end(),
-                  [](const AxisTaps& t) { return t.count > 0; })) {
+                  [](const AxisTaps& a) { return a.count > 0; })) {
     max_abs = ker.max_abs(x, numel);
   } else {
     for (std::int64_t c = 0; c < g.c; ++c) {
       for (std::int64_t z = 0; z < g.d; ++z) {
-        if (tz[z].count == 0) continue;
+        if (t.z[z].count == 0) continue;
         for (std::int64_t y = 0; y < g.h; ++y) {
-          if (ty[y].count == 0) continue;
+          if (t.y[y].count == 0) continue;
           const float* row = x + ((c * g.d + z) * g.h + y) * g.w;
           for (std::int64_t i = 0; i < g.w; ++i) {
-            if (tx[i].count > 0) max_abs = std::max(max_abs, std::abs(row[i]));
+            if (t.x[i].count > 0) max_abs = std::max(max_abs, std::abs(row[i]));
           }
         }
       }
@@ -121,9 +99,9 @@ float quantize_covered(const float* x, const Conv3dGeom& g, std::int8_t* q) {
   return scale;
 }
 
-/// Most nonzeros a sample may hold for Conv2d to take the sparse lowering
-/// in `mode`; -1 when the mode or geometry must stay dense.
-std::int64_t sparse_nonzero_limit(Mode mode, const Conv2dGeom& g) {
+/// Most nonzeros a sample may hold for the sparse lowering in `mode`; -1
+/// when the mode or geometry must stay dense.
+std::int64_t sparse_nonzero_limit(Mode mode, const Conv3dGeom& g) {
   double max_density = 0.0;
   if (mode == Mode::kEvalHalf) {
     max_density = kSparseMaxDensityHalf;
@@ -134,8 +112,8 @@ std::int64_t sparse_nonzero_limit(Mode mode, const Conv2dGeom& g) {
   } else {
     return -1;
   }
-  return static_cast<std::int64_t>(max_density *
-                                   static_cast<double>(g.c * g.h * g.w));
+  return static_cast<std::int64_t>(
+      max_density * static_cast<double>(g.c * g.d * g.h * g.w));
 }
 
 /// (rows, out_c) fp32 slab of an (out_c, rows) half or int8 weight.
@@ -223,14 +201,48 @@ void accum_bias_grad(const float* gy_mat, float* gb, std::int64_t rows,
   }
 }
 
-void record_profile(const std::string& label, double seconds, std::int64_t m,
-                    std::int64_t n, std::int64_t k, std::int64_t batch) {
-  Profiler::instance().record(label, seconds,
-                              2.0 * static_cast<double>(m) *
-                                  static_cast<double>(n) *
-                                  static_cast<double>(k) *
-                                  static_cast<double>(batch),
-                              m, n, k);
+/// (n, c, d, h, w) as the shape of a rank-2 or rank-3 tensor; rank 2 drops
+/// d, which is 1 there.
+Shape conv_shape(int rank, std::int64_t n, std::int64_t c,
+                 const std::array<std::int64_t, 3>& dhw) {
+  if (rank == 2) return {n, c, dhw[1], dhw[2]};
+  return {n, c, dhw[0], dhw[1], dhw[2]};
+}
+
+/// The (d, h, w) extents of `x`, which must be (N, c, [D,] H, W) for a layer
+/// of `rank`; d = 1 for rank 2.
+std::array<std::int64_t, 3> spatial_dims(const Tensor& x, int rank,
+                                         std::int64_t c,
+                                         const std::string& label) {
+  if (x.ndim() != rank + 2 || x.dim(1) != c) {
+    throw std::invalid_argument(
+        label + ": expected (N, " + std::to_string(c) +
+        (rank == 3 ? ", D, H, W), got " : ", H, W), got ") +
+        shape_to_string(x.shape()));
+  }
+  return {rank == 3 ? x.dim(2) : 1, x.dim(rank), x.dim(rank + 1)};
+}
+
+/// The geometry of a conv with `c` input channels over extents `dhw`.
+Conv3dGeom conv_geom(std::int64_t c, const std::array<std::int64_t, 3>& dhw,
+                     const std::array<std::int64_t, 3>& k,
+                     const std::array<std::int64_t, 3>& s,
+                     const std::array<std::int64_t, 3>& p) {
+  Conv3dGeom g;
+  g.c = c;
+  g.d = dhw[0];
+  g.h = dhw[1];
+  g.w = dhw[2];
+  g.kd = k[0];
+  g.kh = k[1];
+  g.kw = k[2];
+  g.sd = s[0];
+  g.sh = s[1];
+  g.sw = s[2];
+  g.pd = p[0];
+  g.ph = p[1];
+  g.pw = p[2];
+  return g;
 }
 
 }  // namespace
@@ -256,22 +268,23 @@ void apply_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
 }
 
 // ---------------------------------------------------------------------------
-// Conv2d
+// ConvNd: Conv2d and Conv3d
 // ---------------------------------------------------------------------------
 
-Conv2d::Conv2d(std::int64_t in_c, std::int64_t out_c,
-               std::array<std::int64_t, 2> kernel,
-               std::array<std::int64_t, 2> stride,
-               std::array<std::int64_t, 2> pad, bool with_bias, util::Rng& rng,
+ConvNd::ConvNd(int rank, std::int64_t in_c, std::int64_t out_c,
+               std::array<std::int64_t, 3> kernel,
+               std::array<std::int64_t, 3> stride,
+               std::array<std::int64_t, 3> pad, bool with_bias, util::Rng& rng,
                std::string label)
-    : in_c_(in_c),
+    : rank_(rank),
+      in_c_(in_c),
       out_c_(out_c),
       k_(kernel),
       s_(stride),
       p_(pad),
-      weight_(label + ".weight", Tensor({out_c, in_c, kernel[0], kernel[1]})),
+      weight_(label + ".weight", Tensor(conv_shape(rank, out_c, in_c, kernel))),
       label_(std::move(label)) {
-  const std::int64_t fan_in = in_c * kernel[0] * kernel[1];
+  const std::int64_t fan_in = in_c * kernel[0] * kernel[1] * kernel[2];
   kaiming_normal(weight_.value, fan_in, rng);
   if (with_bias) {
     bias_.emplace(label_ + ".bias", Tensor({out_c}));
@@ -279,37 +292,16 @@ Conv2d::Conv2d(std::int64_t in_c, std::int64_t out_c,
   }
 }
 
-Conv2dGeom Conv2d::geom_for(const Tensor& x) const {
-  if (x.ndim() != 4 || x.dim(1) != in_c_) {
-    throw std::invalid_argument(label_ + ": expected (N, " +
-                                std::to_string(in_c_) + ", H, W), got " +
-                                shape_to_string(x.shape()));
-  }
-  Conv2dGeom g;
-  g.c = in_c_;
-  g.h = x.dim(2);
-  g.w = x.dim(3);
-  g.kh = k_[0];
-  g.kw = k_[1];
-  g.sh = s_[0];
-  g.sw = s_[1];
-  g.ph = p_[0];
-  g.pw = p_[1];
-  return g;
+Conv3dGeom ConvNd::geom_for(const Tensor& x) const {
+  return conv_geom(in_c_, spatial_dims(x, rank_, in_c_, label_), k_, s_, p_);
 }
 
-std::array<std::int64_t, 2> Conv2d::out_hw(std::array<std::int64_t, 2> in_hw) const {
-  return {(in_hw[0] + 2 * p_[0] - k_[0]) / s_[0] + 1,
-          (in_hw[1] + 2 * p_[1] - k_[1]) / s_[1] + 1};
-}
-
-Tensor Conv2d::forward_fused(const Tensor& x, Mode mode,
+Tensor ConvNd::forward_fused(const Tensor& x, Mode mode,
                              const ConvEpilogue& ep) {
-  const Conv2dGeom g = geom_for(x);
+  const Conv3dGeom g = geom_for(x);
   const std::int64_t n = x.dim(0);
   const std::int64_t rows = g.rows(), cols = g.cols();
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  Tensor out({n, out_c_, oh, ow});
+  Tensor out(conv_shape(rank_, n, out_c_, {g.out_d(), g.out_h(), g.out_w()}));
   const float* residual = epilogue_residual(label_, mode, ep, out);
 
   if (mode == Mode::kTrain) cached_input_ = x;
@@ -331,11 +323,13 @@ Tensor Conv2d::forward_fused(const Tensor& x, Mode mode,
   util::Timer timer;
 
   // 1x1 stride-1 unpadded convolutions are pure channel mixes: the column
-  // matrix equals the input, so skip the im2col lowering entirely.
-  const bool is_1x1 = (k_[0] == 1 && k_[1] == 1 && s_[0] == 1 && s_[1] == 1 &&
-                       p_[0] == 0 && p_[1] == 0);
-  const std::int64_t in_stride = in_c_ * g.h * g.w;
-  const std::int64_t out_stride = out_c_ * oh * ow;
+  // matrix equals the input, so skip the lowering entirely.
+  const auto all = [](const std::array<std::int64_t, 3>& a, std::int64_t v) {
+    return a[0] == v && a[1] == v && a[2] == v;
+  };
+  const bool is_1x1 = all(k_, 1) && all(s_, 1) && all(p_, 0);
+  const std::int64_t in_stride = in_c_ * g.d * g.h * g.w;
+  const std::int64_t out_stride = out_c_ * cols;
   const std::int64_t sparse_limit = sparse_nonzero_limit(mode, g);
   // Work the sparse samples executed, for the profiler's FLOP count.
   std::atomic<std::int64_t> sparse_samples{0}, sparse_taps{0};
@@ -359,229 +353,14 @@ Tensor Conv2d::forward_fused(const Tensor& x, Mode mode,
           if (!is_1x1) {
             auto& colbuf = f16_scratch();
             colbuf.resize(static_cast<std::size_t>(rows * cols));
-            im2col_2d(inh.data(), g, colbuf.data());
-            colh = colbuf.data();
-          }
-          hgemm(out_c_, cols, rows, whalf->data(), rows, colh, cols, out_s,
-                cols);
-        } else if (int8_mode) {
-          // Quantize first, then lower the codes: 1/(kh*kw) of the
-          // quantize work, and no fp32 column matrix.
-          auto& q = i8_scratch();
-          q.resize(static_cast<std::size_t>(in_stride));
-          const float act_scale = quantize_covered(in_s, as_3d(g), q.data());
-          const std::int8_t* colq = q.data();
-          if (!is_1x1) {
-            auto& colbuf = i8_scratch_b();
-            colbuf.resize(static_cast<std::size_t>(rows * cols));
-            im2col_2d(q.data(), g, colbuf.data());
-            colq = colbuf.data();
-          }
-          qgemm(out_c_, cols, rows, wq->values.data(), wq->scales.data(), colq,
-                act_scale, out_s, cols);
-        } else if (is_1x1) {
-          sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
-                rows, in_s, cols, 0.f, out_s, cols);
-        } else {
-          auto& colbuf = f32_scratch();
-          colbuf.resize(static_cast<std::size_t>(rows * cols));
-          im2col_2d(in_s, g, colbuf.data());
-          sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
-                rows, colbuf.data(), cols, 0.f, out_s, cols);
-        }
-        apply_epilogue(out_s, out_c_, cols, bias,
-                       residual ? residual + sample * out_stride : nullptr,
-                       ep.leaky_slope);
-      },
-      // train: serial sample loop
-      mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
-
-  if (prof) {
-    const double dense_samples = static_cast<double>(n - sparse_samples.load());
-    const double flops =
-        2.0 * static_cast<double>(out_c_) *
-        (dense_samples * static_cast<double>(cols) * static_cast<double>(rows) +
-         static_cast<double>(sparse_taps.load()));
-    Profiler::instance().record(label_, timer.elapsed_s(), flops, out_c_, cols,
-                                rows);
-  }
-  return out;
-}
-
-std::int64_t Conv2d::forward_sparse(const float* in, const Conv2dGeom& g,
-                                    const HalfTensor* whalf,
-                                    const QuantizedRows* wq, float* out) {
-  const std::int64_t numel = g.c * g.h * g.w;
-  const std::int64_t rows = g.rows(), cols = g.cols();
-  // The scatter reads the input as fp32 holding exactly the values the
-  // dense lowering multiplies: binary16-rounded, or the int8 codes.
-  auto& xs = f32_scratch();
-  xs.resize(static_cast<std::size_t>(numel));
-  float act_scale = 1.f;
-  const std::vector<float>* slab = nullptr;
-  if (wq) {
-    auto& q = i8_scratch();
-    q.resize(static_cast<std::size_t>(numel));
-    act_scale = quantize_covered(in, as_3d(g), q.data());
-    std::copy(q.begin(), q.end(), xs.begin());  // int8 codes, widened
-    slab = &slab_q_.get(
-        [&] { return widen_slab(wq->values.data(), out_c_, rows); });
-  } else {
-    auto& inh = f16_scratch_b();
-    inh.resize(static_cast<std::size_t>(numel));
-    util::float_to_half_sat_n(in, inh.data(), numel);
-    util::half_to_float_n(inh.data(), xs.data(), numel);
-    slab = &slab_half_.get(
-        [&] { return widen_slab(whalf->data(), out_c_, rows); });
-  }
-  auto& acc = acc_scratch();
-  acc.assign(static_cast<std::size_t>(cols * out_c_), 0.f);
-  const std::int64_t taps = simd::kernels().scatter_conv2d(
-      xs.data(), g, out_c_, slab->data(), acc.data());
-  store_transposed(acc.data(), cols, out_c_, wq ? wq->scales.data() : nullptr,
-                   act_scale, out);
-  return taps;
-}
-
-Tensor Conv2d::backward(const Tensor& gy) {
-  if (cached_input_.empty()) {
-    throw std::logic_error(label_ + ": backward before kTrain forward");
-  }
-  const Tensor& x = cached_input_;
-  const Conv2dGeom g = geom_for(x);
-  const std::int64_t n = x.dim(0);
-  const std::int64_t rows = g.rows(), cols = g.cols();
-  Tensor gx(x.shape());
-
-  auto& colbuf = f32_scratch();
-  colbuf.resize(static_cast<std::size_t>(rows * cols));
-  std::vector<float> gcol(static_cast<std::size_t>(rows * cols));
-
-  const std::int64_t in_stride = in_c_ * g.h * g.w;
-  const std::int64_t out_stride = out_c_ * cols;
-  for (std::int64_t sample = 0; sample < n; ++sample) {
-    const float* x_s = x.data() + sample * in_stride;
-    const float* gy_s = gy.data() + sample * out_stride;
-    float* gx_s = gx.data() + sample * in_stride;
-
-    im2col_2d(x_s, g, colbuf.data());
-    // gW (out_c, rows) += gy_mat (out_c, cols) x colsᵀ
-    sgemm(false, true, out_c_, rows, cols, 1.f, gy_s, cols, colbuf.data(),
-          cols, 1.f, weight_.grad.data(), rows);
-    if (bias_) accum_bias_grad(gy_s, bias_->grad.data(), out_c_, cols);
-    // gcols (rows, cols) = Wᵀ x gy_mat
-    sgemm(true, false, rows, cols, out_c_, 1.f, weight_.value.data(), rows,
-          gy_s, cols, 0.f, gcol.data(), cols);
-    col2im_2d(gcol.data(), g, gx_s);
-  }
-  cached_input_ = Tensor();
-  return gx;
-}
-
-void Conv2d::collect_params(std::vector<Param*>& out) {
-  out.push_back(&weight_);
-  if (bias_) out.push_back(&*bias_);
-}
-
-// ---------------------------------------------------------------------------
-// Conv3d
-// ---------------------------------------------------------------------------
-
-Conv3d::Conv3d(std::int64_t in_c, std::int64_t out_c,
-               std::array<std::int64_t, 3> kernel,
-               std::array<std::int64_t, 3> stride,
-               std::array<std::int64_t, 3> pad, bool with_bias, util::Rng& rng,
-               std::string label)
-    : in_c_(in_c),
-      out_c_(out_c),
-      k_(kernel),
-      s_(stride),
-      p_(pad),
-      weight_(label + ".weight",
-              Tensor({out_c, in_c, kernel[0], kernel[1], kernel[2]})),
-      label_(std::move(label)) {
-  const std::int64_t fan_in = in_c * kernel[0] * kernel[1] * kernel[2];
-  kaiming_normal(weight_.value, fan_in, rng);
-  if (with_bias) {
-    bias_.emplace(label_ + ".bias", Tensor({out_c}));
-    uniform_init(bias_->value, 1.0 / std::sqrt(static_cast<double>(fan_in)), rng);
-  }
-}
-
-Conv3dGeom Conv3d::geom_for(const Tensor& x) const {
-  if (x.ndim() != 5 || x.dim(1) != in_c_) {
-    throw std::invalid_argument(label_ + ": expected (N, " +
-                                std::to_string(in_c_) + ", D, H, W), got " +
-                                shape_to_string(x.shape()));
-  }
-  Conv3dGeom g;
-  g.c = in_c_;
-  g.d = x.dim(2);
-  g.h = x.dim(3);
-  g.w = x.dim(4);
-  g.kd = k_[0];
-  g.kh = k_[1];
-  g.kw = k_[2];
-  g.sd = s_[0];
-  g.sh = s_[1];
-  g.sw = s_[2];
-  g.pd = p_[0];
-  g.ph = p_[1];
-  g.pw = p_[2];
-  return g;
-}
-
-Tensor Conv3d::forward_fused(const Tensor& x, Mode mode,
-                             const ConvEpilogue& ep) {
-  const Conv3dGeom g = geom_for(x);
-  const std::int64_t n = x.dim(0);
-  const std::int64_t rows = g.rows(), cols = g.cols();
-  const std::int64_t od = g.out_d(), oh = g.out_h(), ow = g.out_w();
-  Tensor out({n, out_c_, od, oh, ow});
-  const float* residual = epilogue_residual(label_, mode, ep, out);
-
-  if (mode == Mode::kTrain) cached_input_ = x;
-
-  const bool half_mode = (mode == Mode::kEvalHalf);
-  const HalfTensor* whalf =
-      half_mode ? &weight_half_.get(
-                      [&] { return HalfTensor::from_float(weight_.value); })
-                : nullptr;
-  const bool int8_mode = (mode == Mode::kEvalInt8);
-  const QuantizedRows* wq =
-      int8_mode ? &weight_q_.get([&] {
-        return quantize_rows(weight_.value.data(), out_c_, rows);
-      })
-                : nullptr;
-
-  const float* bias = bias_ ? bias_->value.data() : nullptr;
-  const bool prof = Profiler::instance().enabled();
-  util::Timer timer;
-
-  const bool is_1x1 = (k_[0] == 1 && k_[1] == 1 && k_[2] == 1 && s_[0] == 1 &&
-                       s_[1] == 1 && s_[2] == 1 && p_[0] == 0 && p_[1] == 0 &&
-                       p_[2] == 0);
-  const std::int64_t in_stride = in_c_ * g.d * g.h * g.w;
-  const std::int64_t out_stride = out_c_ * cols;
-  util::parallel_for(
-      0, n,
-      [&](std::int64_t sample) {
-        const float* in_s = x.data() + sample * in_stride;
-        float* out_s = out.data() + sample * out_stride;
-        if (half_mode) {
-          auto& inh = f16_scratch_b();
-          inh.resize(static_cast<std::size_t>(in_stride));
-          util::float_to_half_sat_n(in_s, inh.data(), in_stride);
-          const util::half* colh = inh.data();
-          if (!is_1x1) {
-            auto& colbuf = f16_scratch();
-            colbuf.resize(static_cast<std::size_t>(rows * cols));
             vol2col_3d(inh.data(), g, colbuf.data());
             colh = colbuf.data();
           }
           hgemm(out_c_, cols, rows, whalf->data(), rows, colh, cols, out_s,
                 cols);
         } else if (int8_mode) {
+          // Quantize first, then lower the codes: 1/(kd*kh*kw) of the
+          // quantize work, and no fp32 column matrix.
           auto& q = i8_scratch();
           q.resize(static_cast<std::size_t>(in_stride));
           const float act_scale = quantize_covered(in_s, g, q.data());
@@ -608,13 +387,57 @@ Tensor Conv3d::forward_fused(const Tensor& x, Mode mode,
                        residual ? residual + sample * out_stride : nullptr,
                        ep.leaky_slope);
       },
+      // train: serial sample loop
       mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
 
-  if (prof) record_profile(label_, timer.elapsed_s(), out_c_, cols, rows, n);
+  if (prof) {
+    const double dense_samples = static_cast<double>(n - sparse_samples.load());
+    const double flops =
+        2.0 * static_cast<double>(out_c_) *
+        (dense_samples * static_cast<double>(cols) * static_cast<double>(rows) +
+         static_cast<double>(sparse_taps.load()));
+    Profiler::instance().record(label_, timer.elapsed_s(), flops, out_c_, cols,
+                                rows);
+  }
   return out;
 }
 
-Tensor Conv3d::backward(const Tensor& gy) {
+std::int64_t ConvNd::forward_sparse(const float* in, const Conv3dGeom& g,
+                                    const HalfTensor* whalf,
+                                    const QuantizedRows* wq, float* out) {
+  const std::int64_t numel = g.c * g.d * g.h * g.w;
+  const std::int64_t rows = g.rows(), cols = g.cols();
+  // The scatter reads the input as fp32 holding exactly the values the
+  // dense lowering multiplies: binary16-rounded, or the int8 codes.
+  auto& xs = f32_scratch();
+  xs.resize(static_cast<std::size_t>(numel));
+  float act_scale = 1.f;
+  const std::vector<float>* slab = nullptr;
+  if (wq) {
+    auto& q = i8_scratch();
+    q.resize(static_cast<std::size_t>(numel));
+    act_scale = quantize_covered(in, g, q.data());
+    std::copy(q.begin(), q.end(), xs.begin());  // int8 codes, widened
+    slab = &slab_q_.get(
+        [&] { return widen_slab(wq->values.data(), out_c_, rows); });
+  } else {
+    auto& inh = f16_scratch_b();
+    inh.resize(static_cast<std::size_t>(numel));
+    util::float_to_half_sat_n(in, inh.data(), numel);
+    util::half_to_float_n(inh.data(), xs.data(), numel);
+    slab = &slab_half_.get(
+        [&] { return widen_slab(whalf->data(), out_c_, rows); });
+  }
+  auto& acc = acc_scratch();
+  acc.assign(static_cast<std::size_t>(cols * out_c_), 0.f);
+  const std::int64_t taps = simd::kernels().scatter_conv(
+      xs.data(), g, out_c_, slab->data(), acc.data());
+  store_transposed(acc.data(), cols, out_c_, wq ? wq->scales.data() : nullptr,
+                   act_scale, out);
+  return taps;
+}
+
+Tensor ConvNd::backward(const Tensor& gy) {
   if (cached_input_.empty()) {
     throw std::logic_error(label_ + ": backward before kTrain forward");
   }
@@ -636,9 +459,11 @@ Tensor Conv3d::backward(const Tensor& gy) {
     float* gx_s = gx.data() + sample * in_stride;
 
     vol2col_3d(x_s, g, colbuf.data());
+    // gW (out_c, rows) += gy_mat (out_c, cols) x colsᵀ
     sgemm(false, true, out_c_, rows, cols, 1.f, gy_s, cols, colbuf.data(),
           cols, 1.f, weight_.grad.data(), rows);
     if (bias_) accum_bias_grad(gy_s, bias_->grad.data(), out_c_, cols);
+    // gcols (rows, cols) = Wᵀ x gy_mat
     sgemm(true, false, rows, cols, out_c_, 1.f, weight_.value.data(), rows,
           gy_s, cols, 0.f, gcol.data(), cols);
     col2vol_3d(gcol.data(), g, gx_s);
@@ -647,177 +472,29 @@ Tensor Conv3d::backward(const Tensor& gy) {
   return gx;
 }
 
-void Conv3d::collect_params(std::vector<Param*>& out) {
+void ConvNd::collect_params(std::vector<Param*>& out) {
   out.push_back(&weight_);
   if (bias_) out.push_back(&*bias_);
 }
 
 // ---------------------------------------------------------------------------
-// ConvTranspose2d
+// ConvTransposeNd: ConvTranspose2d and ConvTranspose3d
 // ---------------------------------------------------------------------------
 
-ConvTranspose2d::ConvTranspose2d(std::int64_t in_c, std::int64_t out_c,
-                                 std::array<std::int64_t, 2> kernel,
-                                 std::array<std::int64_t, 2> stride,
-                                 std::array<std::int64_t, 2> pad,
-                                 bool with_bias, util::Rng& rng,
-                                 std::string label)
-    : in_c_(in_c),
-      out_c_(out_c),
-      k_(kernel),
-      s_(stride),
-      p_(pad),
-      weight_(label + ".weight", Tensor({in_c, out_c, kernel[0], kernel[1]})),
-      label_(std::move(label)) {
-  const std::int64_t fan_in = in_c * kernel[0] * kernel[1];
-  kaiming_normal(weight_.value, fan_in, rng);
-  if (with_bias) {
-    bias_.emplace(label_ + ".bias", Tensor({out_c}));
-    uniform_init(bias_->value, 1.0 / std::sqrt(static_cast<double>(fan_in)), rng);
-  }
-}
-
-Conv2dGeom ConvTranspose2d::geom_for_output(
-    std::array<std::int64_t, 2> out_hw) const {
-  Conv2dGeom g;
-  g.c = out_c_;
-  g.h = out_hw[0];
-  g.w = out_hw[1];
-  g.kh = k_[0];
-  g.kw = k_[1];
-  g.sh = s_[0];
-  g.sw = s_[1];
-  g.ph = p_[0];
-  g.pw = p_[1];
-  return g;
-}
-
-Tensor ConvTranspose2d::forward(const Tensor& x, Mode mode) {
-  if (x.ndim() != 4 || x.dim(1) != in_c_) {
-    throw std::invalid_argument(label_ + ": expected (N, " +
-                                std::to_string(in_c_) + ", H, W), got " +
-                                shape_to_string(x.shape()));
-  }
-  const std::int64_t n = x.dim(0);
-  const std::int64_t ih = x.dim(2), iw = x.dim(3);
-  const std::int64_t oh = (ih - 1) * s_[0] - 2 * p_[0] + k_[0];
-  const std::int64_t ow = (iw - 1) * s_[1] - 2 * p_[1] + k_[1];
-  const Conv2dGeom g = geom_for_output({oh, ow});
-  if (g.out_h() != ih || g.out_w() != iw) {
-    throw std::invalid_argument(label_ + ": inconsistent deconv geometry");
-  }
-  const std::int64_t rows = g.rows();      // out_c * kh * kw
-  const std::int64_t cols = ih * iw;       // input positions
-  Tensor out({n, out_c_, oh, ow});
-
-  if (mode == Mode::kTrain) cached_input_ = x;
-
-  // Transposed convolutions run on the offline decompression path; int8
-  // mode falls back to full precision here.
-  const bool half_mode = (mode == Mode::kEvalHalf);
-  const HalfTensor* whalf =
-      half_mode ? &weight_t_half_.get([&] {
-        // Pack Wᵀ as (out_c*kh*kw, in_c) so the half GEMM needs no transpose.
-        HalfTensor wt(Shape{rows, in_c_});
-        const float* w = weight_.value.data();
-        for (std::int64_t i = 0; i < in_c_; ++i) {
-          for (std::int64_t r = 0; r < rows; ++r) {
-            wt.data()[r * in_c_ + i] = util::half(w[i * rows + r]);
-          }
-        }
-        return wt;
-      })
-                : nullptr;
-
-  const float* bias = bias_ ? bias_->value.data() : nullptr;
-  const bool prof = Profiler::instance().enabled();
-  util::Timer timer;
-
-  const std::int64_t in_stride = in_c_ * cols;
-  const std::int64_t out_stride = out_c_ * oh * ow;
-  util::parallel_for(
-      0, n,
-      [&](std::int64_t sample) {
-        const float* x_s = x.data() + sample * in_stride;
-        float* out_s = out.data() + sample * out_stride;
-        auto& gcol = f32_scratch();
-        gcol.resize(static_cast<std::size_t>(rows * cols));
-        if (half_mode) {
-          auto& xh = f16_scratch();
-          xh.resize(static_cast<std::size_t>(in_c_ * cols));
-          util::float_to_half_sat_n(x_s, xh.data(), in_c_ * cols);
-          hgemm(rows, cols, in_c_, whalf->data(), in_c_, xh.data(),
-                cols, gcol.data(), cols);
-        } else {
-          sgemm(true, false, rows, cols, in_c_, 1.f, weight_.value.data(),
-                rows, x_s, cols, 0.f, gcol.data(), cols);
-        }
-        col2im_2d(gcol.data(), g, out_s);
-        apply_epilogue(out_s, out_c_, oh * ow, bias, nullptr, std::nullopt);
-      },
-      mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
-
-  if (prof) record_profile(label_, timer.elapsed_s(), rows, cols, in_c_, n);
-  return out;
-}
-
-Tensor ConvTranspose2d::backward(const Tensor& gy) {
-  if (cached_input_.empty()) {
-    throw std::logic_error(label_ + ": backward before kTrain forward");
-  }
-  const Tensor& x = cached_input_;
-  const std::int64_t n = x.dim(0);
-  const std::int64_t ih = x.dim(2), iw = x.dim(3);
-  const Conv2dGeom g = geom_for_output({gy.dim(2), gy.dim(3)});
-  const std::int64_t rows = g.rows();
-  const std::int64_t cols = ih * iw;
-  Tensor gx(x.shape());
-
-  auto& colbuf = f32_scratch();
-  colbuf.resize(static_cast<std::size_t>(rows * cols));
-
-  const std::int64_t in_stride = in_c_ * cols;
-  const std::int64_t out_stride = out_c_ * g.h * g.w;
-  for (std::int64_t sample = 0; sample < n; ++sample) {
-    const float* x_s = x.data() + sample * in_stride;
-    const float* gy_s = gy.data() + sample * out_stride;
-    float* gx_s = gx.data() + sample * in_stride;
-
-    im2col_2d(gy_s, g, colbuf.data());
-    // gx (in_c, cols) = W (in_c, rows) x colbuf (rows, cols)
-    sgemm(false, false, in_c_, cols, rows, 1.f, weight_.value.data(), rows,
-          colbuf.data(), cols, 0.f, gx_s, cols);
-    // gW (in_c, rows) += x_mat (in_c, cols) x colbufᵀ
-    sgemm(false, true, in_c_, rows, cols, 1.f, x_s, cols, colbuf.data(), cols,
-          1.f, weight_.grad.data(), rows);
-    if (bias_) accum_bias_grad(gy_s, bias_->grad.data(), out_c_, g.h * g.w);
-  }
-  cached_input_ = Tensor();
-  return gx;
-}
-
-void ConvTranspose2d::collect_params(std::vector<Param*>& out) {
-  out.push_back(&weight_);
-  if (bias_) out.push_back(&*bias_);
-}
-
-// ---------------------------------------------------------------------------
-// ConvTranspose3d
-// ---------------------------------------------------------------------------
-
-ConvTranspose3d::ConvTranspose3d(std::int64_t in_c, std::int64_t out_c,
+ConvTransposeNd::ConvTransposeNd(int rank, std::int64_t in_c,
+                                 std::int64_t out_c,
                                  std::array<std::int64_t, 3> kernel,
                                  std::array<std::int64_t, 3> stride,
                                  std::array<std::int64_t, 3> pad,
                                  bool with_bias, util::Rng& rng,
                                  std::string label)
-    : in_c_(in_c),
+    : rank_(rank),
+      in_c_(in_c),
       out_c_(out_c),
       k_(kernel),
       s_(stride),
       p_(pad),
-      weight_(label + ".weight",
-              Tensor({in_c, out_c, kernel[0], kernel[1], kernel[2]})),
+      weight_(label + ".weight", Tensor(conv_shape(rank, in_c, out_c, kernel))),
       label_(std::move(label)) {
   const std::int64_t fan_in = in_c * kernel[0] * kernel[1] * kernel[2];
   kaiming_normal(weight_.value, fan_in, rng);
@@ -827,49 +504,35 @@ ConvTranspose3d::ConvTranspose3d(std::int64_t in_c, std::int64_t out_c,
   }
 }
 
-Conv3dGeom ConvTranspose3d::geom_for_output(
-    std::array<std::int64_t, 3> out_dhw) const {
-  Conv3dGeom g;
-  g.c = out_c_;
-  g.d = out_dhw[0];
-  g.h = out_dhw[1];
-  g.w = out_dhw[2];
-  g.kd = k_[0];
-  g.kh = k_[1];
-  g.kw = k_[2];
-  g.sd = s_[0];
-  g.sh = s_[1];
-  g.sw = s_[2];
-  g.pd = p_[0];
-  g.ph = p_[1];
-  g.pw = p_[2];
+Conv3dGeom ConvTransposeNd::geom_for(const Tensor& x) const {
+  const std::array<std::int64_t, 3> in = spatial_dims(x, rank_, in_c_, label_);
+  std::array<std::int64_t, 3> out{};
+  for (std::size_t a = 0; a < 3; ++a) {
+    out[a] = (in[a] - 1) * s_[a] - 2 * p_[a] + k_[a];
+  }
+  const Conv3dGeom g = conv_geom(out_c_, out, k_, s_, p_);
+  if (g.out_d() != in[0] || g.out_h() != in[1] || g.out_w() != in[2]) {
+    throw std::invalid_argument(label_ + ": inconsistent deconv geometry");
+  }
   return g;
 }
 
-Tensor ConvTranspose3d::forward(const Tensor& x, Mode mode) {
-  if (x.ndim() != 5 || x.dim(1) != in_c_) {
-    throw std::invalid_argument(label_ + ": expected (N, " +
-                                std::to_string(in_c_) + ", D, H, W), got " +
-                                shape_to_string(x.shape()));
-  }
+Tensor ConvTransposeNd::forward(const Tensor& x, Mode mode) {
+  const Conv3dGeom g = geom_for(x);
   const std::int64_t n = x.dim(0);
-  const std::int64_t id = x.dim(2), ih = x.dim(3), iw = x.dim(4);
-  const std::int64_t od = (id - 1) * s_[0] - 2 * p_[0] + k_[0];
-  const std::int64_t oh = (ih - 1) * s_[1] - 2 * p_[1] + k_[1];
-  const std::int64_t ow = (iw - 1) * s_[2] - 2 * p_[2] + k_[2];
-  const Conv3dGeom g = geom_for_output({od, oh, ow});
-  if (g.out_d() != id || g.out_h() != ih || g.out_w() != iw) {
-    throw std::invalid_argument(label_ + ": inconsistent deconv geometry");
-  }
-  const std::int64_t rows = g.rows();
-  const std::int64_t cols = id * ih * iw;
-  Tensor out({n, out_c_, od, oh, ow});
+  const std::int64_t rows = g.rows();  // out_c * kd * kh * kw
+  const std::int64_t cols = g.cols();  // input positions
+  Tensor out(conv_shape(rank_, n, out_c_, {g.d, g.h, g.w}));
 
   if (mode == Mode::kTrain) cached_input_ = x;
 
+  // Transposed convolutions run on the offline decompression path; int8
+  // mode falls back to full precision here.
   const bool half_mode = (mode == Mode::kEvalHalf);
   const HalfTensor* whalf =
       half_mode ? &weight_t_half_.get([&] {
+        // Pack Wᵀ as (out_c*kd*kh*kw, in_c) so the half GEMM needs no
+        // transpose.
         HalfTensor wt(Shape{rows, in_c_});
         const float* w = weight_.value.data();
         for (std::int64_t i = 0; i < in_c_; ++i) {
@@ -886,7 +549,7 @@ Tensor ConvTranspose3d::forward(const Tensor& x, Mode mode) {
   util::Timer timer;
 
   const std::int64_t in_stride = in_c_ * cols;
-  const std::int64_t out_stride = out_c_ * od * oh * ow;
+  const std::int64_t out_stride = out_c_ * g.d * g.h * g.w;
   util::parallel_for(
       0, n,
       [&](std::int64_t sample) {
@@ -896,34 +559,40 @@ Tensor ConvTranspose3d::forward(const Tensor& x, Mode mode) {
         gcol.resize(static_cast<std::size_t>(rows * cols));
         if (half_mode) {
           auto& xh = f16_scratch();
-          xh.resize(static_cast<std::size_t>(in_c_ * cols));
-          util::float_to_half_sat_n(x_s, xh.data(), in_c_ * cols);
-          hgemm(rows, cols, in_c_, whalf->data(), in_c_, xh.data(),
-                cols, gcol.data(), cols);
+          xh.resize(static_cast<std::size_t>(in_stride));
+          util::float_to_half_sat_n(x_s, xh.data(), in_stride);
+          hgemm(rows, cols, in_c_, whalf->data(), in_c_, xh.data(), cols,
+                gcol.data(), cols);
         } else {
           sgemm(true, false, rows, cols, in_c_, 1.f, weight_.value.data(),
                 rows, x_s, cols, 0.f, gcol.data(), cols);
         }
         col2vol_3d(gcol.data(), g, out_s);
-        apply_epilogue(out_s, out_c_, od * oh * ow, bias, nullptr,
+        apply_epilogue(out_s, out_c_, g.d * g.h * g.w, bias, nullptr,
                        std::nullopt);
       },
       mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 
-  if (prof) record_profile(label_, timer.elapsed_s(), rows, cols, in_c_, n);
+  if (prof) {
+    Profiler::instance().record(label_, timer.elapsed_s(),
+                                2.0 * static_cast<double>(rows) *
+                                    static_cast<double>(cols) *
+                                    static_cast<double>(in_c_) *
+                                    static_cast<double>(n),
+                                rows, cols, in_c_);
+  }
   return out;
 }
 
-Tensor ConvTranspose3d::backward(const Tensor& gy) {
+Tensor ConvTransposeNd::backward(const Tensor& gy) {
   if (cached_input_.empty()) {
     throw std::logic_error(label_ + ": backward before kTrain forward");
   }
   const Tensor& x = cached_input_;
+  const Conv3dGeom g = geom_for(x);
   const std::int64_t n = x.dim(0);
-  const std::int64_t id = x.dim(2), ih = x.dim(3), iw = x.dim(4);
-  const Conv3dGeom g = geom_for_output({gy.dim(2), gy.dim(3), gy.dim(4)});
   const std::int64_t rows = g.rows();
-  const std::int64_t cols = id * ih * iw;
+  const std::int64_t cols = g.cols();
   Tensor gx(x.shape());
 
   auto& colbuf = f32_scratch();
@@ -937,17 +606,21 @@ Tensor ConvTranspose3d::backward(const Tensor& gy) {
     float* gx_s = gx.data() + sample * in_stride;
 
     vol2col_3d(gy_s, g, colbuf.data());
+    // gx (in_c, cols) = W (in_c, rows) x colbuf (rows, cols)
     sgemm(false, false, in_c_, cols, rows, 1.f, weight_.value.data(), rows,
           colbuf.data(), cols, 0.f, gx_s, cols);
+    // gW (in_c, rows) += x_mat (in_c, cols) x colbufᵀ
     sgemm(false, true, in_c_, rows, cols, 1.f, x_s, cols, colbuf.data(), cols,
           1.f, weight_.grad.data(), rows);
-    if (bias_) accum_bias_grad(gy_s, bias_->grad.data(), out_c_, g.d * g.h * g.w);
+    if (bias_) {
+      accum_bias_grad(gy_s, bias_->grad.data(), out_c_, g.d * g.h * g.w);
+    }
   }
   cached_input_ = Tensor();
   return gx;
 }
 
-void ConvTranspose3d::collect_params(std::vector<Param*>& out) {
+void ConvTransposeNd::collect_params(std::vector<Param*>& out) {
   out.push_back(&weight_);
   if (bias_) out.push_back(&*bias_);
 }

@@ -116,33 +116,39 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   }
 }
 
-std::int64_t scatter_conv2d_scalar(const float* x, const Conv2dGeom& g,
-                                   std::int64_t out_c, const float* slab,
-                                   float* acc) {
-  std::vector<detail::AxisTaps> ytaps(static_cast<std::size_t>(g.h));
-  std::vector<detail::AxisTaps> xtaps(static_cast<std::size_t>(g.w));
-  detail::axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), ytaps.data());
-  detail::axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), xtaps.data());
-  const std::int64_t ow = g.out_w();
+std::int64_t scatter_conv_scalar(const float* x, const Conv3dGeom& g,
+                                 std::int64_t out_c, const float* slab,
+                                 float* acc) {
+  std::vector<detail::AxisTaps> buf;
+  const detail::VolumeTaps t = detail::volume_taps(g, buf);
+  const std::int64_t oh = g.out_h(), ow = g.out_w();
   std::int64_t taps = 0;
   for (std::int64_t c = 0; c < g.c; ++c) {
-    for (std::int64_t iy = 0; iy < g.h; ++iy) {
-      const detail::AxisTaps ty = ytaps[static_cast<std::size_t>(iy)];
-      const float* row = x + (c * g.h + iy) * g.w;
-      for (std::int64_t ix = 0; ix < g.w; ++ix) {
-        const float v = row[ix];
-        if (v == 0.f || ty.count == 0) continue;
-        const detail::AxisTaps tx = xtaps[static_cast<std::size_t>(ix)];
-        for (std::int64_t a = 0; a < ty.count; ++a) {
-          const std::int64_t ky = ty.first + a * g.sh, oy = ty.out - a;
-          for (std::int64_t b = 0; b < tx.count; ++b) {
-            const std::int64_t kx = tx.first + b * g.sw, ox = tx.out - b;
-            const float* w = slab + ((c * g.kh + ky) * g.kw + kx) * out_c;
-            float* out = acc + (oy * ow + ox) * out_c;
-            for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
+    for (std::int64_t iz = 0; iz < g.d; ++iz) {
+      const detail::AxisTaps tz = t.z[iz];
+      for (std::int64_t iy = 0; iy < g.h; ++iy) {
+        const detail::AxisTaps ty = t.y[iy];
+        if (tz.count == 0 || ty.count == 0) continue;
+        const float* row = x + ((c * g.d + iz) * g.h + iy) * g.w;
+        for (std::int64_t ix = 0; ix < g.w; ++ix) {
+          const float v = row[ix];
+          if (v == 0.f) continue;
+          const detail::AxisTaps tx = t.x[ix];
+          for (std::int64_t a = 0; a < tz.count; ++a) {
+            const std::int64_t kz = tz.first + a * g.sd, oz = tz.out - a;
+            for (std::int64_t b = 0; b < ty.count; ++b) {
+              const std::int64_t ky = ty.first + b * g.sh, oy = ty.out - b;
+              for (std::int64_t e = 0; e < tx.count; ++e) {
+                const std::int64_t kx = tx.first + e * g.sw, ox = tx.out - e;
+                const float* w =
+                    slab + (((c * g.kd + kz) * g.kh + ky) * g.kw + kx) * out_c;
+                float* out = acc + ((oz * oh + oy) * ow + ox) * out_c;
+                for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
+              }
+            }
           }
+          taps += tz.count * ty.count * tx.count;
         }
-        taps += ty.count * tx.count;
       }
     }
   }
@@ -169,13 +175,30 @@ bool cpu_supports_avx2_tier() { return false; }
 bool cpu_supports_avx512_tier() { return false; }
 #endif
 
+/// taps[i] for every input index i < n of an axis with kernel k, stride s,
+/// zero padding p and out_n outputs.
+void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
+               std::int64_t out_n, detail::AxisTaps* taps) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    // Tap kk reaches output (i + p - kk) / s when that divides exactly and
+    // lies in [0, out_n).
+    const std::int64_t t = i + p;
+    const std::int64_t lo = std::max<std::int64_t>(0, t - (out_n - 1) * s);
+    const std::int64_t hi = std::min(k - 1, t);
+    detail::AxisTaps& a = taps[i];
+    a.first = lo + (t - lo) % s;
+    a.count = (out_n > 0 && a.first <= hi) ? (hi - a.first) / s + 1 : 0;
+    a.out = (t - a.first) / s;
+  }
+}
+
 /// Overlay non-null entries of `over` onto `base`.
 Kernels merge(Kernels base, const Kernels& over) {
   if (over.qgemm) base.qgemm = over.qgemm;
   if (over.max_abs) base.max_abs = over.max_abs;
   if (over.quantize_scaled) base.quantize_scaled = over.quantize_scaled;
   if (over.tile_hh) base.tile_hh = over.tile_hh;
-  if (over.scatter_conv2d) base.scatter_conv2d = over.scatter_conv2d;
+  if (over.scatter_conv) base.scatter_conv = over.scatter_conv;
   return base;
 }
 
@@ -189,23 +212,19 @@ Kernels scalar_kernels() {
   t.max_abs = &max_abs_scalar;
   t.quantize_scaled = &quantize_scaled_scalar;
   t.tile_hh = &tile_hh_scalar;
-  t.scatter_conv2d = &scatter_conv2d_scalar;
+  t.scatter_conv = &scatter_conv_scalar;
   return t;
 }
 
-void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
-               std::int64_t out_n, AxisTaps* taps) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    // Tap kk reaches output (i + p - kk) / s when that divides exactly and
-    // lies in [0, out_n).
-    const std::int64_t t = i + p;
-    const std::int64_t lo = std::max<std::int64_t>(0, t - (out_n - 1) * s);
-    const std::int64_t hi = std::min(k - 1, t);
-    AxisTaps& a = taps[i];
-    a.first = lo + (t - lo) % s;
-    a.count = (out_n > 0 && a.first <= hi) ? (hi - a.first) / s + 1 : 0;
-    a.out = (t - a.first) / s;
-  }
+VolumeTaps volume_taps(const Conv3dGeom& g, std::vector<AxisTaps>& buf) {
+  buf.resize(static_cast<std::size_t>(g.d + g.h + g.w));
+  AxisTaps* z = buf.data();
+  AxisTaps* y = z + g.d;
+  AxisTaps* x = y + g.h;
+  axis_taps(g.d, g.kd, g.sd, g.pd, g.out_d(), z);
+  axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), y);
+  axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), x);
+  return {z, y, x};
 }
 
 // -- packed-B panel layout (shared by the AVX2 and AVX-512 kernels) ---------

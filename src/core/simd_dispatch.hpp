@@ -20,7 +20,7 @@
 /// Numerics contract: every dispatched kernel agrees with the scalar
 /// reference bit for bit.  For the integer kernels (`qgemm`, `max_abs`,
 /// `quantize_scaled`) the arithmetic is exact.  For `tile_hh` and
-/// `scatter_conv2d` every product is exact in binary32 (binary16 x binary16
+/// `scatter_conv` every product is exact in binary32 (binary16 x binary16
 /// has at most 22 significant bits; int8 x int8 at most 14), so an FMA and a
 /// separately rounded multiply-add give the same bits, and each output sums
 /// its terms in the same order on every tier, however a tier blocks them.  tests/test_simd_kernels.cpp
@@ -38,7 +38,7 @@
 #include "util/half.hpp"
 
 namespace nc::core {
-struct Conv2dGeom;  // core/im2col.hpp
+struct Conv3dGeom;  // core/im2col.hpp
 }  // namespace nc::core
 
 namespace nc::core::simd {
@@ -94,24 +94,28 @@ struct Kernels {
                   std::int64_t lda, const util::half* b, std::int64_t ldb,
                   float* c, std::int64_t ldc) = nullptr;
 
-  /// Sparse direct 2-D convolution of one (g.c, g.h, g.w) sample.  Every
-  /// nonzero input voxel v = x[c, y, x], visited in (c, y, x) order, adds
-  /// itself times its weight slab row into each output pixel p = (oy, ox)
-  /// that it reaches through kernel tap (ky, kx):
+  /// Sparse direct convolution of one (g.c, g.d, g.h, g.w) sample (a 2-D
+  /// conv is the case d = kd = 1).  Every nonzero input voxel
+  /// v = x[c, z, y, x], visited in (c, z, y, x) order, adds itself times its
+  /// weight slab row into each output voxel p = (oz, oy, ox) that it reaches
+  /// through kernel tap (kz, ky, kx):
   ///
-  ///   acc[p * out_c + o] += v * slab[((c * kh + ky) * kw + kx) * out_c + o]
+  ///   acc[p * out_c + o] +=
+  ///       v * slab[(((c * kd + kz) * kh + ky) * kw + kx) * out_c + o]
   ///
-  /// for o < out_c.  `acc` is pixel-major (out_h * out_w, out_c) and is
-  /// added to, not cleared; `slab` is the weight as (c * kh * kw, out_c).
-  /// The visit order hands every output its terms in ascending im2col row
-  /// order (c, ky, kx), the order `tile_hh` sums in, and the skipped terms
-  /// are exact zeros.  So when every product is exact in binary32 (inputs
-  /// and slab hold binary16 values, or integers in [-127, 127]) the sums
-  /// are bit-identical to the dense im2col + GEMM lowering, on every tier.
-  /// Returns the number of (voxel, tap) pairs applied: 2 * out_c flops each.
-  std::int64_t (*scatter_conv2d)(const float* x, const Conv2dGeom& g,
-                                 std::int64_t out_c, const float* slab,
-                                 float* acc) = nullptr;
+  /// for o < out_c.  `acc` is voxel-major (out_d * out_h * out_w, out_c) and
+  /// is added to, not cleared; `slab` is the weight as (c * kd * kh * kw,
+  /// out_c).  For a fixed output, the input index i = o * s - p + k grows
+  /// with the tap k along every axis, so the visit order hands each output
+  /// its terms in ascending vol2col row order (c, kz, ky, kx), the order
+  /// `tile_hh` sums in; the skipped terms are exact zeros.  So when every
+  /// product is exact in binary32 (inputs and slab hold binary16 values, or
+  /// integers in [-127, 127]) the sums are bit-identical to the dense
+  /// vol2col + GEMM lowering, on every tier.  Returns the number of
+  /// (voxel, tap) pairs applied: 2 * out_c flops each.
+  std::int64_t (*scatter_conv)(const float* x, const Conv3dGeom& g,
+                               std::int64_t out_c, const float* slab,
+                               float* acc) = nullptr;
 };
 
 /// True iff `isa` is usable here: compiled into this binary AND reported by
@@ -153,18 +157,26 @@ Kernels avx512_kernels();
 bool avx2_compiled();
 bool avx512_compiled();
 
-/// The kernel taps one input index meets along one conv axis, for the
-/// `scatter_conv2d` kernels: taps first, first + stride, ... (count of them)
-/// reach outputs out, out - 1, ...  count is 0 for an index no window covers.
+/// The kernel taps one input index meets along one conv axis: taps first,
+/// first + stride, ... (count of them) reach outputs out, out - 1, ...
+/// count is 0 for an index no window covers.
 struct AxisTaps {
   std::int64_t first = 0, count = 0, out = 0;
 };
 
-/// taps[i] for every input index i < n of an axis with kernel k, stride s,
-/// zero padding p and out_n outputs.  Defined once, in the portable TU, for
-/// every tier's scatter.
-void axis_taps(std::int64_t n, std::int64_t k, std::int64_t s, std::int64_t p,
-               std::int64_t out_n, AxisTaps* taps);
+/// The taps of every input index of `g`, per axis: z[i] for i < g.d, y[i]
+/// for i < g.h, x[i] for i < g.w.  All three live in the one buffer passed
+/// to `volume_taps`.
+struct VolumeTaps {
+  const AxisTaps* z = nullptr;
+  const AxisTaps* y = nullptr;
+  const AxisTaps* x = nullptr;
+};
+
+/// Fill `buf` with the taps of every input index of `g`'s three axes and
+/// return views of them (valid while `buf` is unchanged).  Defined once, in
+/// the portable TU, for every tier's scatter and for the int8 quantizer.
+VolumeTaps volume_taps(const Conv3dGeom& g, std::vector<AxisTaps>& buf);
 
 /// Thread-local fp32 copy of the A rows a `tile_hh` call multiplies with
 /// (capacity retained across calls, so steady-state inference allocates

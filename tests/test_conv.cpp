@@ -233,26 +233,43 @@ TEST(ConvTranspose3d, HalfForwardCloseToFloat) {
 
 TEST(Conv2d, ProfilerCountsTheFlopsEachLoweringExecutes) {
   // Sample 0 holds one interior voxel, so it takes the sparse lowering and
-  // reaches kh*kw = 9 outputs: 2 * out_c * 9 flops.  Sample 1 is dense and
-  // runs the full GEMM: 2 * out_c * (oh * ow) * (c * kh * kw) flops.
+  // reaches one output per kernel tap: 2 * out_c * taps flops, with 9 taps
+  // in 2-D and 27 in 3-D.  Sample 1 is dense and runs the full GEMM:
+  // 2 * out_c * (output voxels) * (c * taps) flops.  Conv3d runs the same
+  // lowerings and must count alike.
   nc::util::Rng rng(19);
-  Conv2d layer(2, 4, A2{3, 3}, A2{1, 1}, A2{1, 1}, true, rng, "flops_probe");
-  Tensor x({2, 2, 6, 7});
-  x.at({0, 1, 3, 3}) = 1.5f;
-  for (std::int64_t i = 2 * 6 * 7; i < x.numel(); ++i) x[i] = 0.25f;
-  const double want = 2.0 * 4 * 9 + 2.0 * 4 * (6 * 7) * (2 * 9);
+  Conv2d conv2(2, 4, A2{3, 3}, A2{1, 1}, A2{1, 1}, true, rng, "flops_probe");
+  Conv3d conv3(2, 4, A3{3, 3, 3}, A3{1, 1, 1}, A3{1, 1, 1}, true, rng,
+               "flops_probe");
+  Tensor x2({2, 2, 6, 7});
+  x2.at({0, 1, 3, 3}) = 1.5f;
+  for (std::int64_t i = 2 * 6 * 7; i < x2.numel(); ++i) x2[i] = 0.25f;
+  Tensor x3({2, 2, 5, 6, 7});
+  x3.at({0, 1, 2, 3, 3}) = 1.5f;
+  for (std::int64_t i = 2 * 5 * 6 * 7; i < x3.numel(); ++i) x3[i] = 0.25f;
+  struct Probe {
+    nc::core::Layer* layer;
+    const Tensor* x;
+    double want;
+  };
+  const Probe probes[] = {
+      {&conv2, &x2, 2.0 * 4 * 9 + 2.0 * 4 * (6 * 7) * (2 * 9)},
+      {&conv3, &x3, 2.0 * 4 * 27 + 2.0 * 4 * (5 * 6 * 7) * (2 * 27)}};
 
   auto& prof = nc::core::Profiler::instance();
-  for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
-    prof.clear();
-    prof.set_enabled(true);
-    (void)layer.forward(x, mode);
-    prof.set_enabled(false);
-    const auto entries = prof.entries();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].first, "flops_probe");
-    EXPECT_DOUBLE_EQ(entries[0].second.flops, want)
-        << (mode == Mode::kEvalHalf ? "fp16" : "int8");
+  for (const Probe& probe : probes) {
+    for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
+      prof.clear();
+      prof.set_enabled(true);
+      (void)probe.layer->forward(*probe.x, mode);
+      prof.set_enabled(false);
+      const auto entries = prof.entries();
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].first, "flops_probe");
+      EXPECT_DOUBLE_EQ(entries[0].second.flops, probe.want)
+          << probe.x->ndim() - 2 << "-D "
+          << (mode == Mode::kEvalHalf ? "fp16" : "int8");
+    }
   }
   prof.clear();
 }
@@ -273,20 +290,31 @@ TEST(Conv2d, HalfCacheInvalidationPicksUpNewWeights) {
 
 TEST(Conv2d, CacheInvalidationReachesTheSparseWeightSlabs) {
   // One nonzero voxel takes the sparse lowering, whose widened weight slabs
-  // are caches of their own; invalidation must drop them too.
+  // are caches of their own; invalidation must drop them too, in Conv2d and
+  // in Conv3d.
   nc::util::Rng rng(20);
-  Conv2d layer(1, 1, A2{1, 1}, A2{1, 1}, A2{0, 0}, false, rng);
-  Tensor x({1, 1, 4, 4});
-  x[5] = 1.f;
-  std::vector<nc::core::Param*> params;
-  layer.collect_params(params);
-  for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
-    params[0]->value[0] = 0.5f;
-    layer.invalidate_half_cache();
-    EXPECT_NEAR(layer.forward(x, mode)[5], 0.5f, 1e-2);
-    params[0]->value[0] = 1.5f;
-    layer.invalidate_half_cache();
-    EXPECT_NEAR(layer.forward(x, mode)[5], 1.5f, 1e-2);
+  Conv2d conv2(1, 1, A2{1, 1}, A2{1, 1}, A2{0, 0}, false, rng);
+  Conv3d conv3(1, 1, A3{1, 1, 1}, A3{1, 1, 1}, A3{0, 0, 0}, false, rng);
+  Tensor x2({1, 1, 4, 4});
+  x2[5] = 1.f;
+  Tensor x3({1, 1, 2, 4, 4});
+  x3[21] = 1.f;
+  struct Probe {
+    nc::core::Layer* layer;
+    const Tensor* x;
+    std::int64_t at;  ///< the nonzero voxel, which the 1x1 conv scales
+  };
+  for (const Probe& probe : {Probe{&conv2, &x2, 5}, Probe{&conv3, &x3, 21}}) {
+    std::vector<nc::core::Param*> params;
+    probe.layer->collect_params(params);
+    for (const Mode mode : {Mode::kEvalHalf, Mode::kEvalInt8}) {
+      params[0]->value[0] = 0.5f;
+      probe.layer->invalidate_half_cache();
+      EXPECT_NEAR(probe.layer->forward(*probe.x, mode)[probe.at], 0.5f, 1e-2);
+      params[0]->value[0] = 1.5f;
+      probe.layer->invalidate_half_cache();
+      EXPECT_NEAR(probe.layer->forward(*probe.x, mode)[probe.at], 1.5f, 1e-2);
+    }
   }
 }
 

@@ -3,23 +3,25 @@
 /// kEvalInt8, ConvTranspose2d and ConvTranspose3d in kEvalHalf.  A seeded
 /// loop draws random geometries, input densities, values and weights, and
 /// checks each case at two levels against a self-contained reference: an
-/// element-by-element im2col (or vol2col / col2im / col2vol) and a plain
-/// GEMM loop, written here and sharing no code with the library.
+/// element-by-element vol2col (or col2vol) and a plain GEMM loop, written
+/// here and sharing no code with the library.  The 2-D kinds run as the
+/// depth-1 case, as the library's layers do.
 ///
 ///   * kernel level, on every tier from simd::kernels_for: the library's
-///     dense lowering (its im2col_2d / vol2col_3d / col2im_2d / col2vol_3d)
-///     with that tier's tile_hh, or max_abs + quantize_scaled + qgemm; and,
-///     for Conv2d, the sparse lowering with that tier's scatter_conv2d;
+///     dense lowering (its vol2col_3d / col2vol_3d) with that tier's tile_hh,
+///     or max_abs + quantize_scaled + qgemm; and, for Conv2d and Conv3d, the
+///     sparse lowering with that tier's scatter_conv;
 ///   * layer level, on the active tier: the layer's own forward, which picks
 ///     its lowering per sample.
 ///
 /// Any differing bit fails.  The int8 reference quantizes the column matrix
 /// (scale from its max |x|), while the library quantizes the input first
 /// (scale from the max |x| of the voxels some window covers) and lowers the
-/// codes; the two must agree code for code.  Three stand-ins prove the
-/// oracle can fail: a scatter that visits voxels in (y, x, c) order, a tile
-/// that sums k in descending order, and an im2col whose copied run starts
-/// one column late.
+/// codes; the two must agree code for code.  Five stand-ins prove the
+/// oracle can fail: scatters that visit voxels in (y, x, c) or (c, y, x, z)
+/// order, a scatter whose depth taps land one output depth off, a tile that
+/// sums k in descending order, and a lowering whose copied run starts one
+/// column late.
 ///
 /// Determinism: SplitMix64 seeded per test, in the style of
 /// tools/fuzz/det_main.cpp; a failure prints the case index and parameters.
@@ -44,14 +46,13 @@
 
 namespace {
 
-using nc::core::Conv2dGeom;
 using nc::core::Conv3dGeom;
 using nc::core::Mode;
 using nc::core::Tensor;
 using nc::core::simd::Isa;
 using nc::core::simd::Kernels;
 using nc::util::half;
-using ScatterFn = decltype(Kernels::scatter_conv2d);
+using ScatterFn = decltype(Kernels::scatter_conv);
 using TileFn = decltype(Kernels::tile_hh);
 
 /// SplitMix64: the whole run is a pure function of the seed.
@@ -113,7 +114,7 @@ struct Case {
     return transposed() ? (dim[a] - 1) * s[a] - 2 * p[a] + k[a]
                         : (dim[a] + 2 * p[a] - k[a]) / s[a] + 1;
   }
-  /// The im2col geometry: the conv's own, or for a transposed conv the
+  /// The vol2col geometry: the conv's own, or for a transposed conv the
   /// forward conv mapping its output back onto its input.
   Conv3dGeom geom3() const {
     Conv3dGeom g;
@@ -133,20 +134,6 @@ struct Case {
     g.pd = p[0];
     g.ph = p[1];
     g.pw = p[2];
-    return g;
-  }
-  Conv2dGeom geom2() const {
-    const Conv3dGeom g3 = geom3();
-    Conv2dGeom g;
-    g.c = g3.c;
-    g.h = g3.h;
-    g.w = g3.w;
-    g.kh = g3.kh;
-    g.kw = g3.kw;
-    g.sh = g3.sh;
-    g.sw = g3.sw;
-    g.ph = g3.ph;
-    g.pw = g3.pw;
     return g;
   }
   std::int64_t in_numel() const { return in_c * dim[0] * dim[1] * dim[2]; }
@@ -404,7 +391,7 @@ std::vector<T> ref_vol2col(const T* x, const Conv3dGeom& g) {
 }
 
 /// Element by element: the voxel tap r of output p reads += col[r, p], in
-/// ascending (r, p) order, the order col2im_2d / col2vol_3d add in.
+/// ascending (r, p) order, the order col2vol_3d adds in.
 void ref_col2vol(const std::vector<float>& col, const Conv3dGeom& g,
                  float* out) {
   const std::int64_t cols = g.cols();
@@ -507,7 +494,7 @@ std::vector<float> reference(const float* x, const Case& c, const Layer& l,
 
 // ---- the library's lowerings at kernel level ---------------------------------
 
-/// Stand-ins for a tier's kernels or the library's im2col, to prove the
+/// Stand-ins for a tier's kernels or the library's lowering, to prove the
 /// oracle fails on a wrong one.  Null members mean "the real one".
 struct StandIns {
   ScatterFn scatter = nullptr;
@@ -516,10 +503,11 @@ struct StandIns {
   bool any() const { return scatter || tile || late_run_im2col; }
 };
 
-/// A deliberately wrong im2col: each row's run of in-bounds columns starts
-/// one output column late (its first element stays zero).
+/// A deliberately wrong lowering of a 2-D (depth-1) geometry: each row's run
+/// of in-bounds columns starts one output column late (its first element
+/// stays zero).
 template <typename T>
-void late_run_im2col(const T* in, const Conv2dGeom& g, T* cols) {
+void late_run_im2col(const T* in, const Conv3dGeom& g, T* cols) {
   const std::int64_t oh = g.out_h(), ow = g.out_w();
   for (std::int64_t r = 0; r < g.rows(); ++r) {
     const std::int64_t kx = r % g.kw, ky = (r / g.kw) % g.kh,
@@ -538,16 +526,14 @@ void late_run_im2col(const T* in, const Conv2dGeom& g, T* cols) {
   }
 }
 
-/// The library's lowering of a conv input (im2col_2d or vol2col_3d), or the
-/// late-run stand-in.
+/// The library's lowering of a conv input (vol2col_3d), or the late-run
+/// stand-in.
 template <typename T>
 std::vector<T> lower(const T* x, const Case& c, const StandIns& si) {
   const Conv3dGeom g = c.geom3();
   std::vector<T> col(static_cast<std::size_t>(g.rows() * g.cols()));
   if (c.two_d() && si.late_run_im2col) {
-    late_run_im2col(x, c.geom2(), col.data());
-  } else if (c.two_d()) {
-    nc::core::im2col_2d(x, c.geom2(), col.data());
+    late_run_im2col(x, g, col.data());
   } else {
     nc::core::vol2col_3d(x, g, col.data());
   }
@@ -570,10 +556,10 @@ float covered_max_abs(const float* x, const Case& c, const Kernels& ker) {
 }
 
 /// The dense lowering with `ker`'s kernels: binary16 input, the library's
-/// im2col/vol2col, one tile_hh over the whole matrix (hgemm's tiling gives
-/// each element the same sum); or int8 codes of the input (scale from the
-/// covered max), lowered, then qgemm.  Transposed convs: one tile_hh, then
-/// the library's col2im_2d / col2vol_3d.  Bias last.
+/// vol2col, one tile_hh over the whole matrix (hgemm's tiling gives each
+/// element the same sum); or int8 codes of the input (scale from the covered
+/// max), lowered, then qgemm.  Transposed convs: one tile_hh, then the
+/// library's col2vol_3d.  Bias last.
 std::vector<float> dense_lowering(const float* x, const Case& c, const Layer& l,
                                   Mode mode, const Kernels& ker,
                                   const StandIns& si) {
@@ -588,11 +574,7 @@ std::vector<float> dense_lowering(const float* x, const Case& c, const Layer& l,
     std::vector<float> gcol(static_cast<std::size_t>(rows * cols), 0.f);
     tile(0, rows, 0, cols, c.in_c, l.a_half.data(), c.in_c, xh.data(), cols,
          gcol.data(), cols);
-    if (c.two_d()) {
-      nc::core::col2im_2d(gcol.data(), c.geom2(), out.data());
-    } else {
-      nc::core::col2vol_3d(gcol.data(), g, out.data());
-    }
+    nc::core::col2vol_3d(gcol.data(), g, out.data());
   } else if (mode == Mode::kEvalHalf) {
     std::vector<half> xh(static_cast<std::size_t>(c.in_numel()));
     nc::util::float_to_half_sat_n(x, xh.data(), c.in_numel());
@@ -611,13 +593,14 @@ std::vector<float> dense_lowering(const float* x, const Case& c, const Layer& l,
   return out;
 }
 
-/// Conv2d's sparse lowering at kernel level: the input rounded as the dense
-/// lowering rounds it (binary16, or int8 codes of the covered max's scale),
-/// `scatter` into a pixel-major accumulator, transpose, scale, bias.
+/// The sparse lowering of Conv2d and Conv3d at kernel level: the input
+/// rounded as the dense lowering rounds it (binary16, or int8 codes of the
+/// covered max's scale), `scatter` into a voxel-major accumulator,
+/// transpose, scale, bias.
 std::vector<float> sparse_lowering(const float* x, const Case& c, const Layer& l,
                                    Mode mode, const Kernels& ker,
                                    ScatterFn scatter) {
-  const Conv2dGeom g = c.geom2();
+  const Conv3dGeom g = c.geom3();
   const std::int64_t rows = g.rows(), cols = g.cols(), numel = c.in_numel();
   const std::int64_t out_c = c.out_c;
   const bool int8 = mode == Mode::kEvalInt8;
@@ -656,41 +639,79 @@ std::vector<float> sparse_lowering(const float* x, const Case& c, const Layer& l
   return out;
 }
 
-/// Whether Conv2d's int8 sparse lowering may run: its fp32 sums of int8
-/// products must stay exact integers.
+/// Whether the int8 sparse lowering may run: its fp32 sums of int8 products
+/// must stay exact integers.
 bool int8_sparse_applies(const Case& c) {
-  return c.geom2().rows() * 127 * 127 < (std::int64_t{1} << 24);
+  return c.geom3().rows() * 127 * 127 < (std::int64_t{1} << 24);
 }
 
 // ---- stand-ins ----------------------------------------------------------------
 
-/// A deliberately wrong scatter: the scalar kernel's arithmetic, but voxels
-/// visited in (y, x, c) order, so an output sums its terms out of im2col
-/// row order.
-std::int64_t scatter_yxc(const float* x, const Conv2dGeom& g,
-                         std::int64_t out_c, const float* slab, float* acc) {
-  std::int64_t taps = 0;
-  for (std::int64_t iy = 0; iy < g.h; ++iy) {
-    for (std::int64_t ix = 0; ix < g.w; ++ix) {
-      for (std::int64_t c = 0; c < g.c; ++c) {
-        const float v = x[(c * g.h + iy) * g.w + ix];
-        if (v == 0.f) continue;
-        for (std::int64_t ky = 0; ky < g.kh; ++ky) {
-          const std::int64_t ty = iy + g.ph - ky;
-          if (ty < 0 || ty % g.sh != 0 || ty / g.sh >= g.out_h()) continue;
-          for (std::int64_t kx = 0; kx < g.kw; ++kx) {
-            const std::int64_t tx = ix + g.pw - kx;
-            if (tx < 0 || tx % g.sw != 0 || tx / g.sw >= g.out_w()) continue;
-            const float* w = slab + ((c * g.kh + ky) * g.kw + kx) * out_c;
-            float* out = acc + ((ty / g.sh) * g.out_w() + tx / g.sw) * out_c;
-            for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
-            ++taps;
-          }
+/// A deliberately wrong scatter: the scalar kernel's products and sums, over
+/// a brute-force tap search, with voxels visited in the loop order `perm`
+/// (perm[i] is the coordinate of (c, z, y, x) the i-th loop walks, outermost
+/// first) and every term added `dz` output depths away from its own output
+/// (terms moved outside the output are dropped).
+std::int64_t scatter_standin(const float* x, const Conv3dGeom& g,
+                             std::int64_t out_c, const float* slab, float* acc,
+                             const int (&perm)[4], std::int64_t dz) {
+  const std::int64_t extent[4] = {g.c, g.d, g.h, g.w};
+  const std::int64_t od = g.out_d(), oh = g.out_h(), ow = g.out_w();
+  std::int64_t at[4] = {0, 0, 0, 0}, taps = 0;
+  auto visit = [&] {
+    const std::int64_t c = at[0], iz = at[1], iy = at[2], ix = at[3];
+    const float v = x[((c * g.d + iz) * g.h + iy) * g.w + ix];
+    if (v == 0.f) return;
+    for (std::int64_t kz = 0; kz < g.kd; ++kz) {
+      const std::int64_t tz = iz + g.pd - kz;
+      if (tz < 0 || tz % g.sd != 0 || tz / g.sd >= od) continue;
+      const std::int64_t oz = tz / g.sd + dz;
+      for (std::int64_t ky = 0; ky < g.kh; ++ky) {
+        const std::int64_t ty = iy + g.ph - ky;
+        if (ty < 0 || ty % g.sh != 0 || ty / g.sh >= oh) continue;
+        for (std::int64_t kx = 0; kx < g.kw; ++kx) {
+          const std::int64_t tx = ix + g.pw - kx;
+          if (tx < 0 || tx % g.sw != 0 || tx / g.sw >= ow) continue;
+          ++taps;
+          if (oz >= od) continue;
+          const float* w =
+              slab + (((c * g.kd + kz) * g.kh + ky) * g.kw + kx) * out_c;
+          float* out = acc + ((oz * oh + ty / g.sh) * ow + tx / g.sw) * out_c;
+          for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
         }
       }
     }
-  }
+  };
+  std::int64_t& i0 = at[perm[0]];
+  std::int64_t& i1 = at[perm[1]];
+  std::int64_t& i2 = at[perm[2]];
+  std::int64_t& i3 = at[perm[3]];
+  for (i0 = 0; i0 < extent[perm[0]]; ++i0)
+    for (i1 = 0; i1 < extent[perm[1]]; ++i1)
+      for (i2 = 0; i2 < extent[perm[2]]; ++i2)
+        for (i3 = 0; i3 < extent[perm[3]]; ++i3) visit();
   return taps;
+}
+
+/// Voxels in (z, y, x, c) order: for a 2-D (depth-1) case, (y, x, c), so an
+/// output sums its terms out of channel order.
+std::int64_t scatter_yxc(const float* x, const Conv3dGeom& g,
+                         std::int64_t out_c, const float* slab, float* acc) {
+  return scatter_standin(x, g, out_c, slab, acc, {1, 2, 3, 0}, 0);
+}
+
+/// Voxels in (c, y, x, z) order: an output sums its depth taps last, out of
+/// vol2col row order.
+std::int64_t scatter_cyxz(const float* x, const Conv3dGeom& g,
+                          std::int64_t out_c, const float* slab, float* acc) {
+  return scatter_standin(x, g, out_c, slab, acc, {0, 2, 3, 1}, 0);
+}
+
+/// The right visit order, but every depth tap lands one output depth late.
+std::int64_t scatter_depth_off_by_one(const float* x, const Conv3dGeom& g,
+                                      std::int64_t out_c, const float* slab,
+                                      float* acc) {
+  return scatter_standin(x, g, out_c, slab, acc, {0, 1, 2, 3}, 1);
 }
 
 /// A deliberately wrong tile: right products, k summed in descending order.
@@ -724,7 +745,7 @@ struct Stats {
   std::int64_t cases = 0;
   std::int64_t compared = 0;           ///< output floats compared
   std::int64_t differing[2] = {0, 0};  ///< by mode: fp16, int8
-  std::int64_t sparse_samples[2] = {0, 0};  ///< Conv2d layer samples under the gate
+  std::int64_t sparse_samples[2] = {0, 0};  ///< layer samples under the gate
   std::int64_t dense_samples[2] = {0, 0};
   int reported = 0;
 };
@@ -774,7 +795,7 @@ Stats run_oracle(Kind kind, std::uint64_t seed, std::int64_t cases,
 
     for (int m = 0; m < (c.transposed() ? 1 : 2); ++m) {
       const Mode mode = kModes[m];
-      const bool sparse = c.kind == Kind::kConv2d &&
+      const bool sparse = !c.transposed() &&
                           (mode == Mode::kEvalHalf || int8_sparse_applies(c));
       std::vector<std::vector<float>> want;
       for (std::int64_t s = 0; s < c.n; ++s) {
@@ -789,7 +810,7 @@ Stats run_oracle(Kind kind, std::uint64_t seed, std::int64_t cases,
           }
           if (sparse && (si.scatter || !si.any())) {
             compare(sparse_lowering(xs, c, l, mode, ker,
-                                    si.scatter ? si.scatter : ker.scatter_conv2d),
+                                    si.scatter ? si.scatter : ker.scatter_conv),
                     want.back(), c, index, "sparse/" + tier, m, st,
                     expect_equal);
           }
@@ -802,7 +823,7 @@ Stats run_oracle(Kind kind, std::uint64_t seed, std::int64_t cases,
                                         got.data() + (s + 1) * out_numel);
         compare(sample, want[static_cast<std::size_t>(s)], c, index,
                 "layer/active", m, st, expect_equal);
-        if (c.kind != Kind::kConv2d) continue;
+        if (c.transposed()) continue;
         const double limit = mode == Mode::kEvalHalf
                                  ? nc::core::kSparseMaxDensityHalf
                                  : nc::core::kSparseMaxDensityInt8;
@@ -860,6 +881,11 @@ TEST(ConvOracle, EvalConv3dBitExactOnEveryTier) {
   EXPECT_EQ(st.cases, 2500);
   EXPECT_EQ(st.differing[0], 0);
   EXPECT_EQ(st.differing[1], 0);
+  // The draw reaches both lowerings of the layer in both modes.
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_GT(st.sparse_samples[m], 2000) << "mode " << m;
+    EXPECT_GT(st.dense_samples[m], 400) << "mode " << m;
+  }
 }
 
 TEST(ConvOracle, EvalConvTransposeBitExactOnEveryTier) {
@@ -883,6 +909,26 @@ TEST(ConvOracle, ReorderedScatterIsCaught) {
   const Stats st = run_oracle(Kind::kConv2d, 20261, 500, si, false);
   EXPECT_GT(st.differing[0], 0);
   EXPECT_EQ(st.differing[1], 0);
+}
+
+TEST(ConvOracle, DepthReorderedScatterIsCaught) {
+  // A 3-D scatter that visits voxels in (c, y, x, z) order sums an output's
+  // depth taps out of (c, kz, ky, kx) order: fp16 bits change, int8 integer
+  // sums cannot.
+  StandIns si;
+  si.scatter = &scatter_cyxz;
+  const Stats st = run_oracle(Kind::kConv3d, 20268, 500, si, false);
+  EXPECT_GT(st.differing[0], 0);
+  EXPECT_EQ(st.differing[1], 0);
+}
+
+TEST(ConvOracle, DepthTapOffByOneScatterIsCaught) {
+  // Terms added one output depth late change outputs in both modes.
+  StandIns si;
+  si.scatter = &scatter_depth_off_by_one;
+  const Stats st = run_oracle(Kind::kConv3d, 20269, 300, si, false);
+  EXPECT_GT(st.differing[0], 0);
+  EXPECT_GT(st.differing[1], 0);
 }
 
 TEST(ConvOracle, DescendingTileIsCaught) {

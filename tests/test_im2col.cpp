@@ -1,5 +1,6 @@
-/// im2col / col2im lowering: consistency with direct convolution and the
-/// adjoint property that makes backward-data correct.
+/// vol2col / col2vol lowering: consistency with direct convolution and the
+/// adjoint property that makes backward-data correct.  The 2-D cases run as
+/// the depth-1 volumes every 2-D conv lowers as.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -9,13 +10,13 @@
 
 namespace {
 
-using nc::core::Conv2dGeom;
 using nc::core::Conv3dGeom;
 using nc::core::Tensor;
 using nc::testref::random_tensor;
 
 TEST(Im2col, GeometryArithmetic) {
-  Conv2dGeom g;
+  Conv3dGeom g;  // 2-D: depth 1, depth kernel 1
+  g.d = g.kd = 1;
   g.c = 3;
   g.h = 10;
   g.w = 12;
@@ -30,14 +31,15 @@ TEST(Im2col, GeometryArithmetic) {
 
 TEST(Im2col, ReproducesPatchExtraction) {
   // 1 channel, 3x3 image, k=2, s=1, p=0: four 2x2 patches.
-  Conv2dGeom g;
+  Conv3dGeom g;  // 2-D: depth 1, depth kernel 1
+  g.d = g.kd = 1;
   g.c = 1;
   g.h = 3;
   g.w = 3;
   g.kh = g.kw = 2;
   const Tensor x = Tensor::from_vector({9}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
   std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
-  nc::core::im2col_2d(x.data(), g, cols.data());
+  nc::core::vol2col_3d(x.data(), g, cols.data());
   // Row r of cols = kernel offset r, column o = output position o.
   // Kernel offset (0,0) across outputs: 1, 2, 4, 5.
   EXPECT_EQ(cols[0], 1.f);
@@ -50,7 +52,8 @@ TEST(Im2col, ReproducesPatchExtraction) {
 }
 
 TEST(Im2col, PaddingYieldsZeros) {
-  Conv2dGeom g;
+  Conv3dGeom g;  // 2-D: depth 1, depth kernel 1
+  g.d = g.kd = 1;
   g.c = 1;
   g.h = 2;
   g.w = 2;
@@ -58,7 +61,7 @@ TEST(Im2col, PaddingYieldsZeros) {
   g.ph = g.pw = 1;
   const Tensor x = Tensor::from_vector({4}, {1, 2, 3, 4});
   std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
-  nc::core::im2col_2d(x.data(), g, cols.data());
+  nc::core::vol2col_3d(x.data(), g, cols.data());
   // First row = kernel offset (-1,-1): samples entirely in the top-left pad
   // except output (1,1) which reads input (0,0).
   EXPECT_EQ(cols[0], 0.f);
@@ -70,7 +73,8 @@ TEST(Im2col, PaddingYieldsZeros) {
 TEST(Im2col, Col2imIsAdjoint) {
   // <col2im(C), X> == <C, im2col(X)> for all C, X — the defining property
   // that makes conv backward-data (and deconv forward) correct.
-  Conv2dGeom g;
+  Conv3dGeom g;  // 2-D: depth 1, depth kernel 1
+  g.d = g.kd = 1;
   g.c = 2;
   g.h = 7;
   g.w = 6;
@@ -84,13 +88,13 @@ TEST(Im2col, Col2imIsAdjoint) {
   const Tensor c = random_tensor({g.rows() * g.cols()}, 92);
 
   std::vector<float> cols(static_cast<std::size_t>(g.rows() * g.cols()));
-  nc::core::im2col_2d(x.data(), g, cols.data());
+  nc::core::vol2col_3d(x.data(), g, cols.data());
   double lhs = 0.0;
   for (std::int64_t i = 0; i < c.numel(); ++i) lhs += static_cast<double>(c[i]) *
                static_cast<double>(cols[static_cast<std::size_t>(i)]);
 
   std::vector<float> img(static_cast<std::size_t>(g.c * g.h * g.w), 0.f);
-  nc::core::col2im_2d(c.data(), g, img.data());
+  nc::core::col2vol_3d(c.data(), g, img.data());
   double rhs = 0.0;
   for (std::int64_t i = 0; i < x.numel(); ++i) rhs += static_cast<double>(x[i]) *
                static_cast<double>(img[static_cast<std::size_t>(i)]);
@@ -132,7 +136,8 @@ TEST(Vol2col, Col2volIsAdjoint) {
 }
 
 TEST(Im2col, HalfDestinationMatchesFloatWithinRounding) {
-  Conv2dGeom g;
+  Conv3dGeom g;  // 2-D: depth 1, depth kernel 1
+  g.d = g.kd = 1;
   g.c = 3;
   g.h = 8;
   g.w = 8;
@@ -141,12 +146,12 @@ TEST(Im2col, HalfDestinationMatchesFloatWithinRounding) {
   const Tensor x = random_tensor({g.c * g.h * g.w}, 95);
   std::vector<float> cols_f(static_cast<std::size_t>(g.rows() * g.cols()));
   std::vector<nc::util::half> cols_h(cols_f.size());
-  nc::core::im2col_2d(x.data(), g, cols_f.data());
+  nc::core::vol2col_3d(x.data(), g, cols_f.data());
 
   // Half path: pre-convert the source, then lower half -> half.
   std::vector<nc::util::half> xh(static_cast<std::size_t>(x.numel()));
   nc::util::float_to_half_n(x.data(), xh.data(), x.numel());
-  nc::core::im2col_2d(xh.data(), g, cols_h.data());
+  nc::core::vol2col_3d(xh.data(), g, cols_h.data());
 
   for (std::size_t i = 0; i < cols_f.size(); ++i) {
     EXPECT_NEAR(static_cast<float>(cols_h[i]), cols_f[i], 1e-3);

@@ -5,7 +5,7 @@
 /// exact, `tile_hh` because binary16 products are exact in binary32, so an
 /// FMA rounds like a multiply-then-add — and the dispatcher resolves
 /// NC_SIMD-style requests correctly.  (tests/test_conv_oracle.cpp pins the
-/// conv-level kernels, `scatter_conv2d` included.)  Shapes are
+/// conv-level kernels, `scatter_conv` included.)  Shapes are
 /// deliberately awkward — k not a multiple of the packing quad, n straddling
 /// the 16-column tile, degenerate m/n/k — so tail paths get the same
 /// scrutiny as the vector body.
