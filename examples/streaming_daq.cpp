@@ -37,8 +37,7 @@
 ///
 /// Run:  ./streaming_daq [--rate 200] [--seconds 5] [--batch 16]
 ///                       [--workers 1] [--producers 1] [--ordered]
-///                       [--codec bcae-fp16] [--intake auto|single|sharded]
-///                       [--spill-dir DIR]
+///                       [--codec bcae-fp16] [--spill-dir DIR]
 ///                       [--workers 0 [--min-workers N] [--max-workers N]
 ///                        [--pin | --no-pin]]
 ///       ./streaming_daq --roundtrip [--wedges 16] [--batch 4] [--workers 2]
@@ -181,10 +180,9 @@ int run_roundtrip(const nc::codec::WedgeCodec& wedge_codec,
           ? static_cast<double>(m.actual_positive) / acc.total_voxels()
           : 0.0;
   std::printf("\nroundtrip summary (%lld wedges, codec %s, %zu worker(s), "
-              "batch %zu, %s intake%s):\n",
+              "batch %zu%s):\n",
               static_cast<long long>(n), wedge_codec.name().c_str(),
               options.n_workers, options.batch_size,
-              nc::codec::to_string(compressor.options().intake),
               options.ordered ? ", ordered" : "");
   print_stream_stats("compress  ", cstats);
   print_scaling("scale(enc) ", cstats, options);
@@ -237,9 +235,6 @@ int main(int argc, char** argv) {
   args.add_option("codec", "bcae-fp16",
                   "wedge codec backing the pipeline: bcae-fp32 | bcae-fp16 | "
                   "bcae-int8 | zfp | sz | mgard");
-  args.add_option("intake", "auto",
-                  "intake layer: auto | single | sharded (auto = sharded "
-                  "when --workers > 1)");
   args.add_option("spill-dir", "",
                   "spill tier directory (lossless backpressure: overflow "
                   "goes to disk instead of wedges_dropped; empty = off)");
@@ -361,16 +356,6 @@ int main(int argc, char** argv) {
       !args.get_bool("no-pin") && (args.get_bool("pin") || options.elastic);
   options.ordered = args.get_bool("ordered");
   options.spill_dir = args.get("spill-dir");
-  const std::string intake = args.get("intake");
-  if (intake == "single") {
-    options.intake = codec::IntakeMode::kSingleQueue;
-  } else if (intake == "sharded") {
-    options.intake = codec::IntakeMode::kSharded;
-  } else if (intake != "auto") {
-    std::fprintf(stderr, "unknown --intake '%s' (auto | single | sharded)\n",
-                 intake.c_str());
-    return 1;
-  }
 
   print_topology(options);
 
@@ -419,11 +404,9 @@ int main(int argc, char** argv) {
                 std::to_string(options.max_workers) + " worker(s)"
           : std::to_string(options.n_workers) + " worker(s)";
   std::printf("\nstream summary (%.1f s at %.0f wedges/s offered, codec %s, "
-              "%d producer(s), %s, %s intake%s):\n",
+              "%d producer(s), %s%s):\n",
               duration, rate, wedge_codec->name().c_str(), n_producers,
-              workers_desc.c_str(),
-              codec::to_string(stream.options().intake),
-              options.ordered ? ", ordered sink" : "");
+              workers_desc.c_str(), options.ordered ? ", ordered sink" : "");
   std::printf("  offered:     %lld wedges\n",
               static_cast<long long>(offered.load()));
   std::printf("  accepted:    %lld\n", static_cast<long long>(stats.wedges_in));

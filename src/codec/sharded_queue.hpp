@@ -1,18 +1,20 @@
 /// \file sharded_queue.hpp
-/// \brief Sharded work-stealing intake: per-worker bounded shards behind the
-///        generic `Intake` contract (intake.hpp).
+/// \brief StreamPipeline's intake: the bounded queue producers submit into
+///        and workers drain from, split into per-worker shards with batch
+///        work-stealing.
 ///
-/// The single BoundedQueue serializes every producer and every worker on one
-/// mutex; at high worker counts that lock is the pipeline's contention point
-/// (the ROADMAP scaling item this class closes).  Here the intake splits
-/// into `n_shards` independently-locked FIFOs:
+/// One mutex shared by every producer and every worker is the pipeline's
+/// contention point at high worker counts, so the intake is `n` independently
+/// locked FIFOs, one per worker (StreamPipeline builds it with one shard per
+/// pool slot; a one-worker pipeline gets a single shard, i.e. a plain
+/// bounded FIFO):
 ///
 ///  * Producers submit round-robin (by push ticket) so load spreads without
 ///    coordination; when the round-robin target is full they fall back to
 ///    the shallowest shard with space, so one slow worker's backlog doesn't
 ///    fail submits while sibling shards sit empty.  try_push fails only when
-///    every shard is full — the same backpressure threshold as a single
-///    queue of the aggregate capacity (rounded up to a shard multiple).
+///    every shard is full — the same backpressure threshold as one queue of
+///    the aggregate capacity (rounded up to a shard multiple).
 ///  * Workers drain their own shard first and steal a batch from the
 ///    deepest sibling when it runs dry (`StealPolicy::kDeepest`, the
 ///    throughput policy).  Under `kOldestHead` (used by ordered pipelines
@@ -21,21 +23,33 @@
 ///    keeps the reorder buffer shallow and steers workers toward the
 ///    next-to-emit sequence number.
 ///
+/// Contract the pipeline relies on:
+///
+///  * `try_push` — non-blocking enqueue; false means backpressure (or
+///    closed).  It moves from the item only on success, so the overflow path
+///    (the spill tier) can reuse a rejected item without a deep copy.
+///  * `wait_for_space` / `wait_for_space_for` — park until space might
+///    exist, the intake closes or (timed form) the timeout expires; space is
+///    not reserved, so callers retry try_push in a loop.
+///  * `pop_batch` — blocking batch dequeue sized from the intake depth
+///    (`detail::adaptive_drain_cap`).  It returns 0 *only* when the intake
+///    is closed AND every shard is drained, never as a spurious wakeup: a
+///    worker never parks while any sibling shard still holds items, so no
+///    wedge can be stranded in the shard of a stalled worker.
+///  * `close` — idempotent; unblocks every parked producer and worker.
+///
 /// Ordering: every push gets a monotonic ticket.  When pushes are
 /// externally serialized — as StreamPipeline's submit paths are, under
 /// submit_mutex_ — items within one shard are FIFO in submission order, so
 /// a popped batch is ascending in submission order (the property the
-/// pipeline's reorder buffer relies on; batches are no longer *contiguous*,
-/// which it tolerates) and kOldestHead is exact.  Fully concurrent
-/// producers still get correct delivery, backpressure and shutdown, but
-/// ticket assignment and shard insertion are then separate steps, so
-/// per-shard ticket order (and with it batch ascendingness and the
-/// oldest-head heuristic) is only approximate — do not feed an ordered
+/// pipeline's reorder buffer relies on) and kOldestHead is exact.  With one
+/// shard a batch is also contiguous; with several it may have gaps (items
+/// routed to sibling shards), which the reorder buffer tolerates.  Fully
+/// concurrent producers still get correct delivery, backpressure and
+/// shutdown, but ticket assignment and shard insertion are then separate
+/// steps, so per-shard ticket order (and with it batch ascendingness and
+/// the oldest-head heuristic) is only approximate — do not feed an ordered
 /// pipeline from producers that bypass its submit serialization.
-/// The `pop_batch` terminal contract matches BoundedQueue: 0 is returned
-/// only when the intake is closed AND every shard is drained — a worker
-/// never parks while any sibling shard still holds items, so no wedge can
-/// be stranded in the shard of a stalled worker.
 ///
 /// Locking: push/pop touch only one shard mutex on the fast path; the
 /// shared `park_mutex_` is taken only to sleep (empty intake) or to wake
@@ -60,9 +74,30 @@
 #include <mutex>
 #include <vector>
 
-#include "codec/intake.hpp"
-
 namespace nc::codec {
+
+/// Outcome of a timed space wait (`wait_for_space_for`) — the spill-deadline
+/// path needs to distinguish "space may exist, retry" from "closed, give up"
+/// from "deadline hit, divert to the spill tier".
+enum class SpaceWait {
+  kReady,    ///< space may exist (not reserved: retry try_push)
+  kClosed,   ///< intake closed while waiting
+  kTimeout,  ///< still full when the timeout expired
+};
+
+namespace detail {
+/// Depth-adaptive drain sizing: a fair share of the observed backlog per
+/// worker, clamped to [1, max_items] — full batches when the intake is
+/// backed up (throughput), single items on a trickle (latency, and the
+/// trickle spreads across workers).  share == 0 disables adaptivity
+/// (always max_items).
+inline std::size_t adaptive_drain_cap(std::size_t depth, std::size_t share,
+                                      std::size_t max_items) {
+  if (share == 0) return max_items;
+  const std::size_t fair = (depth + share - 1) / share;
+  return std::clamp<std::size_t>(fair, 1, max_items);
+}
+}  // namespace detail
 
 /// Victim-selection policy for cross-shard pops (see file comment).
 enum class StealPolicy {
@@ -71,16 +106,17 @@ enum class StealPolicy {
 };
 
 template <typename T>
-class ShardedQueue final : public Intake<T> {
+class ShardedQueue {
  public:
-  ShardedQueue(std::size_t n_shards, std::size_t capacity, StealPolicy policy)
-      : policy_(policy), shards_(n_shards == 0 ? 1 : n_shards) {
+  ShardedQueue(std::size_t shards, std::size_t capacity, StealPolicy policy)
+      : policy_(policy), shards_(shards == 0 ? 1 : shards) {
     shard_capacity_ = (capacity + shards_.size() - 1) / shards_.size();
     if (shard_capacity_ == 0) shard_capacity_ = 1;
   }
 
-  using Intake<T>::try_push;
-  bool try_push(T&& item) override {
+  /// Non-blocking enqueue (see file comment); moves from `item` only on
+  /// success.
+  bool try_push(T&& item) {
     if (closed_.load()) return false;
     const std::uint64_t ticket = next_ticket_.fetch_add(1);
     const std::size_t n = shards_.size();
@@ -114,7 +150,15 @@ class ShardedQueue final : public Intake<T> {
     return false;
   }
 
-  bool wait_for_space() override {
+  /// Copying convenience for producers that keep their item.
+  bool try_push(const T& item) {
+    T copy = item;
+    return try_push(std::move(copy));
+  }
+
+  /// Block until some shard has space or the intake closes; false when
+  /// closed.
+  bool wait_for_space() {
     std::unique_lock<std::mutex> lock(park_mutex_);
     ++space_sleepers_;
     space_cv_.wait(lock, [&] { return closed_.load() || has_space(); });
@@ -122,7 +166,8 @@ class ShardedQueue final : public Intake<T> {
     return !closed_.load();
   }
 
-  SpaceWait wait_for_space_for(std::chrono::nanoseconds timeout) override {
+  /// Timed wait_for_space; kReady does not reserve space (retry try_push).
+  SpaceWait wait_for_space_for(std::chrono::nanoseconds timeout) {
     std::unique_lock<std::mutex> lock(park_mutex_);
     ++space_sleepers_;
     const bool woken = space_cv_.wait_for(
@@ -132,9 +177,15 @@ class ShardedQueue final : public Intake<T> {
     return closed_.load() ? SpaceWait::kClosed : SpaceWait::kReady;
   }
 
+  /// Append 1..max_items items to `out` for worker `worker_index`, blocking
+  /// while the intake is empty and open; 0 only when closed and drained.
+  /// `adaptive_share` (the live worker count) sizes the drain from the
+  /// depth observed at pop time, after any blocking wait.  `stolen` (may be
+  /// null) reports whether the pop served a sibling's shard because the
+  /// worker's own ran dry.
   std::size_t pop_batch(std::size_t worker_index, std::vector<T>& out,
                         std::size_t max_items, std::size_t adaptive_share,
-                        bool* stolen) override {
+                        bool* stolen) {
     if (max_items == 0) max_items = 1;  // keep the 0-iff-closed contract
     const std::size_t n = shards_.size();
     const std::size_t own = worker_index % n;
@@ -176,17 +227,18 @@ class ShardedQueue final : public Intake<T> {
     }
   }
 
-  void close() override {
+  void close() {
     std::lock_guard<std::mutex> lock(park_mutex_);
     closed_.store(true);
     park_cv_.notify_all();
     space_cv_.notify_all();
   }
 
-  /// Elastic routing hint (see Intake): fresh pushes target shards owned by
-  /// workers [0, n_live).  Items already sitting in a deactivated shard are
-  /// still popped/stolen — pop_batch always scans every shard.
-  void set_active_workers(std::size_t n_live) override {
+  /// Elastic routing hint: fresh pushes target shards owned by workers
+  /// [0, n_live).  Items already sitting in a deactivated shard are still
+  /// popped/stolen — pop_batch always scans every shard.  Safe to call
+  /// concurrently with pushes and pops.
+  void set_active_workers(std::size_t n_live) {
     route_limit_.store(std::clamp<std::size_t>(n_live, 1, shards_.size()),
                        std::memory_order_relaxed);
   }
@@ -202,15 +254,12 @@ class ShardedQueue final : public Intake<T> {
     shard_nodes_.resize(shards_.size(), 0);
   }
 
-  std::size_t size() const override { return total_items_.load(); }
+  /// Approximate items currently queued (a lock-free snapshot).
+  std::size_t size() const { return total_items_.load(); }
   /// Requested capacity rounded up to a shard multiple.
-  std::size_t capacity() const override {
-    return shard_capacity_ * shards_.size();
-  }
-  std::size_t depth_high_water() const override {
-    return depth_high_water_.load();
-  }
-  std::size_t n_shards() const { return shards_.size(); }
+  std::size_t capacity() const { return shard_capacity_ * shards_.size(); }
+  /// Deepest the intake has ever been across all shards.
+  std::size_t depth_high_water() const { return depth_high_water_.load(); }
 
  private:
   static constexpr std::uint64_t kNoTicket =
@@ -300,7 +349,8 @@ class ShardedQueue final : public Intake<T> {
     return got;
   }
 
-  /// Pick the shard to pop from; returns n_shards() when all look empty.
+  /// Pick the shard to pop from; returns the shard count when all look
+  /// empty.
   std::size_t pick_shard(std::size_t own) const {
     const std::size_t n = shards_.size();
     if (policy_ == StealPolicy::kOldestHead) {

@@ -7,8 +7,7 @@
 /// analysis streams the stored bitstreams back through the decoder
 /// (`StreamDecompressor`).  Both are thin adapters over the generic
 /// `StreamPipeline` worker pool (see stream_pipeline.hpp for the concurrency
-/// model: pluggable bounded intake — a shared queue or per-worker
-/// work-stealing shards, `StreamOptions::intake` — with explicit
+/// model: a bounded intake of per-worker work-stealing shards with explicit
 /// backpressure, adaptively-sized batched transforms, sequence numbering,
 /// optional in-order emission, failure containment and idempotent finish()).
 /// Both directions inherit the sharded intake and its steal/depth

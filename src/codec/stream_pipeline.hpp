@@ -10,25 +10,24 @@
 /// failure containment and idempotent teardown — so that machinery lives
 /// here once, parameterized by the batch transform:
 ///
-///   StreamPipeline<In, Out>:  In items -> [Intake] -> n_workers x
+///   StreamPipeline<In, Out>:  In items -> [intake] -> n_workers x
 ///       transform(batch of In) -> Out items -> sink(seq, Out)
 ///
-/// The intake layer is pluggable (intake.hpp): `IntakeMode::kSingleQueue` is
-/// the original shared BoundedQueue, `kSharded` gives every worker its own
-/// bounded shard with batch work-stealing (sharded_queue.hpp), and `kAuto`
-/// (the default) picks sharded whenever `n_workers > 1`.
+/// The intake is a `ShardedQueue` (sharded_queue.hpp) with one bounded shard
+/// per pool slot and batch work-stealing; a one-worker pipeline gets one
+/// shard, a plain bounded FIFO.
 ///
 /// Concurrency model (identical for every instantiation):
 ///  * Every accepted item gets a sequence number matching submission (FIFO)
 ///    order; the sink receives it alongside the payload.  A popped batch is
-///    ascending in sequence number (per-source FIFO).  With the single
-///    queue the numbers are also contiguous; sharded batches may have gaps
+///    ascending in sequence number (per-shard FIFO).  With one worker the
+///    numbers are also contiguous; with several, batches may have gaps
 ///    (items routed to sibling shards), which the reorder buffer tolerates.
-///  * Adaptive batching (`StreamOptions::adaptive_batch`, on by default):
-///    each worker sizes its next drain from the current intake depth —
-///    toward `batch_size` when the pipeline is backed up (throughput),
-///    toward 1 when lightly loaded (latency, and batches spread across
-///    workers instead of one worker grabbing the whole trickle).
+///  * Adaptive batching: each worker sizes its next drain from the current
+///    intake depth — toward `batch_size` when the pipeline is backed up
+///    (throughput), toward 1 when lightly loaded (latency, and batches
+///    spread across workers instead of one worker grabbing the whole
+///    trickle).
 ///  * Unordered mode (default): workers invoke the sink as soon as a batch
 ///    finishes, possibly concurrently — the sink must be thread-safe when
 ///    `n_workers > 1`.
@@ -42,7 +41,7 @@
 ///    next-to-emit batch always passes, and if the next-to-emit item is
 ///    still in the intake while every other worker is parked on the bound,
 ///    the last arriving worker passes anyway (gate escape) and goes back to
-///    pop — the sharded intake's `kOldestHead` steal policy then steers it
+///    pop — the intake's `kOldestHead` steal policy then steers it
 ///    straight to that item, so the overshoot stays small.
 ///  * A transform failure (throw, or wrong output count) drops the whole
 ///    batch into `wedges_failed` without killing the worker (a dead worker
@@ -108,7 +107,6 @@
 #include <vector>
 
 #include "codec/autoscale.hpp"
-#include "codec/intake.hpp"
 #include "codec/sharded_queue.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
@@ -121,7 +119,9 @@ namespace nc::codec {
 
 /// Pipeline configuration knobs (shared by both stream directions).
 struct StreamOptions {
-  std::size_t queue_capacity = 64;  ///< intake bound (backpressure threshold)
+  /// Intake bound (backpressure threshold), rounded up to a multiple of
+  /// max_workers (one intake shard per pool slot).
+  std::size_t queue_capacity = 64;
   std::size_t batch_size = 8;      ///< max items per transform pass (Fig. 6)
   std::size_t n_workers = 1;       ///< worker threads draining the intake
   bool ordered = false;            ///< reorder output to submission order
@@ -129,14 +129,6 @@ struct StreamOptions {
   /// workers block (0 = unbounded).  Bounds memory when one worker stalls on
   /// a slow batch while the others race ahead; soft by up to one batch.
   std::size_t reorder_capacity = 0;
-  /// Intake implementation; kAuto = sharded iff n_workers > 1.
-  IntakeMode intake = IntakeMode::kAuto;
-  /// Sharded intake only: shard count (0 = one shard per worker).  The
-  /// aggregate capacity is queue_capacity rounded up to a shard multiple.
-  std::size_t n_shards = 0;
-  /// Scale each worker's drain batch with intake depth: up to batch_size
-  /// when backed up, down to 1 when lightly loaded (bounded latency).
-  bool adaptive_batch = true;
   /// Spill tier: when non-empty, submits that would drop on a full intake
   /// are serialized into segment files under this directory instead
   /// (lossless backpressure) and replayed once depth falls back to
@@ -217,7 +209,7 @@ struct StreamStats {
   std::int64_t spill_bytes_hwm = 0;  ///< deepest the on-disk spill tier ever got
   std::int64_t queue_depth_hwm = 0;  ///< deepest the intake ever got
   /// Effective intake capacity: queue_capacity, rounded up to a shard
-  /// multiple by the sharded intake (the bound queue_depth_hwm runs under).
+  /// multiple (the bound queue_depth_hwm runs under).
   std::int64_t queue_capacity = 0;
   double elapsed_s = 0.0;  ///< wall time with >=1 worker busy (parallel active time)
   double cpu_s = 0.0;      ///< summed per-worker active time
@@ -241,8 +233,7 @@ struct StreamStats {
 
 namespace detail {
 // Zero sizes are nonsensical (capacity 0 would deadlock blocking submits);
-// clamp before the intake is constructed from them, and resolve kAuto so
-// options() reports the mode actually running.
+// clamp before the intake is constructed from them.
 inline StreamOptions normalized_stream_options(StreamOptions options) {
   if (options.queue_capacity == 0) options.queue_capacity = 1;
   if (options.batch_size == 0) options.batch_size = 1;
@@ -260,29 +251,7 @@ inline StreamOptions normalized_stream_options(StreamOptions options) {
     options.min_workers = options.n_workers;
     options.max_workers = options.n_workers;
   }
-  if (options.intake == IntakeMode::kAuto) {
-    // Keyed on the pool ceiling, not the initial live count: an elastic
-    // pipeline born with one live worker still scales to max_workers.
-    options.intake = options.max_workers > 1 ? IntakeMode::kSharded
-                                             : IntakeMode::kSingleQueue;
-  }
-  if (options.n_shards == 0) options.n_shards = options.max_workers;
   return options;
-}
-
-template <typename T>
-std::unique_ptr<Intake<T>> make_intake(const StreamOptions& options) {
-  if (options.intake == IntakeMode::kSharded) {
-    // Ordered pipelines with a bounded reorder buffer pop oldest-first so
-    // the buffer stays shallow and the gate escape resolves quickly;
-    // everything else steals by depth for throughput.
-    const StealPolicy policy = (options.ordered && options.reorder_capacity > 0)
-                                   ? StealPolicy::kOldestHead
-                                   : StealPolicy::kDeepest;
-    return std::make_unique<ShardedQueue<T>>(options.n_shards,
-                                             options.queue_capacity, policy);
-  }
-  return std::make_unique<SingleQueueIntake<T>>(options.queue_capacity);
 }
 }  // namespace detail
 
@@ -322,7 +291,15 @@ class StreamPipeline {
         payload_bytes_(std::move(payload_bytes)),
         sink_(std::move(sink)),
         spill_codec_(std::move(spill_codec)),
-        intake_(detail::make_intake<Item>(options_)),
+        // One shard per pool slot, keyed on the ceiling so an elastic pool
+        // born with one live worker still has a shard for every worker it
+        // may wake.  Ordered pipelines with a bounded reorder buffer pop
+        // oldest-first so the buffer stays shallow and the gate escape
+        // resolves quickly; everything else steals by depth for throughput.
+        intake_(options_.max_workers, options_.queue_capacity,
+                options_.ordered && options_.reorder_capacity > 0
+                    ? StealPolicy::kOldestHead
+                    : StealPolicy::kDeepest),
         workers_alive_(options_.max_workers) {
     // Stand the spill tier up before any thread exists: a SpillLog failure
     // (unwritable dir) must abort construction cleanly, not orphan workers.
@@ -339,13 +316,12 @@ class StreamPipeline {
       spill_ = std::make_unique<SpillLog>(sopt);
       spill_low_water_ =
           options_.spill_low_water != 0
-              ? std::min(options_.spill_low_water, intake_->capacity())
-              : intake_->capacity() / 2;
+              ? std::min(options_.spill_low_water, intake_.capacity())
+              : intake_.capacity() / 2;
       drainer_ = std::thread([this] { drainer_loop(); });
     }
     // Topology plan (before any worker exists: placement_ and shard homes
     // are written once here and read without synchronization afterwards).
-    sharded_ = dynamic_cast<ShardedQueue<Item>*>(intake_.get());
     if (options_.pin_workers) {
       const util::Topology& topo = util::system_topology();
       if (topo.affinity_supported && !topo.cpus.empty()) {
@@ -355,18 +331,18 @@ class StreamPipeline {
         // pipelines built in one process get disjoint cores instead of both
         // pinning worker 0 to cpu 0.
         placement_ = util::claim_cpu_slots(options_.max_workers);
-        if (sharded_ && !placement_.empty()) {
+        if (!placement_.empty()) {
           // Home each shard on its owner slot's node so kDeepest steals can
           // prefer same-node shards.
-          std::vector<int> nodes(options_.n_shards);
+          std::vector<int> nodes(options_.max_workers);
           for (std::size_t s = 0; s < nodes.size(); ++s) {
             nodes[s] = placement_[s % placement_.size()].node;
           }
-          sharded_->set_shard_nodes(std::move(nodes));
+          intake_.set_shard_nodes(std::move(nodes));
         }
       }
     }
-    intake_->set_active_workers(options_.n_workers);
+    intake_.set_active_workers(options_.n_workers);
     // The pool is always max_workers threads; elasticity is which of them
     // are live (the rest park on scale_cv_).  A static pool has
     // max_workers == n_workers, so nothing changes for it.
@@ -424,7 +400,7 @@ class StreamPipeline {
         std::lock_guard<std::mutex> lock(submit_mutex_);
         if (push_locked(item)) return;
       }
-      if (!intake_->wait_for_space()) {
+      if (!intake_.wait_for_space()) {
         // Intake closed (submit after finish); the item is lost and must
         // show up in the drop count.
         wedges_dropped_.fetch_add(1, std::memory_order_relaxed);
@@ -469,7 +445,7 @@ class StreamPipeline {
         merged_.spill_bytes_hwm = static_cast<std::int64_t>(spill_->bytes_hwm());
         spill_->close();
       }
-      intake_->close();
+      intake_.close();
       for (auto& worker : workers_) {
         if (worker.joinable()) worker.join();
       }
@@ -482,8 +458,8 @@ class StreamPipeline {
       }
       merged_.elapsed_s = busy_s_;  // workers joined: no interval still open
       merged_.queue_depth_hwm =
-          static_cast<std::int64_t>(intake_->depth_high_water());
-      merged_.queue_capacity = static_cast<std::int64_t>(intake_->capacity());
+          static_cast<std::int64_t>(intake_.depth_high_water());
+      merged_.queue_capacity = static_cast<std::int64_t>(intake_.capacity());
       {
         // Writers are quiescent (controller joined, set_live_workers bails
         // on scale_closing_); the lock is belt-and-braces for a racing call
@@ -546,7 +522,7 @@ class StreamPipeline {
       }
     }
     scale_cv_.notify_all();  // scale-up: wake parked workers
-    intake_->set_active_workers(n);
+    intake_.set_active_workers(n);
     if (options_.on_scale_event) {
       ScaleEvent event;
       event.t_s = lifetime_.elapsed_s();
@@ -580,9 +556,9 @@ class StreamPipeline {
     return spill_ ? spill_->bytes_on_disk() : 0;
   }
   /// Items queued at the intake right now.
-  std::size_t intake_depth() const { return intake_->size(); }
+  std::size_t intake_depth() const { return intake_.size(); }
   /// The intake's effective capacity (sharding may round it up).
-  std::size_t intake_capacity() const { return intake_->capacity(); }
+  std::size_t intake_capacity() const { return intake_.capacity(); }
 
  private:
   /// A queued item tagged with its FIFO sequence number.
@@ -597,7 +573,7 @@ class StreamPipeline {
   /// spill deadline wait) and the spill fallback stay cheap.
   bool push_locked(In& item) {
     Item queued{next_seq_, std::move(item)};
-    if (!intake_->try_push(std::move(queued))) {
+    if (!intake_.try_push(std::move(queued))) {
       item = std::move(queued.value);  // failed push left `queued` intact
       return false;
     }
@@ -619,7 +595,7 @@ class StreamPipeline {
       while (true) {
         const auto now = clock::now();
         if (now >= deadline) break;
-        const SpaceWait wait = intake_->wait_for_space_for(
+        const SpaceWait wait = intake_.wait_for_space_for(
             std::chrono::duration_cast<std::chrono::nanoseconds>(deadline -
                                                                  now));
         if (wait == SpaceWait::kClosed) break;  // finishing: drop below
@@ -683,7 +659,7 @@ class StreamPipeline {
   /// low-water mark.
   bool should_replay_locked() const {  ///< caller holds drainer_mutex_
     return spill_->pending() > 0 &&
-           (final_drain_ || intake_->size() <= spill_low_water_);
+           (final_drain_ || intake_.size() <= spill_low_water_);
   }
 
   /// Spill drainer: with nothing pending it parks indefinitely (a spill
@@ -739,8 +715,8 @@ class StreamPipeline {
     // rather than hanging or leaking the seq.  A failed try_push leaves
     // `queued` intact, so the retry loop never re-reads or copies.
     Item queued{rec->seq, std::move(value)};
-    while (!intake_->try_push(std::move(queued))) {
-      if (!intake_->wait_for_space()) {
+    while (!intake_.try_push(std::move(queued))) {
+      if (!intake_.wait_for_space()) {
         fail_replayed(rec->seq);
         return;
       }
@@ -818,9 +794,9 @@ class StreamPipeline {
         }
       }
       AutoscaleSample sample;
-      const double capacity = static_cast<double>(intake_->capacity());
+      const double capacity = static_cast<double>(intake_.capacity());
       sample.depth_fraction =
-          capacity > 0 ? static_cast<double>(intake_->size()) / capacity : 0.0;
+          capacity > 0 ? static_cast<double>(intake_.size()) / capacity : 0.0;
       const double live =
           static_cast<double>(live_target_.load(std::memory_order_relaxed));
       sample.busy_fraction =
@@ -850,7 +826,7 @@ class StreamPipeline {
   /// minimum; a replayed spill item re-enters the intake with an *older*
   /// seq than its shard neighbours, so callers pass the true minimum.
   ///
-  /// Gate escape: with a sharded intake, pops are not globally FIFO, so the
+  /// Gate escape: across several shards pops are not globally FIFO, so the
   /// next-to-emit item can still sit in a shard while every live worker
   /// holds a later batch — without an escape that is a deadlock (everyone
   /// parked here, nobody left to pop it).  The last free worker therefore
@@ -954,16 +930,13 @@ class StreamPipeline {
       batch.clear();
       bool stolen = false;
       // Adaptive batching happens inside the intake, on the depth observed
-      // at pop time: a fair share of the backlog per worker, clamped to
+      // at pop time: a fair share of the backlog per live worker, clamped to
       // [1, batch_size] — full batches when backed up (throughput), single
       // items on a trickle (latency, and the trickle spreads across
       // workers instead of one grabbing it all).
-      const std::size_t share =
-          options_.adaptive_batch
-              ? live_target_.load(std::memory_order_relaxed)
-              : 0;
-      if (intake_->pop_batch(worker_index, items, options_.batch_size, share,
-                             &stolen) == 0) {
+      if (intake_.pop_batch(worker_index, items, options_.batch_size,
+                            live_target_.load(std::memory_order_relaxed),
+                            &stolen) == 0) {
         break;
       }
       if (stolen) ++ws.batches_stolen;
@@ -1044,7 +1017,7 @@ class StreamPipeline {
   ByteCounter payload_bytes_;
   SeqSink sink_;
   SpillCodec spill_codec_;
-  std::unique_ptr<Intake<Item>> intake_;
+  ShardedQueue<Item> intake_;
 
   // Intake sequencing: the mutex makes seq numbers match submission order.
   std::mutex submit_mutex_;
@@ -1115,7 +1088,6 @@ class StreamPipeline {
   std::atomic<int> busy_count_{0};  ///< lock-free mirror of busy_workers_
   std::vector<util::CpuInfo> placement_;  ///< per-slot core pin (may be empty)
   std::atomic<std::int64_t> workers_pinned_{0};
-  ShardedQueue<Item>* sharded_ = nullptr;  ///< non-null iff intake is sharded
   std::thread controller_;
 
   std::atomic<bool> finished_{false};

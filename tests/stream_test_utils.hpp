@@ -2,12 +2,10 @@
 /// \brief Shared scaffolding for the streaming suites (test_stream_pipeline,
 ///        test_stream_decompress, test_sharded_intake, test_spill).
 ///
-/// Every stream contract must hold identically under both intake layers, so
-/// the suites parameterize over IntakeMode; several also need a worker
-/// stalled mid-transform (to pin down reorder bounds, steal fairness,
-/// adaptive batching) and sinks that record what arrived.  That machinery
-/// was copy-pasted three times before this header existed — keep it here so
-/// a fourth suite can't drift.
+/// Several suites need a worker stalled mid-transform (to pin down reorder
+/// bounds, steal fairness, adaptive batching) and sinks that record what
+/// arrived.  That machinery was copy-pasted three times before this header
+/// existed — keep it here so a fourth suite can't drift.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -31,25 +29,24 @@ namespace nc::testutil {
 /// The synthetic pipeline most generic suites instantiate.
 using IntPipeline = codec::StreamPipeline<int, int>;
 
-/// Base fixture for suites parameterized over both intake layers.
-class IntakeParamTest : public ::testing::TestWithParam<codec::IntakeMode> {
- protected:
-  codec::StreamOptions base_options() const {
-    codec::StreamOptions opt;
-    opt.intake = GetParam();
-    return opt;
-  }
-};
+/// The stream suites once ran once per intake layer, so their cases are
+/// named `BothIntakes/<Suite>.<Case>/sharded` (and `sharded_<codec>` in the
+/// codec arena).  ShardedQueue is the only intake now; those suites keep
+/// this one-value parameter so their names, and the results filed under
+/// them, carry over unchanged.  The value is the retired
+/// `IntakeMode::kSharded`, so the printed parameter is unchanged too.
+enum class IntakeName : std::int32_t { kSharded = 2 };
 
-/// Instantiates `suite` once per intake mode with readable test names
-/// (".../single", ".../sharded").
-#define NC_INSTANTIATE_BOTH_INTAKES(suite)                               \
-  INSTANTIATE_TEST_SUITE_P(                                              \
-      BothIntakes, suite,                                                \
-      ::testing::Values(::nc::codec::IntakeMode::kSingleQueue,           \
-                        ::nc::codec::IntakeMode::kSharded),              \
-      [](const ::testing::TestParamInfo<::nc::codec::IntakeMode>& tpi) {  \
-        return std::string(::nc::codec::to_string(tpi.param));           \
+/// Base fixture for the suites named by IntakeName.
+class IntakeNamedTest : public ::testing::TestWithParam<IntakeName> {};
+
+/// Instantiates `suite` as `BothIntakes/<suite>.<Case>/sharded`.
+#define NC_INSTANTIATE_SHARDED_NAMES(suite)                                \
+  INSTANTIATE_TEST_SUITE_P(                                                \
+      BothIntakes, suite,                                                  \
+      ::testing::Values(::nc::testutil::IntakeName::kSharded),             \
+      [](const ::testing::TestParamInfo<::nc::testutil::IntakeName>&) {    \
+        return std::string("sharded");                                     \
       })
 
 /// One-shot gate a transform blocks on to stall a worker mid-batch.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <chrono>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -13,6 +12,7 @@
 #include "codec/bcae_codec.hpp"
 #include "codec/stream.hpp"
 #include "tests/reference.hpp"
+#include "tests/stream_test_utils.hpp"
 #include "tpc/dataset.hpp"
 
 namespace {
@@ -21,7 +21,6 @@ using nc::codec::BcaeCodec;
 using nc::codec::BcaeWedgeCodec;
 using nc::codec::CompressedWedge;
 using nc::codec::WedgeEnvelope;
-using nc::codec::IntakeMode;
 using nc::core::Mode;
 using nc::core::Tensor;
 
@@ -135,67 +134,6 @@ TEST(BcaeCodec, RejectsBadInputs) {
   EXPECT_THROW(codec.compress(Tensor({4, 4})), std::invalid_argument);
 }
 
-TEST(BoundedQueue, BackpressureAndClose) {
-  nc::codec::BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 1);
-  q.close();
-  EXPECT_FALSE(q.try_push(4));
-  EXPECT_TRUE(q.pop(v));  // drains remaining
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.pop(v));  // closed + empty
-}
-
-TEST(BoundedQueue, CloseWhileDrainDeliversRemainingItems) {
-  nc::codec::BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  q.close();
-  // A closed queue must still hand out what it holds, batch by batch.
-  std::vector<int> drained;
-  EXPECT_EQ(q.pop_batch(drained, 3), 3u);
-  EXPECT_EQ(q.pop_batch(drained, 3), 2u);
-  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(q.pop_batch(drained, 3), 0u);  // closed + empty
-}
-
-TEST(BoundedQueue, PopBatchZeroMeansClosedAndDrained) {
-  // pop_batch shares pop's terminal contract: while the queue is open it
-  // blocks until it can deliver >= 1 item — a 0 return is never a spurious
-  // wakeup, only the closed-and-drained shutdown signal.
-  nc::codec::BoundedQueue<int> q(4);
-  std::thread pusher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    (void)q.try_push(7);
-  });
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 2), 1u);  // woke for the item, not spuriously
-  EXPECT_EQ(out, (std::vector<int>{7}));
-  pusher.join();
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-  });
-  EXPECT_EQ(q.pop_batch(out, 2), 0u);  // 0 <=> closed and drained...
-  closer.join();
-  EXPECT_EQ(q.pop_batch(out, 2), 0u);  // ...and it is terminal
-  int v = 0;
-  EXPECT_FALSE(q.pop(v));  // pop agrees: same contract
-}
-
-TEST(BoundedQueue, PopBatchMaxItemsZeroStillDeliversOne) {
-  // max_items == 0 is clamped to 1: returning 0 from an open queue would
-  // violate the 0-iff-closed contract above.
-  nc::codec::BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(3));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 0), 1u);
-  EXPECT_EQ(out, (std::vector<int>{3}));
-}
-
 TEST(StreamCompressor, CompressesEverySubmittedWedge) {
   auto model = nc::bcae::make_bcae_ht(43);
   BcaeWedgeCodec codec(model, Mode::kEval);
@@ -236,15 +174,6 @@ TEST(StreamCompressor, CountsDropsUnderBackpressure) {
   EXPECT_EQ(stats.wedges_compressed, accepted);
 }
 
-TEST(BoundedQueue, WaitForSpaceUnblocksOnCloseAndReportsIt) {
-  nc::codec::BoundedQueue<int> q(1);
-  EXPECT_TRUE(q.wait_for_space());  // space available: returns immediately
-  EXPECT_TRUE(q.try_push(1));
-  std::thread closer([&] { q.close(); });
-  EXPECT_FALSE(q.wait_for_space());  // full queue: unblocked by close
-  closer.join();
-}
-
 TEST(StreamCompressor, BlockingSubmitRidesOutTinyQueue) {
   auto model = nc::bcae::make_bcae_ht(63);
   BcaeWedgeCodec codec(model, Mode::kEval);
@@ -264,22 +193,15 @@ TEST(StreamCompressor, BlockingSubmitRidesOutTinyQueue) {
   EXPECT_EQ(received.load(), n);
 }
 
-/// Multi-worker compressor contracts must hold for both intake layers (the
-/// shared queue and the sharded work-stealing intake).
-class StreamCompressorIntake : public ::testing::TestWithParam<IntakeMode> {};
+/// Multi-worker compressor contracts.
+class StreamCompressorIntake : public nc::testutil::IntakeNamedTest {};
 
-INSTANTIATE_TEST_SUITE_P(
-    BothIntakes, StreamCompressorIntake,
-    ::testing::Values(IntakeMode::kSingleQueue, IntakeMode::kSharded),
-    [](const ::testing::TestParamInfo<IntakeMode>& tpi) {
-      return std::string(nc::codec::to_string(tpi.param));
-    });
+NC_INSTANTIATE_SHARDED_NAMES(StreamCompressorIntake);
 
 TEST_P(StreamCompressorIntake, MultiWorkerCompressesEverySubmittedWedge) {
   auto model = nc::bcae::make_bcae_ht(49);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 16;
   opt.batch_size = 2;
   opt.n_workers = 3;
@@ -320,7 +242,6 @@ TEST_P(StreamCompressorIntake, MultiWorkerDropAccountingUnderBackpressure) {
   auto model = nc::bcae::make_bcae_ht(51);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 1;
   opt.batch_size = 1;
   opt.n_workers = 2;
@@ -343,7 +264,6 @@ TEST_P(StreamCompressorIntake, OrderedSinkEmitsInSubmissionOrder) {
   auto model = nc::bcae::make_bcae_ht(53);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -367,7 +287,6 @@ TEST_P(StreamCompressorIntake, UnorderedSeqsArePermutationOfSubmissions) {
   auto model = nc::bcae::make_bcae_ht(55);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 3;
@@ -392,7 +311,6 @@ TEST_P(StreamCompressorIntake, ThrowingSinkDoesNotKillOrderedPipeline) {
   auto model = nc::bcae::make_bcae_ht(65);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -421,7 +339,6 @@ TEST_P(StreamCompressorIntake, ConcurrentProducersWithConcurrentFinish) {
   auto model = nc::bcae::make_bcae_ht(57);
   BcaeWedgeCodec codec(model, Mode::kEval);
   nc::codec::StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 4;
   opt.batch_size = 2;
   opt.n_workers = 2;

@@ -1,6 +1,6 @@
 /// The codec-pluggable contract, held uniformly: every registered WedgeCodec
-/// must round-trip bit-exactly through the streamed deployment path under
-/// both intake layers, corrupt envelopes must fail loudly at the right layer
+/// must round-trip bit-exactly through the streamed deployment path,
+/// corrupt envelopes must fail loudly at the right layer
 /// (deserialize for unknown ids, wedges_failed for poisoned payloads and
 /// wrong-codec decodes), and the spill tier must stay lossless under a
 /// baseline codec just as it does under the BCAE.
@@ -25,7 +25,6 @@
 
 namespace {
 
-using nc::codec::IntakeMode;
 using nc::codec::StreamCompressor;
 using nc::codec::StreamDecompressor;
 using nc::codec::StreamOptions;
@@ -33,6 +32,7 @@ using nc::codec::WedgeCodec;
 using nc::codec::WedgeCodecId;
 using nc::codec::WedgeEnvelope;
 using nc::core::Tensor;
+using nc::testutil::IntakeName;
 using nc::testutil::expect_bit_identical;
 using nc::testutil::raw_wedge;
 using nc::util::SerializeError;
@@ -57,22 +57,19 @@ std::string serialized(const WedgeEnvelope& env) {
   return os.str();
 }
 
-/// Every registered codec, under both intake layers.
+/// Every registered codec, named `sharded_<codec>` (see IntakeName).
 class CodecArena
-    : public ::testing::TestWithParam<std::tuple<IntakeMode, std::string>> {
+    : public ::testing::TestWithParam<std::tuple<IntakeName, std::string>> {
  protected:
-  IntakeMode intake() const { return std::get<0>(GetParam()); }
   std::string codec_name() const { return std::get<1>(GetParam()); }
 };
 
 INSTANTIATE_TEST_SUITE_P(
     AllCodecs, CodecArena,
-    ::testing::Combine(::testing::Values(IntakeMode::kSingleQueue,
-                                         IntakeMode::kSharded),
+    ::testing::Combine(::testing::Values(IntakeName::kSharded),
                        ::testing::ValuesIn(nc::codec::registered_codec_names())),
-    [](const ::testing::TestParamInfo<std::tuple<IntakeMode, std::string>>& tpi) {
-      std::string name = std::string(nc::codec::to_string(std::get<0>(tpi.param))) +
-                         "_" + std::get<1>(tpi.param);
+    [](const ::testing::TestParamInfo<std::tuple<IntakeName, std::string>>& tpi) {
+      std::string name = "sharded_" + std::get<1>(tpi.param);
       for (auto& c : name) {
         if (c == '-') c = '_';
       }
@@ -92,7 +89,6 @@ TEST_P(CodecArena, StreamRoundTripMatchesDirectCodecCallsBitExact) {
   }
 
   StreamOptions opt;
-  opt.intake = intake();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -156,7 +152,6 @@ TEST_P(CodecArena, TruncatedPayloadFailsWedgeWithoutKillingStream) {
   envs[1].payload.resize(envs[1].payload.size() / 2);
 
   StreamOptions opt;
-  opt.intake = intake();
   opt.batch_size = 1;  // contain the failure to the poisoned wedge
   opt.n_workers = 2;
   std::atomic<int> decoded{0};

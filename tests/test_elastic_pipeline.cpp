@@ -1,6 +1,6 @@
 /// \file test_elastic_pipeline.cpp
 /// \brief Elastic worker pool inside StreamPipeline: manual and
-///        controller-driven scaling, under both intake layers.
+///        controller-driven scaling.
 ///
 /// The scaling *policy* is tested deterministically in test_autoscale.cpp;
 /// this suite covers the impure half — the pipeline keeping every existing
@@ -36,9 +36,8 @@ using nc::codec::StreamOptions;
 using nc::testutil::IntPipeline;
 
 /// Elastic manual-mode base: pool of 4, floor 1, no controller thread.
-StreamOptions elastic_options(nc::codec::IntakeMode intake) {
+StreamOptions elastic_options() {
   StreamOptions opt;
-  opt.intake = intake;
   opt.elastic = true;
   opt.scale_interval_s = 0.0;  // manual: scaling only via set_live_workers
   opt.min_workers = 1;
@@ -96,10 +95,10 @@ class ScalerThread {
   std::thread thread_;
 };
 
-class ElasticPipelineIntake : public nc::testutil::IntakeParamTest {};
+class ElasticPipelineIntake : public nc::testutil::IntakeNamedTest {};
 
 TEST_P(ElasticPipelineIntake, ManualScaleClampsAndCounts) {
-  StreamOptions opt = elastic_options(GetParam());
+  StreamOptions opt = elastic_options();
   std::mutex events_mutex;
   std::vector<ScaleEvent> events;
   opt.on_scale_event = [&](const ScaleEvent& e) {
@@ -137,7 +136,7 @@ TEST_P(ElasticPipelineIntake, ManualScaleClampsAndCounts) {
 }
 
 TEST_P(ElasticPipelineIntake, StaticPoolIgnoresScaling) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.n_workers = 2;
   std::atomic<int> received{0};
   IntPipeline pipeline(
@@ -163,7 +162,7 @@ TEST_P(ElasticPipelineIntake, OrderedIdentitySurvivesConcurrentScaling) {
   // live poppers, and parking removes a worker from that count — so ordered
   // emission must stay a loss-free identity while a scaler thread yo-yos
   // the live set under load.
-  StreamOptions opt = elastic_options(GetParam());
+  StreamOptions opt = elastic_options();
   opt.queue_capacity = 16;
   opt.batch_size = 4;
   opt.ordered = true;
@@ -193,7 +192,7 @@ TEST_P(ElasticPipelineIntake, OrderedIdentitySurvivesConcurrentScaling) {
 }
 
 TEST_P(ElasticPipelineIntake, UnorderedLossFreeUnderConcurrentScaling) {
-  StreamOptions opt = elastic_options(GetParam());
+  StreamOptions opt = elastic_options();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   std::atomic<int> received{0};
@@ -219,7 +218,7 @@ TEST_P(ElasticPipelineIntake, UnorderedLossFreeUnderConcurrentScaling) {
 TEST_P(ElasticPipelineIntake, SpillReplaySurvivesConcurrentScaling) {
   // Spill + replay + ordered reorder + live set changing — every moving
   // part of the pipeline at once, with loss-freedom as the oracle.
-  StreamOptions opt = elastic_options(GetParam());
+  StreamOptions opt = elastic_options();
   opt.queue_capacity = 4;
   opt.batch_size = 2;
   opt.ordered = true;
@@ -250,7 +249,7 @@ TEST_P(ElasticPipelineIntake, SpillReplaySurvivesConcurrentScaling) {
                                         static_cast<std::uint64_t>(n));
 }
 
-NC_INSTANTIATE_BOTH_INTAKES(ElasticPipelineIntake);
+NC_INSTANTIATE_SHARDED_NAMES(ElasticPipelineIntake);
 
 // --- controller thread (eventual assertions via spin_until) ----------------
 

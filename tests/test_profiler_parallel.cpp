@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "codec/stream.hpp"
 #include "core/profiler.hpp"
 #include "util/parallel.hpp"
 
@@ -104,31 +103,6 @@ TEST(ParallelFor, NestedInvocationStaysCorrect) {
 TEST(ParallelHelpers, ThreadCountIsPositive) {
   EXPECT_GE(nc::util::num_threads(), 1);
   EXPECT_GE(nc::util::thread_index(), 0);
-}
-
-TEST(BoundedQueue, CloseReleasesConsumerBlockedInPopBatch) {
-  nc::codec::BoundedQueue<int> q(4);
-  std::atomic<int> drained{0};
-  std::atomic<bool> consumer_done{false};
-  std::thread consumer([&] {
-    std::vector<int> batch;
-    std::size_t n = 0;
-    while ((n = q.pop_batch(batch, 4)) > 0) {
-      drained.fetch_add(static_cast<int>(n));
-      batch.clear();
-    }
-    consumer_done.store(true);
-  });
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  // Once the consumer has drained everything it blocks inside pop_batch on
-  // the empty queue; close() must wake it and return 0 so it can exit.
-  while (drained.load() < 2) std::this_thread::yield();
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(consumer_done.load());
-  EXPECT_EQ(drained.load(), 2);
-  EXPECT_FALSE(q.push(3));  // closed intake rejects blocking pushes too
 }
 
 }  // namespace

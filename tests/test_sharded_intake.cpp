@@ -18,7 +18,6 @@
 
 namespace {
 
-using nc::codec::IntakeMode;
 using nc::codec::ShardedQueue;
 using nc::codec::StealPolicy;
 using nc::codec::StreamOptions;
@@ -35,7 +34,7 @@ TEST(ShardedQueue, RoundRobinRoutesAcrossShardsAndOwnShardDrainsFirst) {
   // Tickets 0..5 round-robin over 2 shards: shard0 = {0,2,4}, shard1 =
   // {1,3,5}.  Under kDeepest a worker drains its own shard first (not
   // stolen), then steals the sibling's batch.
-  ShardedQueue<int> q(/*n_shards=*/2, /*capacity=*/8, StealPolicy::kDeepest);
+  ShardedQueue<int> q(/*shards=*/2, /*capacity=*/8, StealPolicy::kDeepest);
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
   EXPECT_EQ(q.size(), 6u);
 
@@ -105,18 +104,38 @@ TEST(ShardedQueue, PopBatchZeroIffClosedAndDrained) {
   EXPECT_EQ(q.pop_batch(0, out, 2, /*adaptive_share=*/0, nullptr), 0u);  // ...and it is terminal
 }
 
+TEST(ShardedQueue, PopBatchMaxItemsZeroStillDeliversOne) {
+  // max_items == 0 is clamped to 1: returning 0 from an open intake would
+  // violate the 0-iff-closed contract above.
+  ShardedQueue<int> q(2, 4, StealPolicy::kDeepest);
+  ASSERT_TRUE(q.try_push(3));
+  ASSERT_TRUE(q.try_push(4));
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(/*worker=*/0, out, 0, /*adaptive_share=*/0, nullptr), 1u);
+  EXPECT_EQ(out, (std::vector<int>{3}));
+}
+
 TEST(ShardedQueue, CloseWhileDrainDeliversRemainingItemsAcrossShards) {
-  ShardedQueue<int> q(3, 9, StealPolicy::kDeepest);
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
-  q.close();
-  EXPECT_FALSE(q.try_push(99));  // closed to producers
-  // A closed intake still hands out everything it holds — from every shard,
-  // to any worker — before signalling terminal drain.
-  std::vector<int> drained;
-  while (q.pop_batch(/*worker=*/1, drained, 2, /*adaptive_share=*/0, nullptr) != 0) {
+  // Three shards, and one: the intake of every one-worker pipeline, which
+  // keeps the exact capacity (no rounding) and plain FIFO order.
+  const std::vector<int> all{0, 1, 2, 3, 4, 5, 6};
+  for (const std::size_t shards : {std::size_t{3}, std::size_t{1}}) {
+    SCOPED_TRACE(shards);
+    ShardedQueue<int> q(shards, /*capacity=*/7, StealPolicy::kDeepest);
+    EXPECT_EQ(q.capacity(), shards == 1 ? 7u : 9u);  // 3 shards: 3 each
+    for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
+    if (shards == 1) EXPECT_FALSE(q.try_push(7));  // full at exactly 7
+    q.close();
+    EXPECT_FALSE(q.try_push(99));  // closed to producers
+    // A closed intake still hands out everything it holds — from every
+    // shard, to any worker — before signalling terminal drain.
+    std::vector<int> drained;
+    while (q.pop_batch(/*worker=*/1, drained, 2, /*adaptive_share=*/0, nullptr) != 0) {
+    }
+    if (shards == 1) EXPECT_EQ(drained, all);  // FIFO
+    std::sort(drained.begin(), drained.end());
+    EXPECT_EQ(drained, all);
   }
-  std::sort(drained.begin(), drained.end());
-  EXPECT_EQ(drained, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 }
 
 TEST(ShardedQueue, WaitForSpaceUnblocksOnPopAndOnClose) {
@@ -198,7 +217,6 @@ TEST(ShardedIntakePipeline, SiblingsStealAStalledWorkersBacklog) {
   // stealing — every wedge except the one in the stalled worker's hands
   // completes while it sleeps, so nothing is stranded in a parked shard.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
   opt.queue_capacity = 64;
   opt.batch_size = 1;
   opt.n_workers = 2;
@@ -233,7 +251,6 @@ TEST(ShardedIntakePipeline, FinishDrainsEveryShardAtClose) {
   // finish() must not return while any shard still holds accepted items,
   // whichever worker's shard they sit in.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
   opt.queue_capacity = 128;
   opt.batch_size = 4;
   opt.n_workers = 4;
@@ -261,7 +278,6 @@ TEST(ShardedIntakePipeline, OrderedBoundedReorderFinishesUnderContention) {
   // worker holds a later batch); the run must drain, stay in order and
   // count every item.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
   opt.queue_capacity = 64;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -289,22 +305,38 @@ TEST(ShardedIntakePipeline, OrderedBoundedReorderFinishesUnderContention) {
 }
 
 TEST(ShardedIntakePipeline, ExplicitShardCountDecouplesFromWorkers) {
+  // The intake has a shard per pool slot, not per live worker: a
+  // manual-mode elastic pool of 8 with 2 live workers has 8 shards, and the
+  // 6 owned by parked workers fill only once the 2 live shards are full.
+  // The live workers must reach them by stealing.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
-  opt.n_shards = 8;  // more shards than workers: reached only by stealing
+  opt.elastic = true;
+  opt.scale_interval_s = 0.0;  // manual: no controller wakes a parked worker
+  opt.min_workers = 1;
+  opt.max_workers = 8;
+  opt.n_workers = 2;
   opt.queue_capacity = 64;
   opt.batch_size = 2;
-  opt.n_workers = 2;
+  StallLatch stall;  // holds both live workers while the intake fills
   std::atomic<int> received{0};
   IntPipeline pipeline(
-      opt, [](std::vector<int>&& in) { return std::move(in); }, nullptr,
-      [&](std::uint64_t, int&&) { received.fetch_add(1); });
-  const int n = 64;
-  for (int i = 0; i < n; ++i) pipeline.submit(i);
+      opt,
+      [&](std::vector<int>&& in) {
+        stall.wait();
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t, int&&) { received.fetch_add(1); });
+  EXPECT_EQ(pipeline.live_workers(), 2u);
+  EXPECT_EQ(pipeline.intake_capacity(), 64u);
+  const int n = 40;  // > the 16 slots of the live shards plus 4 in hand
+  for (int i = 0; i < n; ++i) EXPECT_TRUE(pipeline.try_submit(i));
+  stall.release();
+  // Parked workers stay asleep until finish(): only stealing delivers all.
+  EXPECT_TRUE(spin_until([&] { return received.load() == n; }));
   const auto stats = pipeline.finish();
-  EXPECT_EQ(pipeline.options().n_shards, 8u);
   EXPECT_EQ(stats.wedges_compressed, n);
   EXPECT_EQ(received.load(), n);
+  EXPECT_GT(stats.batches_stolen, 0);
 }
 
 }  // namespace

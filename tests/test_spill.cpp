@@ -7,9 +7,8 @@
 /// drops — never UB, silent garbage, or a hung pipeline.  (2) The lossless
 /// backpressure contract: a burst far beyond the intake bound completes
 /// with zero drops, every spilled wedge replayed, and ordered output
-/// bit-identical to an unbounded run — under both intake layers (the spill
-/// drainer races workers, producers and finish(), so this suite also runs
-/// under TSan in CI).
+/// bit-identical to an unbounded run (the spill drainer races workers,
+/// producers and finish(), so this suite also runs under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -426,19 +425,19 @@ TEST(SpillReader, CodecIdMatchAndUntaggedBothAccepted) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline integration: lossless backpressure under both intake layers
+// Pipeline integration: lossless backpressure
 // ---------------------------------------------------------------------------
 
-class SpillPipelineIntake : public nc::testutil::IntakeParamTest {};
+class SpillPipelineIntake : public nc::testutil::IntakeNamedTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(SpillPipelineIntake);
+NC_INSTANTIATE_SHARDED_NAMES(SpillPipelineIntake);
 
 TEST_P(SpillPipelineIntake, BurstBeyondCapacityCompletesWithoutDrops) {
   // A burst of 4x the intake capacity, try_submitted back-to-back against
   // deliberately slow workers: without the spill tier most of it would
   // drop; with it the run must be lossless and, in ordered mode, emit the
   // identity sequence.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 16;
   opt.batch_size = 2;
   opt.n_workers = 3;
@@ -481,7 +480,7 @@ TEST_P(SpillPipelineIntake, BurstBeyondCapacityCompletesWithoutDrops) {
 TEST_P(SpillPipelineIntake, DeadlineLetsWorkersCatchUpBeforeSpilling) {
   // With a generous spill deadline and fast workers, a burst is absorbed by
   // waiting — nothing should ever reach the disk.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 4;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -504,7 +503,7 @@ TEST_P(SpillPipelineIntake, DiskFullSurfacesAsCountedDropsNotAHang) {
   // A tiny spill quota simulates ENOSPC: the burst overflows the intake,
   // some wedges spill, the rest are *counted* drops — and the pipeline
   // still drains and finishes.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -541,7 +540,7 @@ TEST_P(SpillPipelineIntake, DiskFullSurfacesAsCountedDropsNotAHang) {
 TEST_P(SpillPipelineIntake, SubmitAfterFinishCountsDroppedNotSpilled) {
   // Regression: with the spill tier enabled, a submit after finish() must
   // land in wedges_dropped — not spill into a file nobody will replay.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 4;
   opt.n_workers = 2;
   opt.spill_dir = fresh_dir();
@@ -564,7 +563,7 @@ TEST_P(SpillPipelineIntake, KeptSegmentsReplayBitExactAfterClose) {
   // spill_keep retains the segments a finished pipeline spilled; a
   // SpillReader over them must reproduce the exact spilled payloads — the
   // recovery path for a run that died before (or instead of) replaying.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 2;
@@ -622,7 +621,7 @@ TEST_P(SpillPipelineIntake, CompressorBurstMatchesUnboundedRunBitExact) {
     return std::make_pair(stream.finish(), std::move(out));
   };
 
-  StreamOptions burst = base_options();
+  StreamOptions burst;
   burst.queue_capacity = 8;  // burst is 4x this
   burst.batch_size = 2;
   burst.n_workers = 2;
@@ -635,8 +634,8 @@ TEST_P(SpillPipelineIntake, CompressorBurstMatchesUnboundedRunBitExact) {
   EXPECT_EQ(bstats.wedges_replayed, bstats.wedges_spilled);
   EXPECT_EQ(bstats.wedges_compressed, n);
 
-  StreamOptions unbounded = base_options();
-  unbounded.queue_capacity = 64;  // single queue holds the whole burst
+  StreamOptions unbounded;
+  unbounded.queue_capacity = 64;  // the intake holds the whole burst
   unbounded.batch_size = 2;
   unbounded.n_workers = 2;
   unbounded.ordered = true;

@@ -19,7 +19,6 @@ namespace {
 using nc::codec::BcaeCodec;
 using nc::codec::BcaeWedgeCodec;
 using nc::codec::CompressedWedge;
-using nc::codec::IntakeMode;
 using nc::codec::StreamCompressor;
 using nc::codec::StreamDecompressor;
 using nc::codec::StreamOptions;
@@ -84,11 +83,10 @@ TEST(StreamDecompressor, UnorderedSingleWorkerMatchesDirectDecompress) {
   EXPECT_EQ(stats.payload_bytes, decoded_bytes);  // fp16-accounted output volume
 }
 
-/// Multi-worker read-side contracts must hold for both intake layers (the
-/// shared queue and the sharded work-stealing intake).
-class StreamDecompressorIntake : public nc::testutil::IntakeParamTest {};
+/// Multi-worker read-side contracts.
+class StreamDecompressorIntake : public nc::testutil::IntakeNamedTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(StreamDecompressorIntake);
+NC_INSTANTIATE_SHARDED_NAMES(StreamDecompressorIntake);
 
 TEST_P(StreamDecompressorIntake, UnorderedFourWorkersMatchesDirectDecompress) {
   auto model = nc::bcae::make_bcae_ht(73);
@@ -97,7 +95,6 @@ TEST_P(StreamDecompressorIntake, UnorderedFourWorkersMatchesDirectDecompress) {
   const auto cws = enveloped_wedges(codec, n);
 
   StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -126,7 +123,6 @@ TEST_P(StreamDecompressorIntake, OrderedFourWorkersEmitInSubmissionOrder) {
   const auto cws = enveloped_wedges(codec, n);
 
   StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -160,7 +156,6 @@ TEST_P(StreamDecompressorIntake, PoisonedPayloadLandsInFailedWithoutKillingWorke
   cws[4].payload.resize(cws[4].payload.size() / 2);
 
   StreamOptions opt;
-  opt.intake = GetParam();
   opt.queue_capacity = 16;
   opt.batch_size = 1;  // contain the failure to the poisoned wedge
   opt.n_workers = 2;
@@ -193,7 +188,6 @@ TEST_P(StreamDecompressorIntake, FullChainCompressSerializeDeserializeDecompress
   const int n = 8;
 
   StreamOptions copt;
-  copt.intake = GetParam();
   copt.queue_capacity = 8;
   copt.batch_size = 2;
   copt.n_workers = 2;
@@ -214,7 +208,6 @@ TEST_P(StreamDecompressorIntake, FullChainCompressSerializeDeserializeDecompress
   ASSERT_EQ(storage.size(), static_cast<std::size_t>(n));
 
   StreamOptions dopt;
-  dopt.intake = GetParam();
   dopt.queue_capacity = 8;
   dopt.batch_size = 2;
   dopt.n_workers = 4;

@@ -1,13 +1,11 @@
 /// Generic StreamPipeline semantics, tested with synthetic transforms so the
 /// worker-pool machinery (sequencing, reorder bound, failure containment,
-/// finish) is exercised without the codec in the way.  Every suite runs
-/// twice — once per intake layer (single shared queue, sharded
-/// work-stealing) — since the pipeline contracts must hold identically for
-/// both.  StreamCompressor / StreamDecompressor are thin adapters over this
-/// class — the codec-facing behavior lives in test_codec.cpp and
-/// test_stream_decompress.cpp; sharded-intake-specific behavior (stealing,
-/// backpressure across shards) lives in test_sharded_intake.cpp; the spill
-/// tier in test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
+/// finish) is exercised without the codec in the way.
+/// StreamCompressor / StreamDecompressor are thin adapters over this class —
+/// the codec-facing behavior lives in test_codec.cpp and
+/// test_stream_decompress.cpp; intake behavior (stealing, backpressure
+/// across shards) lives in test_sharded_intake.cpp; the spill tier in
+/// test_spill.cpp.  Shared scaffolding: stream_test_utils.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +24,6 @@
 
 namespace {
 
-using nc::codec::IntakeMode;
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
@@ -44,13 +41,12 @@ IntPipeline::BatchFn doubling(std::atomic<int>& completed) {
   };
 }
 
-/// Every pipeline contract below must hold for both intake layers.
-class StreamPipelineIntake : public nc::testutil::IntakeParamTest {};
+class StreamPipelineIntake : public nc::testutil::IntakeNamedTest {};
 
-NC_INSTANTIATE_BOTH_INTAKES(StreamPipelineIntake);
+NC_INSTANTIATE_SHARDED_NAMES(StreamPipelineIntake);
 
 TEST_P(StreamPipelineIntake, GenericTransformProcessesEverySubmission) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 16;
   opt.batch_size = 4;
   opt.n_workers = 3;
@@ -85,13 +81,10 @@ TEST_P(StreamPipelineIntake, GenericTransformProcessesEverySubmission) {
   }
   EXPECT_EQ(per_worker_sum, n);
   EXPECT_EQ(stolen_sum, stats.batches_stolen);
-  if (GetParam() == IntakeMode::kSingleQueue) {
-    EXPECT_EQ(stats.batches_stolen, 0);  // one shared queue: nothing to steal
-  }
 }
 
 TEST_P(StreamPipelineIntake, OrderedModeEmitsInSubmissionOrder) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 8;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -113,7 +106,7 @@ TEST_P(StreamPipelineIntake, OrderedModeEmitsInSubmissionOrder) {
 }
 
 TEST_P(StreamPipelineIntake, ThrowingTransformLandsInFailedAndKeepsWorkersAlive) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 16;
   opt.batch_size = 1;  // one victim per failure
   opt.n_workers = 2;
@@ -145,7 +138,7 @@ TEST_P(StreamPipelineIntake, ThrowingTransformLandsInFailedAndKeepsWorkersAlive)
 }
 
 TEST_P(StreamPipelineIntake, WrongSizedTransformOutputCountsAsFailure) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.batch_size = 4;
   opt.n_workers = 1;
   std::atomic<int> received{0};
@@ -172,7 +165,7 @@ TEST_P(StreamPipelineIntake, ReorderCapacityBoundsBufferWithStalledWorker) {
   // transform, not parked on the bound, so a free popper still exists.)
   constexpr int kItems = 32;
   constexpr std::size_t kCapacity = 4;
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 64;  // all submissions fit: intake never backpressures
   opt.batch_size = 1;
   opt.n_workers = 2;
@@ -218,7 +211,7 @@ TEST_P(StreamPipelineIntake, ReorderCapacityBoundsBufferWithStalledWorker) {
 TEST_P(StreamPipelineIntake, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) {
   // Failed batches occupy reorder slots (as skips) under the same capacity
   // rule; a mix of failures and successes must still drain and finish.
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.queue_capacity = 64;
   opt.batch_size = 2;
   opt.n_workers = 4;
@@ -246,7 +239,7 @@ TEST_P(StreamPipelineIntake, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) 
 }
 
 TEST_P(StreamPipelineIntake, FinishIdempotentWithGenericTransform) {
-  StreamOptions opt = base_options();
+  StreamOptions opt;
   opt.batch_size = 2;
   std::atomic<int> completed{0};
   IntPipeline pipeline(opt, doubling(completed), nullptr,
@@ -263,31 +256,31 @@ TEST_P(StreamPipelineIntake, FinishIdempotentWithGenericTransform) {
   EXPECT_EQ(pipeline.finish().wedges_dropped, 2);
 }
 
-TEST(StreamPipeline, AutoIntakeResolvesByWorkerCount) {
+TEST(StreamPipeline, IntakeCapacityRoundsUpToAShardPerWorker) {
+  // One intake shard per worker: the effective capacity is queue_capacity
+  // rounded up to a multiple of max_workers, exact at one worker.
   std::atomic<int> completed{0};
-  StreamOptions opt;  // kAuto
+  StreamOptions opt;
+  opt.queue_capacity = 10;
   opt.n_workers = 1;
-  IntPipeline single(opt, doubling(completed), nullptr,
-                     [](std::uint64_t, int&&) {});
-  EXPECT_EQ(single.options().intake, IntakeMode::kSingleQueue);
-  (void)single.finish();
+  IntPipeline one(opt, doubling(completed), nullptr,
+                  [](std::uint64_t, int&&) {});
+  EXPECT_EQ(one.intake_capacity(), 10u);
+  EXPECT_EQ(one.finish().queue_capacity, 10);
   opt.n_workers = 4;
-  IntPipeline sharded(opt, doubling(completed), nullptr,
-                      [](std::uint64_t, int&&) {});
-  EXPECT_EQ(sharded.options().intake, IntakeMode::kSharded);
-  EXPECT_EQ(sharded.options().n_shards, 4u);
-  (void)sharded.finish();
+  IntPipeline four(opt, doubling(completed), nullptr,
+                   [](std::uint64_t, int&&) {});
+  EXPECT_EQ(four.intake_capacity(), 12u);
+  EXPECT_EQ(four.finish().queue_capacity, 12);
 }
 
 TEST(StreamPipeline, AdaptiveBatchingGrowsWithBacklog) {
   // With a deep backlog a worker's drain grows to batch_size; a released
   // stall guarantees the backlog exists when the worker resumes popping.
   StreamOptions opt;
-  opt.intake = IntakeMode::kSharded;
   opt.queue_capacity = 64;
   opt.batch_size = 8;
   opt.n_workers = 1;
-  ASSERT_TRUE(opt.adaptive_batch);  // the default under test
 
   StallLatch stall;
   std::mutex sizes_mutex;
