@@ -5,7 +5,8 @@
 /// the quantization passes feeding int8, the conv epilogue fused against
 /// the unfused chain it replaces, and a dense-vs-sparse sweep of the conv
 /// eval lowerings over input density, at 2-D and 3-D first-layer shapes
-/// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers).
+/// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers), with
+/// the scatter kernel's cost per (voxel, tap) pair at the first layers.
 ///
 /// These isolate the substrate so regressions in the headline throughput
 /// numbers (Table 1, Fig. 6) can be attributed: if the int8 fast path's
@@ -34,6 +35,7 @@
 #include "core/quantize.hpp"
 #include "core/simd_dispatch.hpp"
 #include "core/tensor.hpp"
+#include "util/aligned.hpp"
 #include "util/half.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -83,14 +85,15 @@ struct Spread {
 
 /// Time every kernel of `fns` once per pass, for `passes` passes, so that a
 /// change in the host's speed during the run reaches every kernel alike;
-/// return each kernel's median and min-max rate in GFLOP/s.  One timed
-/// batch per cell read 84.7 and 119.8 GFLOP/s for the same tile on two runs.
-std::vector<Spread> interleaved_gflops(
-    double flops, const std::vector<std::function<void()>>& fns, int passes) {
+/// return each kernel's median and min-max rate in giga-`work` per second
+/// (GFLOP/s for work = flops per call).  One timed batch per cell read 84.7
+/// and 119.8 GFLOP/s for the same tile on two runs.
+std::vector<Spread> interleaved_rates(
+    double work, const std::vector<std::function<void()>>& fns, int passes) {
   std::vector<std::vector<double>> rates(fns.size());
   for (int pass = 0; pass < passes; ++pass) {
     for (std::size_t f = 0; f < fns.size(); ++f) {
-      rates[f].push_back(batch_rate(flops, fns[f], 0.12) / 1e9);
+      rates[f].push_back(batch_rate(work, fns[f], 0.12) / 1e9);
     }
   }
   std::vector<Spread> out;
@@ -156,9 +159,11 @@ struct ConvLowering {
   std::int64_t out_c;
   std::vector<nc::util::half> w_half;  ///< (out_c, rows)
   nc::core::QuantizedRows w_q;
-  std::vector<float> slab_half, slab_q;  ///< (rows, out_c)
+  /// (rows, out_c), and the (cols, out_c) accumulator: cache-line aligned,
+  /// as the layers keep them.
+  nc::util::AlignedVector<float> slab_half, slab_q, acc;
   std::vector<nc::util::half> xh, colh;
-  std::vector<float> xs, acc, out;
+  std::vector<float> xs, out;
   std::vector<std::int8_t> xq, q;  ///< input codes, lowered codes
 
   ConvLowering(const ConvShape& s, const Tensor& weight) : out_c(s.out_c) {
@@ -380,6 +385,65 @@ std::string sparse_sweep(const std::vector<Isa>& isas) {
   return rows;
 }
 
+/// The perfbench wedges' nonzero fraction, about 12 %.
+constexpr double kBenchDensity = 0.12;
+
+/// Print each tier's scatter_conv alone, in ns per (voxel, tap) pair it
+/// applies, at the first-layer shapes and the bench density; return the
+/// medians as one JSON object keyed by layer, then tier.
+std::string scatter_pair_costs(const std::vector<Isa>& isas, int passes) {
+  const ConvShape* shapes[] = {&kConvShapes[0], &kConvShapes[2],
+                               &kConvShapes[3]};
+  std::printf("\nscatter_conv alone [ns per (voxel, tap) pair, 1 thread, "
+              "%.0f %% density, fp16 values; each cell the median (min-max) "
+              "of %d interleaved passes]:\n",
+              100.0 * kBenchDensity, passes);
+  std::printf("  %-26s %9s", "layer", "pairs");
+  for (Isa isa : isas) std::printf(" %-20s", nc::core::simd::isa_name(isa));
+  std::printf("\n");
+  std::string json;
+  char buf[160];
+  for (const ConvShape* s : shapes) {
+    const std::int64_t rows = s->in_c * s->k[0] * s->k[1] * s->k[2];
+    ConvLowering low(*s, random_tensor({s->out_c, rows}, 4));
+    const Tensor x = sparse_input(*s, kBenchDensity, 30);
+    const std::int64_t numel = x.numel();
+    nc::util::float_to_half_sat_n(x.data(), low.xh.data(), numel);
+    nc::util::half_to_float_n(low.xh.data(), low.xs.data(), numel);
+    const std::int64_t pairs = nc::core::simd::kernels_for(Isa::kScalar)
+                                   .scatter_conv(low.xs.data(), low.g, s->out_c,
+                                                 low.slab_half.data(),
+                                                 low.acc.data());
+    // The accumulator is not cleared between calls: the kernel alone is
+    // timed, and its sums stay finite.
+    std::vector<std::function<void()>> fns;
+    for (Isa isa : isas) {
+      const nc::core::simd::Kernels* ker = &nc::core::simd::kernels_for(isa);
+      fns.emplace_back([&low, ker, s] {
+        ker->scatter_conv(low.xs.data(), low.g, s->out_c, low.slab_half.data(),
+                          low.acc.data());
+      });
+    }
+    const std::vector<Spread> r =
+        interleaved_rates(static_cast<double>(pairs), fns, passes);
+    std::printf("  %-26s %9lld", s->what, static_cast<long long>(pairs));
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":{", json.empty() ? "" : ",",
+                  s->what);
+    json += buf;
+    for (std::size_t t = 0; t < isas.size(); ++t) {
+      // Gpairs/s to ns per pair: the slowest pass gives the top of the range.
+      std::printf(" %6.2f (%5.2f-%5.2f)", 1.0 / r[t].median, 1.0 / r[t].hi,
+                  1.0 / r[t].lo);
+      std::snprintf(buf, sizeof(buf), "%s\"%s\":%.3f", t ? "," : "",
+                    nc::core::simd::isa_name(isas[t]), 1.0 / r[t].median);
+      json += buf;
+    }
+    json += "}";
+    std::printf("\n");
+  }
+  return json;
+}
+
 }  // namespace
 
 int main() {
@@ -450,7 +514,7 @@ int main() {
         });
       }
     }
-    const std::vector<Spread> r = interleaved_gflops(flops, kernels, kPasses);
+    const std::vector<Spread> r = interleaved_rates(flops, kernels, kPasses);
 
     std::printf("  %3lld x %5lld x %4lld %-7s", static_cast<long long>(s.m),
                 static_cast<long long>(s.n), static_cast<long long>(s.k), "");
@@ -504,6 +568,7 @@ int main() {
 
   const EpilogueTimes ep = epilogue_bench();
   const std::string sweep = sparse_sweep(isas);
+  const std::string pair_ns = scatter_pair_costs(isas, kPasses);
 
   // ---- JSON trailer --------------------------------------------------------
   const double n_shapes = static_cast<double>(std::size(kShapes));
@@ -530,12 +595,12 @@ int main() {
       "\"qgemm_speedup_vs_scalar\":{%s},\"maxabs_gelems\":%.3f,"
       "\"quantize_gelems\":%.3f,\"epilogue_ms\":{\"restore\":%.4f,"
       "\"unfused_branching\":%.4f,\"unfused\":%.4f,\"fused\":%.4f},"
-      "\"conv_lowering_sweep\":[%s]}\n",
+      "\"conv_lowering_sweep\":[%s],\"scatter_ns_per_pair\":{%s}}\n",
       nc::core::simd::isa_name(active), sum_sgemm / n_shapes,
       sum_hgemm / n_shapes, by_tier(sum_h, false).c_str(),
       by_tier(sum_h, true).c_str(), by_tier(sum_q, false).c_str(),
       by_tier(sum_q, true).c_str(), maxabs_r.back(), quant_r.back(),
       ep.restore_ms, ep.branching_ms, ep.unfused_ms, ep.fused_ms,
-      sweep.c_str());
+      sweep.c_str(), pair_ns.c_str());
   return 0;
 }

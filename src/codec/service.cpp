@@ -345,8 +345,8 @@ void CompressionService::admission_pass() {
   // pass, or still holds a backlog.  Every session's sample sees it; only
   // the deep ones react (AdmissionConfig::spill_depth).
   const std::int64_t spilled = pipeline_.wedges_spilled();
-  const bool spilling = spilled != spilled_seen_ || pipeline_.spill_pending() > 0;
-  spilled_seen_ = spilled;
+  const bool spilling = spilled_seen_.exchange(spilled) != spilled ||
+                        pipeline_.spill_pending() > 0;
   for (const auto& session : session_round()) {
     std::lock_guard<std::mutex> lock(session->mutex);
     if (session->closed) continue;

@@ -166,7 +166,8 @@ class CompressionService {
   SessionStats session_stats(SessionId id) const;
 
   /// One manual admission pass over every open session (admission_interval_s
-  /// == 0).  Deterministic: sessions are visited in id order.
+  /// == 0).  Deterministic: sessions are visited in id order.  Safe to call
+  /// from any thread, also from several at once.
   void admission_tick();
 
   /// Seal the whole service: stop admitting, schedule every staged wedge,
@@ -253,7 +254,9 @@ class CompressionService {
   std::mutex admission_mutex_;
   std::condition_variable admission_cv_;
   bool admission_closing_ = false;
-  std::int64_t spilled_seen_ = 0;  ///< admission thread only
+  /// wedges_spilled() at the last admission pass; exchanged by each pass,
+  /// which may run on any thread (admission_tick()).
+  std::atomic<std::int64_t> spilled_seen_{0};
 
   Pipeline pipeline_;  ///< after the state its callbacks touch
   std::thread scheduler_;

@@ -44,9 +44,10 @@ std::vector<std::int8_t>& i8_scratch_b() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
 }
-// Voxel-major accumulator of the sparse lowering.
-std::vector<float>& acc_scratch() {
-  thread_local std::vector<float> buf;
+// Voxel-major accumulator of the sparse lowering, cache-line aligned so
+// that each scatter row of 16 floats sits in one line.
+util::AlignedVector<float>& acc_scratch() {
+  thread_local util::AlignedVector<float> buf;
   return buf;
 }
 
@@ -116,11 +117,12 @@ std::int64_t sparse_nonzero_limit(Mode mode, const Conv3dGeom& g) {
       max_density * static_cast<double>(g.c * g.d * g.h * g.w));
 }
 
-/// (rows, out_c) fp32 slab of an (out_c, rows) half or int8 weight.
+/// (rows, out_c) fp32 slab of an (out_c, rows) half or int8 weight, cache-line
+/// aligned like the accumulator it is added into.
 template <typename T>
-std::vector<float> widen_slab(const T* w, std::int64_t out_c,
-                              std::int64_t rows) {
-  std::vector<float> slab(static_cast<std::size_t>(rows * out_c));
+util::AlignedVector<float> widen_slab(const T* w, std::int64_t out_c,
+                                      std::int64_t rows) {
+  util::AlignedVector<float> slab(static_cast<std::size_t>(rows * out_c));
   for (std::int64_t o = 0; o < out_c; ++o) {
     for (std::int64_t r = 0; r < rows; ++r) {
       slab[static_cast<std::size_t>(r * out_c + o)] =
@@ -412,7 +414,7 @@ std::int64_t ConvNd::forward_sparse(const float* in, const Conv3dGeom& g,
   auto& xs = f32_scratch();
   xs.resize(static_cast<std::size_t>(numel));
   float act_scale = 1.f;
-  const std::vector<float>* slab = nullptr;
+  const util::AlignedVector<float>* slab = nullptr;
   if (wq) {
     auto& q = i8_scratch();
     q.resize(static_cast<std::size_t>(numel));

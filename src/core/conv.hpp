@@ -106,32 +106,34 @@
 #include "core/im2col.hpp"
 #include "core/layer.hpp"
 #include "core/quantize.hpp"
+#include "util/aligned.hpp"
 #include "util/rng.hpp"
 
 namespace nc::core {
 
 /// Largest nonzero fraction of a sample's input at which the kEvalHalf and
 /// kEvalInt8 forwards of Conv2d and Conv3d take the sparse lowering (see the
-/// file comment); one gate serves both ranks.  Three runs of bench_kernels'
-/// dense-vs-sparse sweep against the register-blocked dense lowering
-/// (single thread, 4-vCPU AVX-512 Xeon, GCC 12) put the vector tiers'
-/// crossovers on the 16 -> 32 7x7 input layer, the only BCAE-2D layer whose
-/// input is sparse, at 30-50 % (fp16) and 20-30 % (int8): these values sit
-/// below them.  On the 3-D models' first conv (1 -> 2 and 1 -> 8 channels,
-/// kernel 3x4x4, stride 1x2x2, pad 1, on a 16x48x64 input) the same runs put
-/// the crossovers at 15-30 % in both modes, below these values: the scatter
-/// costs about as much per (voxel, tap) pair at 2 or 8 output channels as at
-/// 32, so a narrow conv gains less from it.  There the scatter is up to
-/// ~40 % faster at 10 % density, about even at 15 % and slower at 20 %; the
-/// bench wedges average 10.5-13 % nonzero, so the 3-D samples between the
-/// crossover and the gate take the slower lowering.  On a 32 -> 32 3x3
-/// layer the faster dense GEMM overtook the scatter at 15-20 % in both
-/// modes, but no BCAE 3x3 conv sees inputs that sparse.  Lowering the gate
-/// to 0.15 sent the bench wedges above 15 % nonzero (the mean is 10.5-13 %)
-/// to the dense lowering, whose column buffer for BCAE-2D's input layer is
-/// 4.7 MB per thread: peak RSS rose from 124 to 155 MB on one perfbench
-/// seed.  A faster kernel on either side moves the crossovers: re-measure
-/// when one changes.
+/// file comment); one gate serves both ranks.  The values were set from
+/// three runs of bench_kernels' dense-vs-sparse sweep (single thread,
+/// 4-vCPU AVX-512 Xeon, GCC 12), which put the vector tiers' crossovers on
+/// the 16 -> 32 7x7 input layer, the only BCAE-2D layer whose input is
+/// sparse, at 30-50 % (fp16) and 20-30 % (int8); these values sat below
+/// them.  Lowering the gate to 0.15 sent the bench wedges above 15 %
+/// nonzero (the mean is 10.5-13 %) to the dense lowering, whose column
+/// buffer for BCAE-2D's input layer is 4.7 MB per thread: peak RSS rose
+/// from 124 to 155 MB on one perfbench seed.  Since the scatter walks its
+/// taps by fixed strides on 64-byte-aligned buffers, three more sweeps put
+/// the crossovers higher: on the input layer at 100 % (fp16, the sparse
+/// lowering wins at every swept density below it) and 50-100 % (int8); on
+/// the 3-D models' first conv (1 -> 2 and 1 -> 8 channels, kernel 3x4x4,
+/// stride 1x2x2, pad 1, on a 16x48x64 input) at 30-50 %, except 20-30 %
+/// for BCAE-HT's int8 on AVX2, with the scatter 2-3x faster than dense at
+/// 10 % density; on a 32 -> 32 3x3 layer at 30-50 %, though no BCAE 3x3
+/// conv sees inputs that sparse.  So, but for BCAE-HT's int8 on AVX2, the
+/// gates now sit at or below the crossovers: a sample between a gate and
+/// its crossover runs dense where the scatter would be faster, which costs
+/// time only on inputs far denser than TPC wedges.  A faster kernel on
+/// either side moves the crossovers: re-measure when one changes.
 inline constexpr double kSparseMaxDensityHalf = 0.4;
 inline constexpr double kSparseMaxDensityInt8 = 0.25;
 
@@ -219,9 +221,9 @@ class ConvNd : public FusableConv {
   LazyCache<HalfTensor> weight_half_;
   LazyCache<QuantizedRows> weight_q_;
   /// Sparse-lowering weight slabs, (in_c * kd * kh * kw, out_c) fp32 widened
-  /// from weight_half_ / weight_q_.
-  LazyCache<std::vector<float>> slab_half_;
-  LazyCache<std::vector<float>> slab_q_;
+  /// from weight_half_ / weight_q_, cache-line aligned.
+  LazyCache<util::AlignedVector<float>> slab_half_;
+  LazyCache<util::AlignedVector<float>> slab_q_;
 };
 
 /// 2-D convolution over (N, C, H, W).

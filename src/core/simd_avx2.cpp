@@ -365,47 +365,57 @@ void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   }
 }
 
-/// Sparse conv scatter (contract in simd_dispatch.hpp): finds the nonzeros
-/// of each input row eight at a time with a compare mask, in ascending x,
-/// and adds each voxel's slab rows eight output channels per FMA.  The
-/// products are exact, so the FMA (and any contraction of the scalar tail)
-/// rounds exactly like the scalar tier's multiply-then-add.
-std::int64_t scatter_conv_avx2(const float* x, const Conv3dGeom& g,
-                               std::int64_t out_c, const float* slab,
-                               float* acc) {
-  std::vector<detail::AxisTaps> buf;
-  const detail::VolumeTaps t = detail::volume_taps(g, buf);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t full = out_c / 8 * 8;
+/// a[o] += v * w[o] for o < n < 8, in pieces of 4, 2 and 1 floats (no
+/// masked stores: see simd_avx512.cpp's add_tail).  `vv` holds v in every
+/// lane.  The products are exact, so the FMAs round like the scalar tier.
+inline void add_tail(__m256 vv, const float* w, float* a, std::int64_t n) {
+  const __m128 v4 = _mm256_castps256_ps128(vv);
+  if (n & 4) {
+    _mm_storeu_ps(a, _mm_fmadd_ps(v4, _mm_loadu_ps(w), _mm_loadu_ps(a)));
+    a += 4;
+    w += 4;
+  }
+  if (n & 2) {
+    const __m128 w2 = _mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w)));
+    const __m128 a2 = _mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(a),
+                     _mm_castps_si128(_mm_fmadd_ps(v4, w2, a2)));
+    a += 2;
+    w += 2;
+  }
+  if (n & 1) *a = std::fma(_mm_cvtss_f32(v4), *w, *a);
+}
+
+/// The scatter's voxel loop at a fixed channel width: `kFull` ymm of 8
+/// output channels per tap, then the out_c % 8 others; kFull = -1 reads the
+/// width from out_c at run time.  Finds the nonzeros of each input row
+/// eight at a time with a compare mask, in ascending x, and walks each
+/// voxel's taps with `for_each_tap`.
+template <int kFull>
+std::int64_t scatter_rows(const float* x, const Conv3dGeom& g,
+                          std::int64_t out_c, const float* slab, float* acc,
+                          const detail::VolumeTaps& t,
+                          const detail::TapSteps& steps) {
+  const std::int64_t full = kFull >= 0 ? kFull : out_c / 8;
+  const std::int64_t rem = out_c % 8;
   const __m256 zero = _mm256_setzero_ps();
   std::int64_t taps = 0;
-
   auto scatter = [&](std::int64_t c, const detail::AxisTaps& tz,
                      const detail::AxisTaps& ty, std::int64_t ix, float v) {
-    const detail::AxisTaps tx = t.x[ix];
     const __m256 vv = _mm256_set1_ps(v);
-    for (std::int64_t a = 0; a < tz.count; ++a) {
-      const std::int64_t kz = tz.first + a * g.sd, oz = tz.out - a;
-      for (std::int64_t b = 0; b < ty.count; ++b) {
-        const std::int64_t ky = ty.first + b * g.sh, oy = ty.out - b;
-        for (std::int64_t e = 0; e < tx.count; ++e) {
-          const std::int64_t kx = tx.first + e * g.sw, ox = tx.out - e;
-          const float* w =
-              slab + (((c * g.kd + kz) * g.kh + ky) * g.kw + kx) * out_c;
-          float* out = acc + ((oz * oh + oy) * ow + ox) * out_c;
-          std::int64_t o = 0;
-          for (; o < full; o += 8) {
-            _mm256_storeu_ps(out + o,
-                             _mm256_fmadd_ps(vv, _mm256_loadu_ps(w + o),
-                                             _mm256_loadu_ps(out + o)));
+    taps += detail::for_each_tap(
+        slab, acc, c, tz, ty, t.x[ix], steps,
+        [vv, full, rem](const float* w, float* a) {
+          for (std::int64_t o = 0; o < full; ++o) {
+            _mm256_storeu_ps(a + 8 * o,
+                             _mm256_fmadd_ps(vv, _mm256_loadu_ps(w + 8 * o),
+                                             _mm256_loadu_ps(a + 8 * o)));
           }
-          for (; o < out_c; ++o) out[o] += v * w[o];
-        }
-      }
-    }
-    taps += tz.count * ty.count * tx.count;
+          if (rem != 0) add_tail(vv, w + 8 * full, a + 8 * full, rem);
+        });
   };
-
   for (std::int64_t c = 0; c < g.c; ++c) {
     for (std::int64_t iz = 0; iz < g.d; ++iz) {
       const detail::AxisTaps tz = t.z[iz];
@@ -431,6 +441,30 @@ std::int64_t scatter_conv_avx2(const float* x, const Conv3dGeom& g,
     }
   }
   return taps;
+}
+
+/// Sparse conv scatter (contract in simd_dispatch.hpp): picks the channel
+/// width once per call, so the tap loops carry no vector-loop count, and
+/// adds each voxel's slab rows eight output channels per FMA.  The products
+/// are exact, so the FMAs round exactly like the scalar tier's
+/// multiply-then-add.
+std::int64_t scatter_conv_avx2(const float* x, const Conv3dGeom& g,
+                               std::int64_t out_c, const float* slab,
+                               float* acc) {
+  using Rows = std::int64_t (*)(const float*, const Conv3dGeom&, std::int64_t,
+                                const float*, float*, const detail::VolumeTaps&,
+                                const detail::TapSteps&);
+  // Indexed by out_c / 8: BCAE's 2, 8 and 32 channels and every width below
+  // 40.
+  static constexpr Rows kRows[5] = {&scatter_rows<0>, &scatter_rows<1>,
+                                    &scatter_rows<2>, &scatter_rows<3>,
+                                    &scatter_rows<4>};
+  thread_local std::vector<detail::AxisTaps> buf;
+  const detail::VolumeTaps t = detail::volume_taps(g, buf);
+  const detail::TapSteps steps = detail::tap_steps(g, out_c);
+  const std::int64_t vecs = out_c / 8;
+  const Rows rows = vecs < 5 ? kRows[vecs] : &scatter_rows<-1>;
+  return rows(x, g, out_c, slab, acc, t, steps);
 }
 
 }  // namespace

@@ -309,53 +309,55 @@ void tile_hh_avx512(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   }
 }
 
-/// Sparse conv scatter (contract in simd_dispatch.hpp): finds the nonzeros
+/// a[o] += v * w[o] for o < n < 16, in unmasked pieces of 8, 4, 2 and 1
+/// floats.  A masked store does not forward to a later load of the same
+/// accumulator row, and at stride 2 the next voxels of a row reload it at
+/// once: a masked tail cost the 3-D first conv (2 or 8 channels) 2-3x per
+/// (voxel, tap) pair.  `vv` holds v in every lane.  The products are exact,
+/// so multiply-then-add rounds like an FMA (this TU has no -mfma).
+inline void add_tail(__m512 vv, const float* w, float* a, std::int64_t n) {
+  const __m256 v8 = _mm512_castps512_ps256(vv);
+  const __m128 v4 = _mm512_castps512_ps128(vv);
+  if (n & 8) {
+    _mm256_storeu_ps(a, _mm256_add_ps(_mm256_loadu_ps(a),
+                                      _mm256_mul_ps(v8, _mm256_loadu_ps(w))));
+    a += 8;
+    w += 8;
+  }
+  if (n & 4) {
+    _mm_storeu_ps(a,
+                  _mm_add_ps(_mm_loadu_ps(a), _mm_mul_ps(v4, _mm_loadu_ps(w))));
+    a += 4;
+    w += 4;
+  }
+  if (n & 2) {
+    const __m128 w2 = _mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w)));
+    const __m128 a2 = _mm_castsi128_ps(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(a),
+                     _mm_castps_si128(_mm_add_ps(a2, _mm_mul_ps(v4, w2))));
+    a += 2;
+    w += 2;
+  }
+  if (n & 1) *a += _mm_cvtss_f32(v4) * *w;
+}
+
+/// The scatter's voxel loop at a fixed channel width: `kFull` zmm of 16
+/// output channels per tap, then the out_c % 16 others when `kTail`;
+/// kFull = -1 reads the width from out_c at run time.  Finds the nonzeros
 /// of each input row sixteen at a time with a compare mask, in ascending x,
-/// and adds each voxel's slab rows sixteen output channels per FMA.  The
-/// products are exact, so the FMA rounds exactly like the scalar tier's
-/// multiply-then-add.
-std::int64_t scatter_conv_avx512(const float* x, const Conv3dGeom& g,
-                                 std::int64_t out_c, const float* slab,
-                                 float* acc) {
-  std::vector<detail::AxisTaps> buf;
-  const detail::VolumeTaps t = detail::volume_taps(g, buf);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
-  const std::int64_t full = out_c / 16 * 16;
-  const auto tail = static_cast<__mmask16>((1u << (out_c - full)) - 1u);
+/// and walks each voxel's taps with `for_each_tap`.
+template <int kFull, bool kTail>
+std::int64_t scatter_rows(const float* x, const Conv3dGeom& g,
+                          std::int64_t out_c, const float* slab, float* acc,
+                          const detail::VolumeTaps& t,
+                          const detail::TapSteps& steps) {
+  const std::int64_t full = kFull >= 0 ? kFull : out_c / 16;
+  const std::int64_t rem = out_c % 16;
+  const bool has_tail = kFull >= 0 ? kTail : rem != 0;
   const __m512 zero = _mm512_setzero_ps();
   std::int64_t taps = 0;
-
-  auto scatter = [&](std::int64_t c, const detail::AxisTaps& tz,
-                     const detail::AxisTaps& ty, std::int64_t ix, float v) {
-    const detail::AxisTaps tx = t.x[ix];
-    const __m512 vv = _mm512_set1_ps(v);
-    for (std::int64_t a = 0; a < tz.count; ++a) {
-      const std::int64_t kz = tz.first + a * g.sd, oz = tz.out - a;
-      for (std::int64_t b = 0; b < ty.count; ++b) {
-        const std::int64_t ky = ty.first + b * g.sh, oy = ty.out - b;
-        for (std::int64_t e = 0; e < tx.count; ++e) {
-          const std::int64_t kx = tx.first + e * g.sw, ox = tx.out - e;
-          const float* w =
-              slab + (((c * g.kd + kz) * g.kh + ky) * g.kw + kx) * out_c;
-          float* out = acc + ((oz * oh + oy) * ow + ox) * out_c;
-          std::int64_t o = 0;
-          for (; o < full; o += 16) {
-            _mm512_storeu_ps(out + o,
-                             _mm512_fmadd_ps(vv, _mm512_loadu_ps(w + o),
-                                             _mm512_loadu_ps(out + o)));
-          }
-          if (o < out_c) {
-            _mm512_mask_storeu_ps(
-                out + o, tail,
-                _mm512_fmadd_ps(vv, _mm512_maskz_loadu_ps(tail, w + o),
-                                _mm512_maskz_loadu_ps(tail, out + o)));
-          }
-        }
-      }
-    }
-    taps += tz.count * ty.count * tx.count;
-  };
-
   for (std::int64_t c = 0; c < g.c; ++c) {
     for (std::int64_t iz = 0; iz < g.d; ++iz) {
       const detail::AxisTaps tz = t.z[iz];
@@ -373,13 +375,50 @@ std::int64_t scatter_conv_avx512(const float* x, const Conv3dGeom& g,
           while (nz != 0) {
             const std::int64_t ix = x0 + __builtin_ctz(nz);
             nz &= nz - 1;
-            scatter(c, tz, ty, ix, row[ix]);
+            const __m512 vv = _mm512_set1_ps(row[ix]);
+            taps += detail::for_each_tap(
+                slab, acc, c, tz, ty, t.x[ix], steps,
+                [vv, full, rem, has_tail](const float* w, float* a) {
+                  for (std::int64_t o = 0; o < full; ++o) {
+                    _mm512_storeu_ps(
+                        a + 16 * o,
+                        _mm512_fmadd_ps(vv, _mm512_loadu_ps(w + 16 * o),
+                                        _mm512_loadu_ps(a + 16 * o)));
+                  }
+                  if (has_tail) add_tail(vv, w + 16 * full, a + 16 * full, rem);
+                });
           }
         }
       }
     }
   }
   return taps;
+}
+
+/// Sparse conv scatter (contract in simd_dispatch.hpp): picks the channel
+/// width once per call, so the tap loops carry no channel-loop count, and
+/// adds each voxel's slab rows sixteen output channels per FMA.  The
+/// products are exact, so the FMA rounds exactly like the scalar tier's
+/// multiply-then-add.
+std::int64_t scatter_conv_avx512(const float* x, const Conv3dGeom& g,
+                                 std::int64_t out_c, const float* slab,
+                                 float* acc) {
+  using Rows = std::int64_t (*)(const float*, const Conv3dGeom&, std::int64_t,
+                                const float*, float*, const detail::VolumeTaps&,
+                                const detail::TapSteps&);
+  // Indexed by [out_c / 16][out_c % 16 != 0]: BCAE's 2, 8 and 32 channels
+  // and every width below 48.
+  static constexpr Rows kRows[3][2] = {
+      {&scatter_rows<-1, false>, &scatter_rows<0, true>},
+      {&scatter_rows<1, false>, &scatter_rows<1, true>},
+      {&scatter_rows<2, false>, &scatter_rows<2, true>}};
+  thread_local std::vector<detail::AxisTaps> buf;
+  const detail::VolumeTaps t = detail::volume_taps(g, buf);
+  const detail::TapSteps steps = detail::tap_steps(g, out_c);
+  const std::int64_t vecs = out_c / 16;
+  const Rows rows = vecs < 3 ? kRows[vecs][out_c % 16 != 0]
+                             : &scatter_rows<-1, false>;
+  return rows(x, g, out_c, slab, acc, t, steps);
 }
 
 }  // namespace

@@ -119,9 +119,9 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
 std::int64_t scatter_conv_scalar(const float* x, const Conv3dGeom& g,
                                  std::int64_t out_c, const float* slab,
                                  float* acc) {
-  std::vector<detail::AxisTaps> buf;
+  thread_local std::vector<detail::AxisTaps> buf;
   const detail::VolumeTaps t = detail::volume_taps(g, buf);
-  const std::int64_t oh = g.out_h(), ow = g.out_w();
+  const detail::TapSteps steps = detail::tap_steps(g, out_c);
   std::int64_t taps = 0;
   for (std::int64_t c = 0; c < g.c; ++c) {
     for (std::int64_t iz = 0; iz < g.d; ++iz) {
@@ -133,21 +133,11 @@ std::int64_t scatter_conv_scalar(const float* x, const Conv3dGeom& g,
         for (std::int64_t ix = 0; ix < g.w; ++ix) {
           const float v = row[ix];
           if (v == 0.f) continue;
-          const detail::AxisTaps tx = t.x[ix];
-          for (std::int64_t a = 0; a < tz.count; ++a) {
-            const std::int64_t kz = tz.first + a * g.sd, oz = tz.out - a;
-            for (std::int64_t b = 0; b < ty.count; ++b) {
-              const std::int64_t ky = ty.first + b * g.sh, oy = ty.out - b;
-              for (std::int64_t e = 0; e < tx.count; ++e) {
-                const std::int64_t kx = tx.first + e * g.sw, ox = tx.out - e;
-                const float* w =
-                    slab + (((c * g.kd + kz) * g.kh + ky) * g.kw + kx) * out_c;
-                float* out = acc + ((oz * oh + oy) * ow + ox) * out_c;
-                for (std::int64_t o = 0; o < out_c; ++o) out[o] += v * w[o];
-              }
-            }
-          }
-          taps += tz.count * ty.count * tx.count;
+          taps += detail::for_each_tap(
+              slab, acc, c, tz, ty, t.x[ix], steps,
+              [v, out_c](const float* w, float* a) {
+                for (std::int64_t o = 0; o < out_c; ++o) a[o] += v * w[o];
+              });
         }
       }
     }
@@ -225,6 +215,21 @@ VolumeTaps volume_taps(const Conv3dGeom& g, std::vector<AxisTaps>& buf) {
   axis_taps(g.h, g.kh, g.sh, g.ph, g.out_h(), y);
   axis_taps(g.w, g.kw, g.sw, g.pw, g.out_w(), x);
   return {z, y, x};
+}
+
+TapSteps tap_steps(const Conv3dGeom& g, std::int64_t out_c) {
+  TapSteps s;
+  s.w_kx = out_c;
+  s.w_ky = g.kw * s.w_kx;
+  s.w_kz = g.kh * s.w_ky;
+  s.w_c = g.kd * s.w_kz;
+  s.w_x = g.sw * s.w_kx;
+  s.w_y = g.sh * s.w_ky;
+  s.w_z = g.sd * s.w_kz;
+  s.a_x = out_c;
+  s.a_y = g.out_w() * s.a_x;
+  s.a_z = g.out_h() * s.a_y;
+  return s;
 }
 
 // -- packed-B panel layout (shared by the AVX2 and AVX-512 kernels) ---------

@@ -113,6 +113,13 @@ struct Kernels {
   /// integers in [-127, 127]) the sums are bit-identical to the dense
   /// vol2col + GEMM lowering, on every tier.  Returns the number of
   /// (voxel, tap) pairs applied: 2 * out_c flops each.
+  ///
+  /// `x`, `slab` and `acc` may have any alignment (the layers pass 64-byte
+  /// aligned buffers, where a 16-float row never straddles two cache lines).
+  /// Every tier walks a voxel's taps with `detail::for_each_tap`, stepping
+  /// the slab and accumulator offsets by fixed strides, and picks its
+  /// per-tap channel loop once per call from out_c; neither changes the
+  /// visit order or any sum.
   std::int64_t (*scatter_conv)(const float* x, const Conv3dGeom& g,
                                std::int64_t out_c, const float* slab,
                                float* acc) = nullptr;
@@ -177,6 +184,50 @@ struct VolumeTaps {
 /// return views of them (valid while `buf` is unchanged).  Defined once, in
 /// the portable TU, for every tier's scatter and for the int8 quantizer.
 VolumeTaps volume_taps(const Conv3dGeom& g, std::vector<AxisTaps>& buf);
+
+/// Strides of the scatter's tap walk, in floats.  Slab row
+/// (c, kz, ky, kx) starts at c * w_c + kz * w_kz + ky * w_ky + kx * w_kx,
+/// and accumulator row (oz, oy, ox) at oz * a_z + oy * a_y + ox * a_x.
+/// From one tap of a voxel to the next along x, y or z the slab offset
+/// grows by w_x, w_y or w_z (one stride of kernel taps) and the accumulator
+/// offset falls by a_x, a_y or a_z (one output).
+struct TapSteps {
+  std::int64_t w_c = 0, w_kz = 0, w_ky = 0, w_kx = 0;
+  std::int64_t w_z = 0, w_y = 0, w_x = 0;
+  std::int64_t a_z = 0, a_y = 0, a_x = 0;
+};
+
+/// The walk's strides for `g` at `out_c` output channels.  Defined in the
+/// portable TU.
+TapSteps tap_steps(const Conv3dGeom& g, std::int64_t out_c);
+
+/// The tap walk of one nonzero voxel of input channel `c` whose taps are
+/// tz, ty, tx: calls add(w, a) with the slab row and accumulator row of
+/// each tap, in (kz, ky, kx) order, and returns the number of taps.  The
+/// offsets are computed once per voxel and then only stepped, so a
+/// (voxel, tap) pair costs one add per offset plus the tier's `add`.  Each
+/// tier passes its own lambda, so every tier gets its own instantiation,
+/// compiled with that tier's target flags.
+template <typename Add>
+std::int64_t for_each_tap(const float* slab, float* acc, std::int64_t c,
+                          const AxisTaps& tz, const AxisTaps& ty,
+                          const AxisTaps& tx, const TapSteps& s, Add&& add) {
+  const std::int64_t w_z = s.w_z, w_y = s.w_y, w_x = s.w_x;
+  const std::int64_t a_z = s.a_z, a_y = s.a_y, a_x = s.a_x;
+  std::int64_t wz = c * s.w_c + tz.first * s.w_kz + ty.first * s.w_ky +
+                    tx.first * s.w_kx;
+  std::int64_t az = tz.out * a_z + ty.out * a_y + tx.out * a_x;
+  for (std::int64_t i = 0; i < tz.count; ++i, wz += w_z, az -= a_z) {
+    std::int64_t wy = wz, ay = az;
+    for (std::int64_t j = 0; j < ty.count; ++j, wy += w_y, ay -= a_y) {
+      std::int64_t wx = wy, ax = ay;
+      for (std::int64_t k = 0; k < tx.count; ++k, wx += w_x, ax -= a_x) {
+        add(slab + wx, acc + ax);
+      }
+    }
+  }
+  return tz.count * ty.count * tx.count;
+}
 
 /// Thread-local fp32 copy of the A rows a `tile_hh` call multiplies with
 /// (capacity retained across calls, so steady-state inference allocates

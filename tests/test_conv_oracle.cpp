@@ -17,11 +17,12 @@
 /// Any differing bit fails.  The int8 reference quantizes the column matrix
 /// (scale from its max |x|), while the library quantizes the input first
 /// (scale from the max |x| of the voxels some window covers) and lowers the
-/// codes; the two must agree code for code.  Five stand-ins prove the
+/// codes; the two must agree code for code.  Six stand-ins prove the
 /// oracle can fail: scatters that visit voxels in (y, x, c) or (c, y, x, z)
-/// order, a scatter whose depth taps land one output depth off, a tile that
-/// sums k in descending order, and a lowering whose copied run starts one
-/// column late.
+/// order, a scatter whose depth taps land one output depth off, a tap walk
+/// whose weight offset steps one tap row short along y, a tile that sums k
+/// in descending order, and a lowering whose copied run starts one column
+/// late.
 ///
 /// Determinism: SplitMix64 seeded per test, in the style of
 /// tools/fuzz/det_main.cpp; a failure prints the case index and parameters.
@@ -714,6 +715,38 @@ std::int64_t scatter_depth_off_by_one(const float* x, const Conv3dGeom& g,
   return scatter_standin(x, g, out_c, slab, acc, {0, 1, 2, 3}, 1);
 }
 
+/// The library's tap walk (the scalar tier's loop over `for_each_tap`) with
+/// its weight offset stepping one tap row (out_c floats) short along y: a
+/// voxel's second and later y taps multiply the wrong slab rows.  The
+/// offsets only shrink, so every read stays inside the slab.
+std::int64_t scatter_short_y_step(const float* x, const Conv3dGeom& g,
+                                  std::int64_t out_c, const float* slab,
+                                  float* acc) {
+  namespace detail = nc::core::simd::detail;
+  std::vector<detail::AxisTaps> buf;
+  const detail::VolumeTaps t = detail::volume_taps(g, buf);
+  detail::TapSteps steps = detail::tap_steps(g, out_c);
+  steps.w_y -= steps.w_kx;
+  std::int64_t taps = 0;
+  for (std::int64_t c = 0; c < g.c; ++c) {
+    for (std::int64_t iz = 0; iz < g.d; ++iz) {
+      for (std::int64_t iy = 0; iy < g.h; ++iy) {
+        const float* row = x + ((c * g.d + iz) * g.h + iy) * g.w;
+        for (std::int64_t ix = 0; ix < g.w; ++ix) {
+          const float v = row[ix];
+          if (v == 0.f) continue;
+          taps += detail::for_each_tap(
+              slab, acc, c, t.z[iz], t.y[iy], t.x[ix], steps,
+              [v, out_c](const float* w, float* a) {
+                for (std::int64_t o = 0; o < out_c; ++o) a[o] += v * w[o];
+              });
+        }
+      }
+    }
+  }
+  return taps;
+}
+
 /// A deliberately wrong tile: right products, k summed in descending order.
 void tile_descending_k(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                        std::int64_t j1, std::int64_t k, const half* a,
@@ -929,6 +962,18 @@ TEST(ConvOracle, DepthTapOffByOneScatterIsCaught) {
   const Stats st = run_oracle(Kind::kConv3d, 20269, 300, si, false);
   EXPECT_GT(st.differing[0], 0);
   EXPECT_GT(st.differing[1], 0);
+}
+
+TEST(ConvOracle, ShortYStepScatterIsCaught) {
+  // Wrong weights change outputs in both modes, at both ranks.
+  StandIns si;
+  si.scatter = &scatter_short_y_step;
+  const Stats st2 = run_oracle(Kind::kConv2d, 20270, 300, si, false);
+  const Stats st3 = run_oracle(Kind::kConv3d, 20271, 200, si, false);
+  EXPECT_GT(st2.differing[0], 0);
+  EXPECT_GT(st2.differing[1], 0);
+  EXPECT_GT(st3.differing[0], 0);
+  EXPECT_GT(st3.differing[1], 0);
 }
 
 TEST(ConvOracle, DescendingTileIsCaught) {

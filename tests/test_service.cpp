@@ -483,4 +483,42 @@ TEST(Service, ConcurrentSessionChurn) {
   EXPECT_EQ(totals.pipeline.wedges_failed, 0);
 }
 
+TEST(Service, AdmissionTicksFromManyThreads) {
+  // admission_tick() is safe from any thread: four threads tick a few
+  // hundred times each, all at once, while two live sessions stream, so
+  // every run of this case puts concurrent admission passes in front of
+  // TSan.  Each session's queue stays at most a quarter full and its ladder
+  // has one rung, so every pass holds: nothing degrades or sheds.
+  CompressionService service(manual_options(/*n_workers=*/2, /*queue=*/8));
+  const auto a = service.open_session(session(zfp_codec(), nullptr));
+  const auto b = service.open_session(session(zfp_codec(), nullptr));
+  constexpr int kTickers = 4, kTicks = 300, kWedges = 16;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> tickers;
+  for (int t = 0; t < kTickers; ++t) {
+    tickers.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kTickers) std::this_thread::yield();
+      for (int i = 0; i < kTicks; ++i) service.admission_tick();
+    });
+  }
+  for (int i = 0; i < kWedges; ++i) {
+    EXPECT_EQ(service.submit(a, raw_wedge(static_cast<std::size_t>(i))),
+              SubmitResult::kAccepted);
+    EXPECT_EQ(service.submit(b, raw_wedge(static_cast<std::size_t>(i + 1))),
+              SubmitResult::kAccepted);
+  }
+  for (auto& t : tickers) t.join();
+  for (const auto id : {a, b}) {
+    const auto stats = service.close_session(id);
+    EXPECT_EQ(stats.submitted, kWedges);
+    EXPECT_EQ(stats.compressed, kWedges);
+    EXPECT_EQ(stats.shed, 0);
+    EXPECT_EQ(stats.degradations, 0);
+  }
+  const auto totals = service.finish();
+  EXPECT_EQ(totals.wedges_shed, 0);
+  EXPECT_EQ(totals.degradations, 0);
+}
+
 }  // namespace

@@ -124,7 +124,9 @@ TEST(ShardedQueue, CloseWhileDrainDeliversRemainingItemsAcrossShards) {
     ShardedQueue<int> q(shards, /*capacity=*/7, StealPolicy::kDeepest);
     EXPECT_EQ(q.capacity(), shards == 1 ? 7u : 9u);  // 3 shards: 3 each
     for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
-    if (shards == 1) EXPECT_FALSE(q.try_push(7));  // full at exactly 7
+    if (shards == 1) {
+      EXPECT_FALSE(q.try_push(7));  // full at exactly 7
+    }
     q.close();
     EXPECT_FALSE(q.try_push(99));  // closed to producers
     // A closed intake still hands out everything it holds — from every
@@ -132,7 +134,9 @@ TEST(ShardedQueue, CloseWhileDrainDeliversRemainingItemsAcrossShards) {
     std::vector<int> drained;
     while (q.pop_batch(/*worker=*/1, drained, 2, /*adaptive_share=*/0, nullptr) != 0) {
     }
-    if (shards == 1) EXPECT_EQ(drained, all);  // FIFO
+    if (shards == 1) {
+      EXPECT_EQ(drained, all);  // FIFO
+    }
     std::sort(drained.begin(), drained.end());
     EXPECT_EQ(drained, all);
   }

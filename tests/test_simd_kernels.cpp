@@ -5,7 +5,8 @@
 /// exact, `tile_hh` because binary16 products are exact in binary32, so an
 /// FMA rounds like a multiply-then-add — and the dispatcher resolves
 /// NC_SIMD-style requests correctly.  (tests/test_conv_oracle.cpp pins the
-/// conv-level kernels, `scatter_conv` included.)  Shapes are
+/// conv-level kernels, `scatter_conv` included; here `scatter_conv` is only
+/// checked for alignment independence.)  Shapes are
 /// deliberately awkward — k not a multiple of the packing quad, n straddling
 /// the 16-column tile, degenerate m/n/k — so tail paths get the same
 /// scrutiny as the vector body.
@@ -19,9 +20,11 @@
 #include <vector>
 
 #include "core/conv.hpp"
+#include "core/im2col.hpp"
 #include "core/quantize.hpp"
 #include "core/simd_dispatch.hpp"
 #include "tests/reference.hpp"
+#include "util/aligned.hpp"
 #include "util/half.hpp"
 #include "util/rng.hpp"
 
@@ -258,6 +261,107 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
           }
           // The tile holds sums, not the sentinel.
           ASSERT_NE(got[static_cast<std::size_t>(i0 * ldc + j0)], kSentinel);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDispatch, ScatterConvIgnoresBufferAlignment) {
+  // The layers hand scatter_conv 64-byte-aligned buffers, but alignment is
+  // a speed property only: with x, slab and acc each one float past a
+  // 64-byte boundary, every tier must add the same bits and count the same
+  // taps as its aligned call (and as the scalar tier), and write nothing
+  // past the accumulator.  Widths cover every channel-width variant of the
+  // vector tiers: masked tails (1, 2, 8, 17, 33), whole vectors (16, 32)
+  // and the run-time width (50).  The accumulator starts nonzero, since the
+  // kernel adds to it.
+  struct Geom {
+    std::int64_t c, d, h, w, kd, kh, kw, sd, sh, sw, pd, ph, pw;
+  };
+  const Geom geoms[] = {
+      {3, 1, 9, 23, 1, 3, 5, 1, 1, 2, 0, 1, 2},   // 2-D, row tails of 16 and 8
+      {2, 5, 7, 19, 3, 4, 4, 1, 2, 2, 1, 1, 1},   // 3-D, the first-conv kernel
+  };
+  constexpr std::uint32_t kSentinel = 0x7FC0BEEFu;  // a quiet NaN
+  constexpr std::int64_t kGuard = 19;
+  nc::util::Rng rng(405);
+  auto draw_half = [&rng] {
+    return static_cast<float>(
+        nc::util::half(static_cast<float>(rng.uniform(-2.0, 2.0))));
+  };
+  for (const Geom& q : geoms) {
+    nc::core::Conv3dGeom g;
+    g.c = q.c;
+    g.d = q.d;
+    g.h = q.h;
+    g.w = q.w;
+    g.kd = q.kd;
+    g.kh = q.kh;
+    g.kw = q.kw;
+    g.sd = q.sd;
+    g.sh = q.sh;
+    g.sw = q.sw;
+    g.pd = q.pd;
+    g.ph = q.ph;
+    g.pw = q.pw;
+    const std::int64_t numel = g.c * g.d * g.h * g.w;
+    for (const std::int64_t out_c : {1, 2, 8, 16, 17, 32, 33, 50}) {
+      const std::int64_t n_slab = g.rows() * out_c, n_acc = g.cols() * out_c;
+      std::vector<float> x(static_cast<std::size_t>(numel), 0.f);
+      for (float& v : x) {
+        if (rng.uniform(0.0, 1.0) < 0.15) v = draw_half();
+      }
+      std::vector<float> slab(static_cast<std::size_t>(n_slab));
+      for (float& v : slab) v = draw_half();
+      std::vector<float> acc0(static_cast<std::size_t>(n_acc));
+      for (float& v : acc0) v = draw_half();
+
+      // Run `isa` with every buffer `shift` floats past a 64-byte boundary;
+      // return the accumulator and its guard floats, as bits, and the taps.
+      auto run = [&](Isa isa, std::int64_t shift, std::int64_t& taps) {
+        using Buf = nc::util::AlignedVector<float>;
+        Buf xb(static_cast<std::size_t>(numel + shift));
+        Buf sb(static_cast<std::size_t>(n_slab + shift));
+        Buf ab(static_cast<std::size_t>(n_acc + shift + kGuard));
+        float* xp = xb.data() + shift;
+        float* sp = sb.data() + shift;
+        float* ap = ab.data() + shift;
+        for (std::int64_t i = 0; i < kGuard; ++i) {
+          std::memcpy(ap + n_acc + i, &kSentinel, sizeof kSentinel);
+        }
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(xp) % 64,
+                  static_cast<std::uintptr_t>(4 * shift));
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ap) % 64,
+                  static_cast<std::uintptr_t>(4 * shift));
+        std::copy(x.begin(), x.end(), xp);
+        std::copy(slab.begin(), slab.end(), sp);
+        std::memcpy(ap, acc0.data(), static_cast<std::size_t>(n_acc) * 4);
+        taps = nc::core::simd::kernels_for(isa).scatter_conv(xp, g, out_c, sp,
+                                                             ap);
+        std::vector<std::uint32_t> bits(
+            static_cast<std::size_t>(n_acc + kGuard));
+        std::memcpy(bits.data(), ap, bits.size() * sizeof(float));
+        return bits;
+      };
+      std::int64_t want_taps = 0;
+      const std::vector<std::uint32_t> want = run(Isa::kScalar, 0, want_taps);
+      EXPECT_GT(want_taps, 0);
+      for (Isa isa : supported_isas()) {
+        for (const std::int64_t shift : {0, 1}) {
+          std::int64_t taps = 0;
+          const std::vector<std::uint32_t> got = run(isa, shift, taps);
+          const std::string where = std::string("isa=") +
+                                    nc::core::simd::isa_name(isa) +
+                                    " d=" + std::to_string(g.d) +
+                                    " out_c=" + std::to_string(out_c) +
+                                    " shift=" + std::to_string(shift);
+          EXPECT_EQ(taps, want_taps) << where;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            const bool past = i >= static_cast<std::size_t>(n_acc);
+            ASSERT_EQ(got[i], want[i])
+                << where << " at " << i << (past ? ", past the end" : "");
+          }
         }
       }
     }
