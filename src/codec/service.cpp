@@ -8,57 +8,15 @@
 #include <stdexcept>
 #include <utility>
 
+#include "codec/reorderer.hpp"
+#include "codec/spill.hpp"
 #include "util/logging.hpp"
 #include "util/serialize.hpp"
 
 namespace nc::codec {
 
-namespace {
-
-// Raw wedge serialization for the service's spill tier, mirroring the
-// stream.cpp spill codecs: bytes written under pressure cost no model
-// forwards, and the read-back path is hardened so a corrupt record throws
-// instead of driving a giant allocation.
-constexpr std::int64_t kMaxSpillDim = std::int64_t{1} << 20;
-constexpr std::int64_t kMaxSpillElems = std::int64_t{1} << 28;
-
-void write_wedge(std::ostream& os, const core::Tensor& wedge) {
-  const auto& shape = wedge.shape();
-  util::write_u64(os, shape.size());
-  for (const auto d : shape) util::write_i64(os, d);
-  util::write_bytes(os, wedge.data(),
-                    static_cast<std::size_t>(wedge.numel()) * sizeof(float));
-}
-
-core::Tensor read_wedge(std::istream& is) {
-  const std::uint64_t rank = util::read_u64(is);
-  if (rank > 8) {
-    throw util::SerializeError("spilled wedge rank implausible: " +
-                               std::to_string(rank));
-  }
-  core::Shape shape(rank);
-  std::int64_t numel = 1;
-  for (auto& d : shape) {
-    d = util::read_i64(is);
-    if (d <= 0 || d > kMaxSpillDim) {
-      throw util::SerializeError("spilled wedge dim implausible: " +
-                                 std::to_string(d));
-    }
-    if (numel > kMaxSpillElems / d) {
-      throw util::SerializeError("spilled wedge element count implausible");
-    }
-    numel *= d;
-  }
-  core::Tensor wedge(std::move(shape));
-  util::read_bytes(is, wedge.data(),
-                   static_cast<std::size_t>(numel) * sizeof(float));
-  return wedge;
-}
-
-}  // namespace
-
 /// All mutable per-session state lives behind one mutex: the staging queue
-/// the scheduler drains, the sequence space, the reorder cursor the pipeline
+/// the scheduler drains, the sequence space, the emit cursor the pipeline
 /// sink advances, and the admission controller's knobs (rung, shedding).
 struct CompressionService::Session {
   Session(SessionId sid, SessionOptions o, const AdmissionConfig& cfg)
@@ -77,12 +35,9 @@ struct CompressionService::Session {
     core::Tensor wedge;
   };
   std::deque<Staged> staging;
-  std::uint64_t next_seq = 0;   ///< session sequence space (submit order)
-  std::uint64_t next_emit = 0;  ///< ordered emission cursor
-  /// Completed-but-not-yet-emitted outputs; nullopt = shed/failed gap whose
-  /// seq must still advance the cursor.
-  std::map<std::uint64_t, std::optional<WedgeEnvelope>> reorder;
-  bool emitting = false;  ///< one sink drainer at a time (sink runs unlocked)
+  std::uint64_t next_seq = 0;  ///< session sequence space (submit order)
+  /// Ordered emission; nullopt = shed/failed gap.
+  Reorderer<WedgeEnvelope> reorder;
 
   std::size_t rung = 0;    ///< current ladder position
   bool shedding = false;   ///< admission latched into shedding
@@ -100,7 +55,7 @@ struct CompressionService::Session {
   /// Everything submitted has been scheduled, compressed (or gapped) and
   /// emitted — the close_session() wait predicate.
   bool drained_locked() const {
-    return staging.empty() && next_emit == next_seq && !emitting;
+    return staging.empty() && reorder.done(next_seq);
   }
 };
 
@@ -110,7 +65,6 @@ StreamOptions CompressionService::pipeline_options(
   // The service owns ordering (per-session cursors); a globally ordered
   // pipeline would serialize unrelated sessions behind each other.
   opt.ordered = false;
-  opt.reorder_capacity = 0;
   return opt;
 }
 
@@ -203,7 +157,7 @@ SubmitResult CompressionService::submit_impl(SessionId id, core::Tensor&& wedge,
       ++session->stats.submitted;
       ++session->stats.shed;
       wedges_shed_.fetch_add(1, std::memory_order_relaxed);
-      session->reorder.emplace(session->next_seq++, std::nullopt);
+      session->reorder.put(session->next_seq++, std::nullopt);
       emit_ready(session, lock);
       return SubmitResult::kShed;
     }
@@ -232,37 +186,19 @@ void CompressionService::deliver(ServiceOut&& out) {
   if (out.ok) {
     ++session->stats.compressed;
     session->stats.payload_bytes += out.envelope.payload_bytes();
-    session->reorder.emplace(out.seq, std::move(out.envelope));
+    session->reorder.put(out.seq, std::move(out.envelope));
   } else {
     ++session->stats.failed;
-    session->reorder.emplace(out.seq, std::nullopt);
+    session->reorder.put(out.seq, std::nullopt);
   }
   emit_ready(session, lock);
 }
 
 void CompressionService::emit_ready(const std::shared_ptr<Session>& session,
                                     std::unique_lock<std::mutex>& lock) {
-  if (session->emitting) return;  // the active drainer picks up new arrivals
-  session->emitting = true;
-  while (!session->reorder.empty() &&
-         session->reorder.begin()->first == session->next_emit) {
-    auto node = session->reorder.extract(session->reorder.begin());
-    ++session->next_emit;
-    if (node.mapped().has_value() && session->opt.sink) {
-      // The sink runs unlocked so a slow consumer never stalls pipeline
-      // workers; `emitting` keeps this session's calls serialized, and
-      // inserts that land while we are unlocked are picked up on re-check.
-      lock.unlock();
-      try {
-        session->opt.sink(node.key(), std::move(*node.mapped()));
-      } catch (const std::exception& e) {
-        NC_LOG_WARN << "session " << session->id << " sink failed for wedge "
-                    << node.key() << ": " << e.what();
-      }
-      lock.lock();
-    }
-  }
-  session->emitting = false;
+  session->reorder.drain(lock, [&](std::uint64_t seq, WedgeEnvelope&& env) {
+    if (session->opt.sink) session->opt.sink(seq, std::move(env));
+  });
   session->done_cv.notify_all();
 }
 
@@ -516,7 +452,7 @@ std::string CompressionService::encode_spill(const ServiceItem& item) const {
     }
   }
   util::write_u32(os, rung);
-  write_wedge(os, item.wedge);
+  write_spilled_wedge(os, item.wedge);
   return os.str();
 }
 
@@ -542,7 +478,7 @@ CompressionService::ServiceItem CompressionService::decode_spill(
     item.codec = ladder[std::min<std::size_t>(rung, ladder.size() - 1)];
   }
   try {
-    item.wedge = read_wedge(is);
+    item.wedge = read_spilled_wedge(is);
   } catch (const util::SerializeError& e) {
     // The routing header parsed, so the session cursor can still advance:
     // poison the item and let the transform fail it (counted per session)

@@ -12,12 +12,13 @@
 ///   open_session(ladder, sink) -> submit(wedge)* -> close_session()
 ///
 ///  * **Per-session sequence spaces + ordered emission.**  Every session
-///    numbers its accepted submits 0,1,2,... independently, and its sink
-///    sees envelopes in exactly that order — a per-session reorder cursor
-///    keyed on {session, seq}, layered over the shared *unordered* pipeline
+///    numbers its accepted submits 0,1,2,... independently, and has its own
+///    emit cursor (a `Reorderer`, reorderer.hpp — the same one an ordered
+///    StreamPipeline uses), layered over the shared *unordered* pipeline
 ///    (global ordering across unrelated clients would be a false
-///    dependency).  Shed and failed wedges consume their sequence number
-///    and emit nothing: the sink sees a gap, never a reordering.
+///    dependency).  The one ordering rule: a session's sink calls never
+///    overlap and see strictly increasing seqs, and shed and failed wedges
+///    consume their sequence number as gaps that emit nothing.
 ///  * **Fair scheduling.**  Submits land in a bounded per-session staging
 ///    queue; a deficit-round-robin scheduler moves up to `drr_quantum`
 ///    wedges per session per round into the shared pipeline, so one
@@ -217,9 +218,9 @@ class CompressionService {
 
   /// Record one pipeline completion and advance the session's emit cursor.
   void deliver(ServiceOut&& out);
-  /// Drain the session's ready prefix through its sink.  The lock is
-  /// released around each sink call; `emitting` keeps drainers exclusive so
-  /// per-session sink calls stay serialized and in order.
+  /// Drain the session's ready prefix through its sink (Reorderer::drain:
+  /// unlocked around each call, one drainer at a time) and wake
+  /// close_session().
   static void emit_ready(const std::shared_ptr<Session>& session,
                          std::unique_lock<std::mutex>& lock);
 

@@ -16,12 +16,7 @@
 ///    every shard is full — the same backpressure threshold as one queue of
 ///    the aggregate capacity (rounded up to a shard multiple).
 ///  * Workers drain their own shard first and steal a batch from the
-///    deepest sibling when it runs dry (`StealPolicy::kDeepest`, the
-///    throughput policy).  Under `kOldestHead` (used by ordered pipelines
-///    with a bounded reorder buffer) every pop instead targets the shard
-///    holding the globally oldest item — an approximate global FIFO that
-///    keeps the reorder buffer shallow and steers workers toward the
-///    next-to-emit sequence number.
+///    deepest sibling when it runs dry.
 ///
 /// Contract the pipeline relies on:
 ///
@@ -38,18 +33,18 @@
 ///    wedge can be stranded in the shard of a stalled worker.
 ///  * `close` — idempotent; unblocks every parked producer and worker.
 ///
-/// Ordering: every push gets a monotonic ticket.  When pushes are
-/// externally serialized — as StreamPipeline's submit paths are, under
-/// submit_mutex_ — items within one shard are FIFO in submission order, so
-/// a popped batch is ascending in submission order (the property the
-/// pipeline's reorder buffer relies on) and kOldestHead is exact.  With one
-/// shard a batch is also contiguous; with several it may have gaps (items
-/// routed to sibling shards), which the reorder buffer tolerates.  Fully
+/// Ordering: every push gets a monotonic ticket, which picks its
+/// round-robin shard.  When pushes are externally serialized — as
+/// StreamPipeline's submit paths are, under submit_mutex_ — items within one
+/// shard are FIFO in submission order, so a popped batch is ascending in
+/// submission order.  With one shard a batch is also contiguous; with
+/// several it may have gaps (items routed to sibling shards).  Fully
 /// concurrent producers still get correct delivery, backpressure and
 /// shutdown, but ticket assignment and shard insertion are then separate
-/// steps, so per-shard ticket order (and with it batch ascendingness and
-/// the oldest-head heuristic) is only approximate — do not feed an ordered
-/// pipeline from producers that bypass its submit serialization.
+/// steps, so per-shard order is only approximate.  Ordered emission needs
+/// neither property: the pipeline's cursor (reorderer.hpp) accepts
+/// completions in any order and keeps the one ordering rule — sink calls
+/// never overlap, seqs strictly increase, failures are gaps.
 ///
 /// Locking: push/pop touch only one shard mutex on the fast path; the
 /// shared `park_mutex_` is taken only to sleep (empty intake) or to wake
@@ -59,7 +54,7 @@
 /// `set_active_workers(k)` re-homes fresh pushes onto the shards of the k
 /// live workers so a scaled-down worker's shard drains instead of queueing
 /// behind a sleeping owner, and `set_shard_nodes` records each shard's NUMA
-/// node so kDeepest steals prefer same-node victims.  Neither affects
+/// node so steals prefer same-node victims.  Neither affects
 /// capacity, backpressure or the pop_batch terminal contract.
 #pragma once
 
@@ -99,17 +94,11 @@ inline std::size_t adaptive_drain_cap(std::size_t depth, std::size_t share,
 }
 }  // namespace detail
 
-/// Victim-selection policy for cross-shard pops (see file comment).
-enum class StealPolicy {
-  kDeepest,     ///< own shard first, steal from the deepest sibling
-  kOldestHead,  ///< always pop the shard holding the oldest item
-};
-
 template <typename T>
 class ShardedQueue {
  public:
-  ShardedQueue(std::size_t shards, std::size_t capacity, StealPolicy policy)
-      : policy_(policy), shards_(shards == 0 ? 1 : shards) {
+  ShardedQueue(std::size_t shards, std::size_t capacity)
+      : shards_(shards == 0 ? 1 : shards) {
     shard_capacity_ = (capacity + shards_.size() - 1) / shards_.size();
     if (shard_capacity_ == 0) shard_capacity_ = 1;
   }
@@ -127,7 +116,7 @@ class ShardedQueue {
     // tightens backpressure, it only moves fresh items off parked shards.
     const std::size_t route = route_limit_.load(std::memory_order_relaxed);
     const std::size_t primary = static_cast<std::size_t>(ticket % route);
-    if (push_to(primary, ticket, item)) return true;
+    if (push_to(primary, item)) return true;
     // Round-robin target full: fall back to the shallowest live shard with
     // space.
     std::size_t best = n;
@@ -140,12 +129,12 @@ class ShardedQueue {
         best_depth = d;
       }
     }
-    if (best < n && push_to(best, ticket, item)) return true;
+    if (best < n && push_to(best, item)) return true;
     // The shallowest candidate raced full (or none had space): try the rest
     // so failure really means "every shard full", not "lost a race".
     for (std::size_t s = 0; s < n; ++s) {
       if (s == primary || s == best) continue;
-      if (push_to(s, ticket, item)) return true;
+      if (push_to(s, item)) return true;
     }
     return false;
   }
@@ -195,9 +184,7 @@ class ShardedQueue {
       const std::size_t cap = detail::adaptive_drain_cap(
           total_items_.load(), adaptive_share, max_items);
       // "Stolen" means serving a sibling's backlog because this worker's
-      // own shard was dry — the fairness event worth counting.  Under
-      // kOldestHead an off-shard pop with items still at home is just the
-      // ordering policy at work, not a steal.
+      // own shard was dry — the fairness event worth counting.
       const bool own_empty = shards_[own].depth.load() == 0;
       const std::size_t source = pick_shard(own);
       if (source < n) {
@@ -243,12 +230,10 @@ class ShardedQueue {
                        std::memory_order_relaxed);
   }
 
-  /// Topology hint: NUMA node per shard (index = shard).  Under kDeepest a
-  /// worker whose own shard runs dry steals from the deepest *same-node*
-  /// shard before crossing nodes.  Must be set before workers start popping
-  /// (the pipeline constructor does) — it is read without synchronization.
-  /// kOldestHead ignores it: ordered-mode progress (steering the puller to
-  /// the next-to-emit item) outranks locality.
+  /// Topology hint: NUMA node per shard (index = shard).  A worker whose
+  /// own shard runs dry steals from the deepest *same-node* shard before
+  /// crossing nodes.  Must be set before workers start popping (the
+  /// pipeline constructor does) — it is read without synchronization.
   void set_shard_nodes(std::vector<int> nodes) {
     shard_nodes_ = std::move(nodes);
     shard_nodes_.resize(shards_.size(), 0);
@@ -262,32 +247,22 @@ class ShardedQueue {
   std::size_t depth_high_water() const { return depth_high_water_.load(); }
 
  private:
-  static constexpr std::uint64_t kNoTicket =
-      std::numeric_limits<std::uint64_t>::max();
-
-  struct Entry {
-    std::uint64_t ticket = 0;
-    T value;
-  };
-
   /// One lock + FIFO per shard, padded so neighbouring shard mutexes don't
-  /// share a cache line.  `depth` and `head_ticket` mirror the locked state
-  /// for lock-free victim selection (heuristic reads only — takes re-check
-  /// under the shard lock).
+  /// share a cache line.  `depth` mirrors the locked size for lock-free
+  /// victim selection (a heuristic read only — takes re-check under the
+  /// shard lock).
   struct alignas(64) Shard {
     mutable std::mutex m;
-    std::deque<Entry> q;
+    std::deque<T> q;
     std::atomic<std::size_t> depth{0};
-    std::atomic<std::uint64_t> head_ticket{kNoTicket};
   };
 
-  bool push_to(std::size_t s, std::uint64_t ticket, T& item) {
+  bool push_to(std::size_t s, T& item) {
     Shard& sh = shards_[s];
     {
       std::lock_guard<std::mutex> lock(sh.m);
       if (closed_.load() || sh.q.size() >= shard_capacity_) return false;
-      if (sh.q.empty()) sh.head_ticket.store(ticket);
-      sh.q.push_back(Entry{ticket, std::move(item)});
+      sh.q.push_back(std::move(item));
       sh.depth.store(sh.q.size());
       // Inside the shard lock: an item visible in the deque is always
       // counted, so take_from's decrement (which needs this lock first)
@@ -332,12 +307,11 @@ class ShardedQueue {
     {
       std::lock_guard<std::mutex> lock(sh.m);
       while (got < max_items && !sh.q.empty()) {
-        out.push_back(std::move(sh.q.front().value));
+        out.push_back(std::move(sh.q.front()));
         sh.q.pop_front();
         ++got;
       }
       sh.depth.store(sh.q.size());
-      sh.head_ticket.store(sh.q.empty() ? kNoTicket : sh.q.front().ticket);
     }
     if (got > 0) {
       total_items_.fetch_sub(got);
@@ -350,25 +324,11 @@ class ShardedQueue {
   }
 
   /// Pick the shard to pop from; returns the shard count when all look
-  /// empty.
+  /// empty.  The worker's own shard first, then the deepest shard on its
+  /// own NUMA node (cheap steal: the deque's lines are already local), then
+  /// the deepest anywhere.
   std::size_t pick_shard(std::size_t own) const {
     const std::size_t n = shards_.size();
-    if (policy_ == StealPolicy::kOldestHead) {
-      std::size_t best = n;
-      std::uint64_t best_ticket = kNoTicket;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (shards_[s].depth.load() == 0) continue;
-        const std::uint64_t t = shards_[s].head_ticket.load();
-        if (best == n || t < best_ticket || (t == best_ticket && s == own)) {
-          best = s;
-          best_ticket = t;
-        }
-      }
-      return best;
-    }
-    // kDeepest: drain the worker's own shard first, then the deepest shard
-    // on the worker's own NUMA node (cheap steal: the deque's lines are
-    // already local), then the deepest anywhere.
     if (shards_[own].depth.load() > 0) return own;
     const bool have_nodes = !shard_nodes_.empty();
     const int own_node = have_nodes ? shard_nodes_[own] : 0;
@@ -395,7 +355,6 @@ class ShardedQueue {
     return false;
   }
 
-  StealPolicy policy_;
   std::vector<Shard> shards_;
   std::size_t shard_capacity_ = 1;
   /// NUMA node per shard (empty = no topology hint); written once before

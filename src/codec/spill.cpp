@@ -25,6 +25,10 @@ constexpr std::uint64_t kRecordOverheadBytes = 16 + 4;  // header + crc
 // allocation ahead of the CRC check, while leaving orders of magnitude of
 // headroom over any real record.
 constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 28;  // 256 MiB
+// Spilled wedge shape caps, mirroring WedgeEnvelope deserialization.
+constexpr std::uint64_t kMaxWedgeRank = 8;
+constexpr std::int64_t kMaxWedgeDim = std::int64_t{1} << 20;
+constexpr std::int64_t kMaxWedgeElems = std::int64_t{1} << 28;
 
 std::uint64_t process_id() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -62,6 +66,39 @@ SpillRecord read_spill_record(std::istream& is) {
                                std::to_string(seq) + ")");
   }
   return rec;
+}
+
+void write_spilled_wedge(std::ostream& os, const core::Tensor& wedge) {
+  const auto& shape = wedge.shape();
+  util::write_u64(os, shape.size());
+  for (const auto d : shape) util::write_i64(os, d);
+  util::write_bytes(os, wedge.data(),
+                    static_cast<std::size_t>(wedge.numel()) * sizeof(float));
+}
+
+core::Tensor read_spilled_wedge(std::istream& is) {
+  const std::uint64_t rank = util::read_u64(is);
+  if (rank > kMaxWedgeRank) {
+    throw util::SerializeError("spilled wedge rank implausible: " +
+                               std::to_string(rank));
+  }
+  core::Shape shape(rank);
+  std::int64_t numel = 1;
+  for (auto& d : shape) {
+    d = util::read_i64(is);
+    if (d <= 0 || d > kMaxWedgeDim) {
+      throw util::SerializeError("spilled wedge dim implausible: " +
+                                 std::to_string(d));
+    }
+    if (numel > kMaxWedgeElems / d) {
+      throw util::SerializeError("spilled wedge element count implausible");
+    }
+    numel *= d;
+  }
+  core::Tensor wedge(std::move(shape));
+  util::read_bytes(is, wedge.data(),
+                   static_cast<std::size_t>(numel) * sizeof(float));
+  return wedge;
 }
 
 SpillLog::SpillLog(SpillOptions options) : options_(std::move(options)) {

@@ -51,6 +51,9 @@
 /// `SpillReader` is the offline half: it parses one segment file from
 /// scratch (no index), validating magic, version and per-record CRC, for
 /// replay-after-close recovery and the fault-injection tests.
+///
+/// `write_spilled_wedge` / `read_spilled_wedge` are the one raw-wedge record
+/// body, shared by StreamCompressor's spill codec and CompressionService's.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +64,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "core/tensor.hpp"
 
 namespace nc::codec {
 
@@ -104,6 +109,16 @@ struct SpillSegmentHeader {
 /// version, or truncation.  Shared by SpillReader and the fuzz harness so
 /// in-memory fuzzing drives exactly the file-open code path.
 SpillSegmentHeader read_spill_segment_header(std::istream& is);
+
+/// Raw wedge body of a spill record: u64 rank, i64 dims, fp32 data.
+/// Spilling happens because the encoder cannot keep up, so the bytes cost no
+/// model forward.
+void write_spilled_wedge(std::ostream& os, const core::Tensor& wedge);
+
+/// Inverse of write_spilled_wedge.  Throws util::SerializeError on
+/// truncation or an implausible shape (rank > 8, a dim outside
+/// [1, 2^20], more than 2^28 elements), before allocating the tensor.
+core::Tensor read_spilled_wedge(std::istream& is);
 
 /// Disk-backed FIFO of spill records (see file comment).
 class SpillLog {

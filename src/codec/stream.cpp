@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "codec/spill.hpp"
 #include "util/serialize.hpp"
 
 namespace nc::codec {
@@ -9,49 +10,19 @@ namespace nc::codec {
 namespace {
 
 // --- spill codecs -----------------------------------------------------------
-// Raw (uncompressed) serializers for the overflow tier: spilling exists
-// precisely because the encoder cannot keep up, so the bytes written under
-// pressure must cost no model forwards.  Caps mirror WedgeEnvelope
-// deserialization: corrupt spill payloads throw SerializeError (the drainer
-// counts them as failed) instead of driving giant allocations.
-
-constexpr std::int64_t kMaxSpillDim = std::int64_t{1} << 20;
-constexpr std::int64_t kMaxSpillElems = std::int64_t{1} << 28;
+// The write side spills raw wedges (spill.hpp), the read side serialized
+// envelopes.  Corrupt payloads throw SerializeError (the drainer counts them
+// as failed).
 
 std::string encode_wedge_spill(const core::Tensor& wedge) {
   std::ostringstream os;
-  const auto& shape = wedge.shape();
-  util::write_u64(os, shape.size());
-  for (const auto d : shape) util::write_i64(os, d);
-  util::write_bytes(os, wedge.data(),
-                    static_cast<std::size_t>(wedge.numel()) * sizeof(float));
+  write_spilled_wedge(os, wedge);
   return os.str();
 }
 
 core::Tensor decode_wedge_spill(const std::string& bytes) {
   std::istringstream is(bytes);
-  const std::uint64_t rank = util::read_u64(is);
-  if (rank > 8) {
-    throw util::SerializeError("spilled wedge rank implausible: " +
-                               std::to_string(rank));
-  }
-  core::Shape shape(rank);
-  std::int64_t numel = 1;
-  for (auto& d : shape) {
-    d = util::read_i64(is);
-    if (d <= 0 || d > kMaxSpillDim) {
-      throw util::SerializeError("spilled wedge dim implausible: " +
-                                 std::to_string(d));
-    }
-    if (numel > kMaxSpillElems / d) {
-      throw util::SerializeError("spilled wedge element count implausible");
-    }
-    numel *= d;
-  }
-  core::Tensor wedge(std::move(shape));
-  util::read_bytes(is, wedge.data(),
-                   static_cast<std::size_t>(numel) * sizeof(float));
-  return wedge;
+  return read_spilled_wedge(is);
 }
 
 std::string encode_envelope_spill(const WedgeEnvelope& env) {
@@ -108,22 +79,6 @@ StreamCompressor::StreamCompressor(const WedgeCodec& codec,
                                                      WedgeEnvelope&& env) {
                          s(std::move(env));
                        })) {}
-
-StreamCompressor::StreamCompressor(const WedgeCodec& codec,
-                                   std::size_t queue_capacity,
-                                   std::size_t batch_size, Sink sink)
-    : StreamCompressor(
-          codec,
-          [&] {
-            // Legacy single-worker shape: one worker drains a one-shard
-            // intake, a plain bounded FIFO.
-            StreamOptions opt;
-            opt.queue_capacity = queue_capacity;
-            opt.batch_size = batch_size;
-            opt.n_workers = 1;
-            return opt;
-          }(),
-          std::move(sink)) {}
 
 StreamDecompressor::StreamDecompressor(const WedgeCodec& codec,
                                        const StreamOptions& options,

@@ -48,9 +48,6 @@ class StreamCompressor {
                    SeqSink sink);
   StreamCompressor(const WedgeCodec& codec, const StreamOptions& options,
                    Sink sink);
-  /// Legacy single-worker construction (unordered).
-  StreamCompressor(const WedgeCodec& codec, std::size_t queue_capacity,
-                   std::size_t batch_size, Sink sink);
 
   StreamCompressor(const StreamCompressor&) = delete;
   StreamCompressor& operator=(const StreamCompressor&) = delete;

@@ -22,7 +22,7 @@
 ///    order; the sink receives it alongside the payload.  A popped batch is
 ///    ascending in sequence number (per-shard FIFO).  With one worker the
 ///    numbers are also contiguous; with several, batches may have gaps
-///    (items routed to sibling shards), which the reorder buffer tolerates.
+///    (items routed to sibling shards), which the ordered cursor tolerates.
 ///  * Adaptive batching: each worker sizes its next drain from the current
 ///    intake depth — toward `batch_size` when the pipeline is backed up
 ///    (throughput), toward 1 when lightly loaded (latency, and batches
@@ -31,18 +31,13 @@
 ///  * Unordered mode (default): workers invoke the sink as soon as a batch
 ///    finishes, possibly concurrently — the sink must be thread-safe when
 ///    `n_workers > 1`.
-///  * Ordered mode: outputs pass through a reorder buffer and the sink sees
-///    strictly increasing sequence numbers; sink invocations are serialized,
-///    so the sink needs no internal locking.  `reorder_capacity` bounds how
-///    far ahead of the emit cursor the buffer may grow: when it fills,
-///    workers holding later sequence numbers block until the cursor advances.
-///    The bound is per-batch soft — a passing batch may overshoot by up to
-///    `batch_size` entries.  Progress guarantee: the worker holding the
-///    next-to-emit batch always passes, and if the next-to-emit item is
-///    still in the intake while every other worker is parked on the bound,
-///    the last arriving worker passes anyway (gate escape) and goes back to
-///    pop — the intake's `kOldestHead` steal policy then steers it
-///    straight to that item, so the overshoot stays small.
+///  * Ordered mode: outputs pass through a `Reorderer` (reorderer.hpp), the
+///    cursor every CompressionService session uses too.  Sink calls never
+///    overlap and see strictly increasing sequence numbers, so the sink
+///    needs no internal locking, and a failed item is a gap that advances
+///    the cursor.  The sink runs outside the pipeline's locks.  The buffer
+///    is unbounded: while a head-of-line batch stalls, the outputs that
+///    finish behind it wait in memory.
 ///  * A transform failure (throw, or wrong output count) drops the whole
 ///    batch into `wedges_failed` without killing the worker (a dead worker
 ///    turns blocking submits into a deadlock) or stalling the ordered cursor.
@@ -53,16 +48,13 @@
 ///    its already-reserved sequence number.  A drainer thread replays
 ///    spilled items back into the intake (oldest first — spill appends are
 ///    serialized under the submit mutex, so spill order is seq order)
-///    whenever depth falls to `spill_low_water`, and `finish()` replays
-///    everything left before closing the intake, so backpressure is
+///    whenever depth falls to half the intake capacity, and `finish()`
+///    replays everything left before closing the intake, so backpressure is
 ///    lossless: `wedges_dropped` stays 0 unless the spill itself fails
 ///    (unwritable disk, `spill_max_bytes` quota — the disk-full containment
 ///    path) or the pipeline is already finishing.  Replayed items re-enter
 ///    the intake out of arrival order relative to fresh submissions; the
-///    ordered mode tolerates that (the reorder gate keys on the true batch
-///    minimum, and the gate escape keeps a bounded buffer live while the
-///    next-to-emit item is still on disk), at the cost of reorder-buffer
-///    overshoot proportional to the spilled backlog in the worst case.
+///    ordered cursor holds whatever finishes ahead of them.
 ///  * Elastic pool (`StreamOptions::elastic`, off by default): the pipeline
 ///    spawns `max_workers` threads up front and varies how many are *live*
 ///    between `min_workers` and `max_workers` — surplus workers park on a
@@ -70,13 +62,11 @@
 ///    a thread spawn.  A controller thread (autoscale.hpp holds the pure
 ///    decision policy) samples intake depth, busy fraction and spill
 ///    activity every `scale_interval_s`; `scale_interval_s == 0` is manual
-///    mode, driven by `set_live_workers()`.  Parked workers leave the
-///    ordered gate's `workers_alive_` count (the same protocol as worker
-///    exit), so the gate escape and the spill drainer stay correct while
-///    the live set changes.  With `pin_workers`, workers are pinned
-///    node-major over the allowed CPU set (util/topology.hpp) and intake
-///    shards are homed on their owner's NUMA node so depth-based steals
-///    prefer same-node shards; unsupported platforms degrade to a no-op.
+///    mode, driven by `set_live_workers()`.  With `pin_workers`, workers are
+///    pinned node-major over the allowed CPU set (util/topology.hpp) and
+///    intake shards are homed on their owner's NUMA node so depth-based
+///    steals prefer same-node shards; unsupported platforms degrade to a
+///    no-op.
 ///  * One scheduler (util/parallel.hpp): the core budget is the OpenMP team
 ///    width of the thread that constructed the pipeline.  Before every batch
 ///    a worker sets its own thread's width to budget / live workers (at
@@ -84,7 +74,7 @@
 ///    the budget instead of each forking a full team inside the transform.
 ///  * `finish()` is idempotent (atomic exchange) and safe to call from any
 ///    thread, including implicitly via the destructor after an explicit
-///    `finish()`.
+///    `finish()`.  It returns after the last sink call.
 ///
 /// Timing: per-worker `active_s` is thread-time spent in transform+sink; the
 /// aggregate `elapsed_s` is the union of busy intervals (wall time during
@@ -98,7 +88,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -107,6 +96,7 @@
 #include <vector>
 
 #include "codec/autoscale.hpp"
+#include "codec/reorderer.hpp"
 #include "codec/sharded_queue.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
@@ -125,14 +115,10 @@ struct StreamOptions {
   std::size_t batch_size = 8;      ///< max items per transform pass (Fig. 6)
   std::size_t n_workers = 1;       ///< worker threads draining the intake
   bool ordered = false;            ///< reorder output to submission order
-  /// Ordered mode only: max outputs buffered ahead of the emit cursor before
-  /// workers block (0 = unbounded).  Bounds memory when one worker stalls on
-  /// a slow batch while the others race ahead; soft by up to one batch.
-  std::size_t reorder_capacity = 0;
   /// Spill tier: when non-empty, submits that would drop on a full intake
   /// are serialized into segment files under this directory instead
-  /// (lossless backpressure) and replayed once depth falls back to
-  /// spill_low_water.  Requires a SpillCodec at pipeline construction.
+  /// (lossless backpressure) and replayed once depth falls back to half the
+  /// intake capacity.  Requires a SpillCodec at pipeline construction.
   /// Give each pipeline its own directory (segments are instance-prefixed,
   /// so sharing one merely mixes unrelated files).
   std::string spill_dir;
@@ -141,9 +127,6 @@ struct StreamOptions {
   /// submit alike — with a spill tier, even the blocking submit never
   /// blocks past the deadline.
   double spill_deadline_s = 0.0;
-  /// Replay threshold: the drainer re-injects spilled items whenever intake
-  /// depth is at or below this (0 = half the effective intake capacity).
-  std::size_t spill_low_water = 0;
   /// Cap on on-disk spill bytes (0 = unbounded).  An append that would
   /// exceed it fails that wedge into wedges_dropped — the disk-full
   /// containment path — without poisoning the tier.
@@ -172,8 +155,6 @@ struct StreamOptions {
   double scale_interval_s = 0.02;
   std::size_t scale_window = 8;    ///< samples per scaling decision
   std::size_t scale_cooldown = 4;  ///< hold ticks after a decision (hysteresis)
-  double scale_up_depth = 0.5;     ///< avg depth fraction triggering scale-up
-  double scale_down_busy = 0.25;   ///< avg busy fraction allowing scale-down
   /// Pin each worker to a core (node-major over the allowed CPU set) and
   /// home each intake shard on its owner's NUMA node, so steals prefer
   /// same-node shards.  Graceful no-op where affinity is unsupported (or
@@ -293,14 +274,8 @@ class StreamPipeline {
         spill_codec_(std::move(spill_codec)),
         // One shard per pool slot, keyed on the ceiling so an elastic pool
         // born with one live worker still has a shard for every worker it
-        // may wake.  Ordered pipelines with a bounded reorder buffer pop
-        // oldest-first so the buffer stays shallow and the gate escape
-        // resolves quickly; everything else steals by depth for throughput.
-        intake_(options_.max_workers, options_.queue_capacity,
-                options_.ordered && options_.reorder_capacity > 0
-                    ? StealPolicy::kOldestHead
-                    : StealPolicy::kDeepest),
-        workers_alive_(options_.max_workers) {
+        // may wake.
+        intake_(options_.max_workers, options_.queue_capacity) {
     // Stand the spill tier up before any thread exists: a SpillLog failure
     // (unwritable dir) must abort construction cleanly, not orphan workers.
     if (!options_.spill_dir.empty()) {
@@ -314,10 +289,6 @@ class StreamPipeline {
       sopt.keep = options_.spill_keep;
       sopt.codec_id = options_.spill_codec_id;
       spill_ = std::make_unique<SpillLog>(sopt);
-      spill_low_water_ =
-          options_.spill_low_water != 0
-              ? std::min(options_.spill_low_water, intake_.capacity())
-              : intake_.capacity() / 2;
       drainer_ = std::thread([this] { drainer_loop(); });
     }
     // Topology plan (before any worker exists: placement_ and shard homes
@@ -332,7 +303,7 @@ class StreamPipeline {
         // pinning worker 0 to cpu 0.
         placement_ = util::claim_cpu_slots(options_.max_workers);
         if (!placement_.empty()) {
-          // Home each shard on its owner slot's node so kDeepest steals can
+          // Home each shard on its owner slot's node so depth-based steals can
           // prefer same-node shards.
           std::vector<int> nodes(options_.max_workers);
           for (std::size_t s = 0; s < nodes.size(); ++s) {
@@ -368,8 +339,8 @@ class StreamPipeline {
   bool try_submit(In item) {
     // Counters update under the same lock as the push: a concurrent finish()
     // snapshot must never see a processed item missing from wedges_in.  The
-    // lock also serializes pushes, so intake order matches seq order — the
-    // property the ordered mode's progress argument rests on.
+    // lock also serializes pushes, so intake order matches seq order and a
+    // popped batch is ascending.
     {
       std::lock_guard<std::mutex> lock(submit_mutex_);
       if (!spill_) {
@@ -655,11 +626,11 @@ class StreamPipeline {
   }
 
   /// True when the drainer should replay now: something is pending and
-  /// either the pipeline is finishing or the intake has drained to the
-  /// low-water mark.
+  /// either the pipeline is finishing or the intake has drained to half its
+  /// capacity.
   bool should_replay_locked() const {  ///< caller holds drainer_mutex_
     return spill_->pending() > 0 &&
-           (final_drain_ || intake_.size() <= spill_low_water_);
+           (final_drain_ || intake_.size() <= intake_.capacity() / 2);
   }
 
   /// Spill drainer: with nothing pending it parks indefinitely (a spill
@@ -744,28 +715,13 @@ class StreamPipeline {
   }
 
   /// Park this worker until the live target includes its index again (or
-  /// shutdown).  A parked worker leaves workers_alive_ under reorder_mutex_
-  /// — the same protocol as worker exit — so the ordered gate escape keeps
-  /// counting only workers that can actually pop; without that, a
-  /// scale-down with a full reorder buffer would deadlock the gate waiting
-  /// for a popper that is asleep.
+  /// shutdown).
   void park_for_scale(std::size_t worker_index) {
-    {
-      std::lock_guard<std::mutex> lock(reorder_mutex_);
-      --workers_alive_;
-    }
-    reorder_cv_.notify_all();
-    {
-      std::unique_lock<std::mutex> lock(scale_mutex_);
-      scale_cv_.wait(lock, [&] {
-        return scale_closing_.load(std::memory_order_relaxed) ||
-               worker_index < live_target_.load(std::memory_order_relaxed);
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(reorder_mutex_);
-      ++workers_alive_;
-    }
+    std::unique_lock<std::mutex> lock(scale_mutex_);
+    scale_cv_.wait(lock, [&] {
+      return scale_closing_.load(std::memory_order_relaxed) ||
+             worker_index < live_target_.load(std::memory_order_relaxed);
+    });
   }
 
   /// Elastic controller thread: the thin impure driver around the pure
@@ -778,8 +734,6 @@ class StreamPipeline {
     cfg.max_workers = options_.max_workers;
     cfg.window = options_.scale_window;
     cfg.cooldown = options_.scale_cooldown;
-    cfg.up_depth = options_.scale_up_depth;
-    cfg.down_busy = options_.scale_down_busy;
     AutoscaleController ctl(cfg, live_target_.load(std::memory_order_relaxed));
     const auto interval = std::chrono::duration_cast<std::chrono::nanoseconds>(
         std::chrono::duration<double>(options_.scale_interval_s));
@@ -818,34 +772,6 @@ class StreamPipeline {
     }
   }
 
-  /// Ordered mode: block while the reorder buffer is at capacity, unless
-  /// this batch can advance the emit cursor (its minimum sequence number is
-  /// at or below next_emit_) — that batch must always pass or nothing would
-  /// ever drain.  Without the spill tier a batch's sequence numbers are
-  /// ascending (FIFO pop within its source shard) and seqs.front() is the
-  /// minimum; a replayed spill item re-enters the intake with an *older*
-  /// seq than its shard neighbours, so callers pass the true minimum.
-  ///
-  /// Gate escape: across several shards pops are not globally FIFO, so the
-  /// next-to-emit item can still sit in a shard while every live worker
-  /// holds a later batch — without an escape that is a deadlock (everyone
-  /// parked here, nobody left to pop it).  The last free worker therefore
-  /// passes the gate anyway (detected as gate_waiters_ == workers_alive_ at
-  /// wait entry: nobody else can pop), overshooting the bound by its batch,
-  /// and returns to the intake — where the kOldestHead steal policy sends
-  /// it to the oldest pending item, i.e. toward next_emit_.
-  void wait_for_reorder_space_locked(std::unique_lock<std::mutex>& lock,
-                                     std::uint64_t min_seq) {
-    if (options_.reorder_capacity == 0) return;
-    ++gate_waiters_;
-    reorder_cv_.wait(lock, [&] {
-      return min_seq <= next_emit_ ||
-             reorder_.size() < options_.reorder_capacity ||
-             gate_waiters_ >= workers_alive_;
-    });
-    --gate_waiters_;
-  }
-
   void emit_batch(const std::vector<std::uint64_t>& seqs,
                   std::vector<Out>&& outputs) {
     if (!options_.ordered) {
@@ -855,53 +781,18 @@ class StreamPipeline {
       return;
     }
     std::unique_lock<std::mutex> lock(reorder_mutex_);
-    wait_for_reorder_space_locked(lock,
-                                  *std::min_element(seqs.begin(), seqs.end()));
     for (std::size_t i = 0; i < outputs.size(); ++i) {
-      reorder_.emplace(seqs[i], std::move(outputs[i]));
+      reorder_.put(seqs[i], std::move(outputs[i]));
     }
-    drain_reorder_locked();
+    reorder_.drain(lock, sink_);
   }
 
+  /// Ordered mode: failed items are gaps that advance the cursor.
   void skip_seqs(const std::vector<std::uint64_t>& seqs) {
     if (!options_.ordered || seqs.empty()) return;
     std::unique_lock<std::mutex> lock(reorder_mutex_);
-    // Skips occupy reorder slots too (they hold the cursor open), so they
-    // respect the same capacity bound as real outputs.
-    wait_for_reorder_space_locked(lock,
-                                  *std::min_element(seqs.begin(), seqs.end()));
-    for (const auto seq : seqs) {
-      // Defensive: today callers only skip never-emitted batches, but a seq
-      // below the emit cursor would wedge the buffer on a key that can never
-      // match next_emit_ again, so keep the guard.
-      if (seq >= next_emit_) reorder_.emplace(seq, std::nullopt);
-    }
-    drain_reorder_locked();
-  }
-
-  void drain_reorder_locked() {  ///< caller holds reorder_mutex_
-    bool advanced = false;
-    while (!reorder_.empty() && reorder_.begin()->first == next_emit_) {
-      auto node = reorder_.extract(reorder_.begin());
-      // Advance the cursor before invoking the sink: if the sink throws,
-      // that item is lost but the stream keeps flowing instead of stalling
-      // on a sequence number that was already extracted.
-      ++next_emit_;
-      advanced = true;
-      if (node.mapped().has_value()) {
-        try {
-          sink_(node.key(), std::move(*node.mapped()));
-        } catch (const std::exception& e) {
-          // Swallow here: drain runs from worker catch handlers too (via
-          // skip_seqs), where a second throw would escape the thread and
-          // terminate the process.
-          NC_LOG_WARN << "ordered sink failed for item " << node.key() << ": "
-                      << e.what();
-        }
-      }
-    }
-    // Freed slots / advanced cursor: wake workers parked on the capacity.
-    if (advanced && options_.reorder_capacity != 0) reorder_cv_.notify_all();
+    for (const auto seq : seqs) reorder_.put(seq, std::nullopt);
+    reorder_.drain(lock, sink_);
   }
 
   void worker_loop(std::size_t worker_index) {
@@ -999,14 +890,6 @@ class StreamPipeline {
       ws.active_s += timer.elapsed_s();
       exit_busy();
     }
-    // This thread is done popping: shrink the live-worker count the gate
-    // escape compares against and re-evaluate any parked waiter, so a
-    // shutdown can never strand a worker waiting for a popper that exited.
-    {
-      std::lock_guard<std::mutex> lock(reorder_mutex_);
-      --workers_alive_;
-    }
-    reorder_cv_.notify_all();
   }
 
   StreamOptions options_;
@@ -1030,7 +913,6 @@ class StreamPipeline {
   // submit_mutex_ (sealed by finish() before the final drain, mutually
   // exclusive with every append); final_drain_ by drainer_mutex_.
   std::unique_ptr<SpillLog> spill_;
-  std::size_t spill_low_water_ = 0;
   bool spill_closed_ = false;
   std::mutex drainer_mutex_;
   std::condition_variable drainer_cv_;
@@ -1045,14 +927,9 @@ class StreamPipeline {
   util::Timer busy_timer_;
   double busy_s_ = 0.0;
 
-  // Ordered-sink reorder buffer.  nullopt marks a failed item whose
-  // sequence number must still advance the emit cursor.
+  // Ordered mode's emit cursor, guarded by reorder_mutex_.
   std::mutex reorder_mutex_;
-  std::condition_variable reorder_cv_;  ///< capacity waiters (ordered mode)
-  std::map<std::uint64_t, std::optional<Out>> reorder_;
-  std::uint64_t next_emit_ = 0;
-  std::size_t gate_waiters_ = 0;   ///< workers parked on the reorder bound
-  std::size_t workers_alive_ = 0;  ///< workers still popping (gate escape)
+  Reorderer<Out> reorder_;
 
   std::vector<WorkerStats> worker_stats_;
   std::vector<std::thread> workers_;

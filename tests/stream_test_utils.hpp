@@ -2,9 +2,8 @@
 /// \brief Shared scaffolding for the streaming suites (test_stream_pipeline,
 ///        test_stream_decompress, test_sharded_intake, test_spill).
 ///
-/// Several suites need a worker stalled mid-transform (to pin down reorder
-/// bounds, steal fairness, adaptive batching) and sinks that record what
-/// arrived.  That machinery was copy-pasted three times before this header
+/// Several suites need a worker stalled mid-transform (to pin down steal
+/// fairness, adaptive batching) and sinks that record what arrived.  That machinery was copy-pasted three times before this header
 /// existed — keep it here so a fourth suite can't drift.
 #pragma once
 

@@ -41,6 +41,15 @@ Tensor raw_wedge(std::size_t i) {
   return nc::tpc::clip_horizontal(ds.train().at(i), ds.valid_horiz());
 }
 
+/// One worker draining a bounded intake in batches of `batch_size`.
+nc::codec::StreamOptions one_worker(std::size_t queue_capacity,
+                                    std::size_t batch_size) {
+  nc::codec::StreamOptions opt;
+  opt.queue_capacity = queue_capacity;
+  opt.batch_size = batch_size;
+  return opt;
+}
+
 TEST(BcaeCodec, CompressProducesDeclaredRatio) {
   auto model = nc::bcae::make_bcae_2d(nc::bcae::Bcae2dConfig{}, 31);
   BcaeCodec codec(model, Mode::kEval);
@@ -140,7 +149,7 @@ TEST(StreamCompressor, CompressesEverySubmittedWedge) {
   std::atomic<int> received{0};
   std::atomic<std::int64_t> bytes{0};
   nc::codec::StreamCompressor stream(
-      codec, /*queue_capacity=*/64, /*batch_size=*/4,
+      codec, one_worker(/*queue_capacity=*/64, /*batch_size=*/4),
       [&](WedgeEnvelope&& cw) {
         received.fetch_add(1);
         bytes.fetch_add(cw.payload_bytes());
@@ -160,9 +169,9 @@ TEST(StreamCompressor, CountsDropsUnderBackpressure) {
   auto model = nc::bcae::make_bcae_ht(45);
   BcaeWedgeCodec codec(model, Mode::kEval);
   // Tiny queue + a sink that can't be outrun: some try_submits must fail.
-  nc::codec::StreamCompressor stream(codec, /*queue_capacity=*/1,
-                                     /*batch_size=*/1,
-                                     [](WedgeEnvelope&&) {});
+  nc::codec::StreamCompressor stream(
+      codec, one_worker(/*queue_capacity=*/1, /*batch_size=*/1),
+      [](WedgeEnvelope&&) {});
   int accepted = 0;
   const int offered = 200;
   for (int i = 0; i < offered; ++i) {
@@ -372,7 +381,7 @@ TEST(StreamCompressor, DoubleFinishIsIdempotent) {
   std::atomic<int> received{0};
   {
     nc::codec::StreamCompressor stream(
-        codec, /*queue_capacity=*/8, /*batch_size=*/2,
+        codec, one_worker(/*queue_capacity=*/8, /*batch_size=*/2),
         [&](WedgeEnvelope&&) { received.fetch_add(1); });
     for (int i = 0; i < 5; ++i) stream.submit(raw_wedge(static_cast<std::size_t>(i)));
     const auto first = stream.finish();
@@ -391,7 +400,7 @@ TEST(StreamCompressor, FinishFromAnotherThreadThenDestroy) {
   std::atomic<int> received{0};
   {
     nc::codec::StreamCompressor stream(
-        codec, /*queue_capacity=*/8, /*batch_size=*/2,
+        codec, one_worker(/*queue_capacity=*/8, /*batch_size=*/2),
         [&](WedgeEnvelope&&) { received.fetch_add(1); });
     for (int i = 0; i < 4; ++i) stream.submit(raw_wedge(static_cast<std::size_t>(i)));
     std::thread finisher([&] { (void)stream.finish(); });
@@ -404,9 +413,9 @@ TEST(StreamCompressor, SubmitAfterFinishCountsAsDropped) {
   auto model = nc::bcae::make_bcae_ht(47);
   BcaeWedgeCodec codec(model, Mode::kEval);
   std::atomic<int> received{0};
-  nc::codec::StreamCompressor stream(codec, /*queue_capacity=*/8,
-                                     /*batch_size=*/2,
-                                     [&](WedgeEnvelope&&) { received.fetch_add(1); });
+  nc::codec::StreamCompressor stream(
+      codec, one_worker(/*queue_capacity=*/8, /*batch_size=*/2),
+      [&](WedgeEnvelope&&) { received.fetch_add(1); });
   const int n = 3;
   for (int i = 0; i < n; ++i) stream.submit(raw_wedge(static_cast<std::size_t>(i)));
   (void)stream.finish();

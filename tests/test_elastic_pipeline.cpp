@@ -158,15 +158,13 @@ TEST_P(ElasticPipelineIntake, StaticPoolIgnoresScaling) {
 }
 
 TEST_P(ElasticPipelineIntake, OrderedIdentitySurvivesConcurrentScaling) {
-  // The hard invariant: the bounded reorder gate's escape condition counts
-  // live poppers, and parking removes a worker from that count — so ordered
-  // emission must stay a loss-free identity while a scaler thread yo-yos
-  // the live set under load.
+  // Ordered emission must stay a loss-free identity while a scaler thread
+  // yo-yos the live set under load: a worker parks only between batches,
+  // so no output is ever stranded ahead of the cursor.
   StreamOptions opt = elastic_options();
   opt.queue_capacity = 16;
   opt.batch_size = 4;
   opt.ordered = true;
-  opt.reorder_capacity = 8;  // tight bound: force gate traffic
   nc::testutil::SeqLog log;
   IntPipeline pipeline(
       opt,
@@ -222,7 +220,6 @@ TEST_P(ElasticPipelineIntake, SpillReplaySurvivesConcurrentScaling) {
   opt.queue_capacity = 4;
   opt.batch_size = 2;
   opt.ordered = true;
-  opt.reorder_capacity = 8;
   opt.spill_dir = fresh_dir();
   nc::testutil::SeqLog log;
   IntPipeline pipeline(

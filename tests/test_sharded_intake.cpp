@@ -1,4 +1,4 @@
-/// Sharded work-stealing intake: shard routing, steal policies, cross-shard
+/// Sharded work-stealing intake: shard routing, stealing, cross-shard
 /// backpressure, the pop_batch terminal contract, and — at the pipeline
 /// level — the fairness guarantee the stealing exists for: a stalled
 /// worker's shard backlog is drained by its siblings, so no wedge is ever
@@ -19,7 +19,6 @@
 namespace {
 
 using nc::codec::ShardedQueue;
-using nc::codec::StealPolicy;
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
@@ -32,9 +31,9 @@ using nc::testutil::StallLatch;
 
 TEST(ShardedQueue, RoundRobinRoutesAcrossShardsAndOwnShardDrainsFirst) {
   // Tickets 0..5 round-robin over 2 shards: shard0 = {0,2,4}, shard1 =
-  // {1,3,5}.  Under kDeepest a worker drains its own shard first (not
-  // stolen), then steals the sibling's batch.
-  ShardedQueue<int> q(/*shards=*/2, /*capacity=*/8, StealPolicy::kDeepest);
+  // {1,3,5}.  A worker drains its own shard first (not stolen), then
+  // steals the sibling's batch.
+  ShardedQueue<int> q(/*shards=*/2, /*capacity=*/8);
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
   EXPECT_EQ(q.size(), 6u);
 
@@ -51,23 +50,11 @@ TEST(ShardedQueue, RoundRobinRoutesAcrossShardsAndOwnShardDrainsFirst) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(ShardedQueue, OldestHeadPolicyPopsInGlobalSubmissionOrder) {
-  // kOldestHead approximates a global FIFO: single-item pops come back in
-  // ticket order even though the items alternate between shards.
-  ShardedQueue<int> q(2, 8, StealPolicy::kOldestHead);
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.try_push(i));
-  for (int i = 0; i < 6; ++i) {
-    std::vector<int> got;
-    ASSERT_EQ(q.pop_batch(/*worker=*/0, got, 1, /*adaptive_share=*/0, nullptr), 1u);
-    EXPECT_EQ(got.front(), i);
-  }
-}
-
 TEST(ShardedQueue, TryPushFallsBackToSiblingAndFailsOnlyWhenAllFull) {
   // Capacity 4 over 2 shards = 2 per shard.  Pushing 4 items fills both
   // shards (round-robin), a 5th fails; the round-robin target being full
   // must not fail a push while the sibling has space.
-  ShardedQueue<int> q(2, 4, StealPolicy::kDeepest);
+  ShardedQueue<int> q(2, 4);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(i));
   EXPECT_FALSE(q.try_push(4));  // every shard full: real backpressure
 
@@ -83,7 +70,7 @@ TEST(ShardedQueue, TryPushFallsBackToSiblingAndFailsOnlyWhenAllFull) {
 }
 
 TEST(ShardedQueue, PopBatchZeroIffClosedAndDrained) {
-  ShardedQueue<int> q(2, 8, StealPolicy::kDeepest);
+  ShardedQueue<int> q(2, 8);
   // An open, empty intake parks the popper until an item arrives — a 0
   // return is never a spurious wakeup.
   std::thread pusher([&] {
@@ -107,7 +94,7 @@ TEST(ShardedQueue, PopBatchZeroIffClosedAndDrained) {
 TEST(ShardedQueue, PopBatchMaxItemsZeroStillDeliversOne) {
   // max_items == 0 is clamped to 1: returning 0 from an open intake would
   // violate the 0-iff-closed contract above.
-  ShardedQueue<int> q(2, 4, StealPolicy::kDeepest);
+  ShardedQueue<int> q(2, 4);
   ASSERT_TRUE(q.try_push(3));
   ASSERT_TRUE(q.try_push(4));
   std::vector<int> out;
@@ -121,7 +108,7 @@ TEST(ShardedQueue, CloseWhileDrainDeliversRemainingItemsAcrossShards) {
   const std::vector<int> all{0, 1, 2, 3, 4, 5, 6};
   for (const std::size_t shards : {std::size_t{3}, std::size_t{1}}) {
     SCOPED_TRACE(shards);
-    ShardedQueue<int> q(shards, /*capacity=*/7, StealPolicy::kDeepest);
+    ShardedQueue<int> q(shards, /*capacity=*/7);
     EXPECT_EQ(q.capacity(), shards == 1 ? 7u : 9u);  // 3 shards: 3 each
     for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_push(i));
     if (shards == 1) {
@@ -143,7 +130,7 @@ TEST(ShardedQueue, CloseWhileDrainDeliversRemainingItemsAcrossShards) {
 }
 
 TEST(ShardedQueue, WaitForSpaceUnblocksOnPopAndOnClose) {
-  ShardedQueue<int> q(2, 2, StealPolicy::kDeepest);  // 1 slot per shard
+  ShardedQueue<int> q(2, 2);  // 1 slot per shard
   ASSERT_TRUE(q.try_push(0));
   ASSERT_TRUE(q.try_push(1));
   EXPECT_FALSE(q.try_push(2));
@@ -167,7 +154,7 @@ TEST(ShardedQueue, WaitForSpaceUnblocksOnPopAndOnClose) {
 }
 
 TEST(ShardedQueue, DepthHighWaterTracksAggregateDepth) {
-  ShardedQueue<int> q(2, 16, StealPolicy::kDeepest);
+  ShardedQueue<int> q(2, 16);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.try_push(i));
   std::vector<int> out;
   while (q.size() > 0) (void)q.pop_batch(0, out, 4, /*adaptive_share=*/0, nullptr);
@@ -177,7 +164,7 @@ TEST(ShardedQueue, DepthHighWaterTracksAggregateDepth) {
 
 TEST(ShardedQueue, ConcurrentProducersAndWorkersDeliverEveryItemOnce) {
   constexpr int kProducers = 3, kWorkers = 4, kPerProducer = 200;
-  ShardedQueue<int> q(kWorkers, 32, StealPolicy::kDeepest);
+  ShardedQueue<int> q(kWorkers, 32);
   std::atomic<int> next{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -274,19 +261,16 @@ TEST(ShardedIntakePipeline, FinishDrainsEveryShardAtClose) {
   EXPECT_EQ(received.load(), n);
 }
 
-TEST(ShardedIntakePipeline, OrderedBoundedReorderFinishesUnderContention) {
-  // Stress for the ordered-mode progress guarantee with a sharded intake: a
-  // tight reorder bound, uneven per-item latency and more workers than
-  // buffer slots.  Pops are not globally FIFO here, so this exercises the
-  // gate-escape path (the next-to-emit item parked in a shard while every
-  // worker holds a later batch); the run must drain, stay in order and
-  // count every item.
+TEST(ShardedIntakePipeline, OrderedReorderFinishesUnderContention) {
+  // Ordered emission over a sharded intake with uneven per-item latency:
+  // pops are not globally FIFO, so outputs finish far out of order (the
+  // next-to-emit item may still sit in a shard while every worker holds a
+  // later batch); the run must drain, stay in order and count every item.
   StreamOptions opt;
   opt.queue_capacity = 64;
   opt.batch_size = 2;
   opt.n_workers = 4;
   opt.ordered = true;
-  opt.reorder_capacity = 2;
   std::vector<std::uint64_t> seqs;
   IntPipeline pipeline(
       opt,

@@ -4,7 +4,8 @@
 /// Two layers under test.  (1) The log itself, with fault injection:
 /// truncated/short-written segments, flipped CRC bytes, unknown format
 /// versions and a full disk must all surface as SerializeError or counted
-/// drops — never UB, silent garbage, or a hung pipeline.  (2) The lossless
+/// drops — never UB, silent garbage, or a hung pipeline; likewise the raw
+/// wedge body both spill codecs write, on implausible shapes.  (2) The lossless
 /// backpressure contract: a burst far beyond the intake bound completes
 /// with zero drops, every spilled wedge replayed, and ordered output
 /// bit-identical to an unbounded run (the spill drainer races workers,
@@ -20,6 +21,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +424,49 @@ TEST(SpillReader, CodecIdMatchAndUntaggedBothAccepted) {
   const std::string path2 = write_tagged_segment(dir2, /*codec_id=*/0, 1);
   SpillReader reader(path2, /*expected_codec_id=*/16);
   EXPECT_EQ(reader.header().codec_id, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Raw wedge body (write_spilled_wedge / read_spilled_wedge)
+// ---------------------------------------------------------------------------
+
+/// A hand-built wedge body: the given dims, then `floats` data values.
+std::string wedge_body(const std::vector<std::int64_t>& dims,
+                       std::size_t floats) {
+  std::ostringstream os;
+  nc::util::write_u64(os, dims.size());
+  for (const auto d : dims) nc::util::write_i64(os, d);
+  const std::vector<float> data(floats, 1.0f);
+  nc::util::write_bytes(os, data.data(), data.size() * sizeof(float));
+  return os.str();
+}
+
+Tensor read_body(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return nc::codec::read_spilled_wedge(is);
+}
+
+TEST(SpilledWedge, RoundTripsBitExact) {
+  const Tensor wedge = raw_wedge(3);
+  std::ostringstream os;
+  nc::codec::write_spilled_wedge(os, wedge);
+  const Tensor back = read_body(os.str());
+  ASSERT_EQ(back.shape(), wedge.shape());
+  EXPECT_EQ(std::memcmp(back.data(), wedge.data(),
+                        static_cast<std::size_t>(wedge.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(SpilledWedge, ImplausibleShapeOrTruncatedDataThrows) {
+  constexpr std::int64_t kMaxDim = std::int64_t{1} << 20;
+  EXPECT_EQ(read_body(wedge_body({2, 3}, 6)).numel(), 6);  // the control
+  EXPECT_THROW(read_body(wedge_body({1, 1, 1, 1, 1, 1, 1, 1, 1}, 1)),
+               SerializeError);                                  // rank 9
+  EXPECT_THROW(read_body(wedge_body({4, 0}, 0)), SerializeError);  // dim 0
+  EXPECT_THROW(read_body(wedge_body({kMaxDim + 1}, 0)), SerializeError);
+  // Both dims legal, product just over 2^28: rejected before allocating.
+  EXPECT_THROW(read_body(wedge_body({kMaxDim, 257}, 0)), SerializeError);
+  EXPECT_THROW(read_body(wedge_body({2, 3}, 5)), SerializeError);  // short
 }
 
 // ---------------------------------------------------------------------------

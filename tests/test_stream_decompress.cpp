@@ -127,7 +127,6 @@ TEST_P(StreamDecompressorIntake, OrderedFourWorkersEmitInSubmissionOrder) {
   opt.batch_size = 2;
   opt.n_workers = 4;
   opt.ordered = true;
-  opt.reorder_capacity = 4;  // exercise the bounded buffer on the read side
   std::vector<std::uint64_t> seqs;  // ordered sink: serialized, no lock
   std::vector<Tensor> decoded;
   StreamDecompressor stream(codec, opt,

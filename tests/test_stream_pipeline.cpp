@@ -1,6 +1,6 @@
 /// Generic StreamPipeline semantics, tested with synthetic transforms so the
-/// worker-pool machinery (sequencing, reorder bound, failure containment,
-/// finish) is exercised without the codec in the way.
+/// worker-pool machinery (sequencing, ordered emission, failure
+/// containment, finish) is exercised without the codec in the way.
 /// StreamCompressor / StreamDecompressor are thin adapters over this class —
 /// the codec-facing behavior lives in test_codec.cpp and
 /// test_stream_decompress.cpp; intake behavior (stealing, backpressure
@@ -27,7 +27,6 @@ namespace {
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
-using nc::testutil::spin_until;
 using nc::testutil::StallLatch;
 
 /// Transform doubling every item; counts completed (returned) transforms.
@@ -156,67 +155,15 @@ TEST_P(StreamPipelineIntake, WrongSizedTransformOutputCountsAsFailure) {
   EXPECT_EQ(received.load(), 0);
 }
 
-TEST_P(StreamPipelineIntake, ReorderCapacityBoundsBufferWithStalledWorker) {
-  // One worker stalls inside the transform while holding the next-to-emit
-  // item; the other worker races ahead.  Without the bound it would buffer
-  // every remaining item; with reorder_capacity it must park after filling
-  // the buffer (capacity entries) plus the one output in its hands.  (The
-  // gate escape does not fire here: the stalled worker is inside the
-  // transform, not parked on the bound, so a free popper still exists.)
-  constexpr int kItems = 32;
-  constexpr std::size_t kCapacity = 4;
-  StreamOptions opt;
-  opt.queue_capacity = 64;  // all submissions fit: intake never backpressures
-  opt.batch_size = 1;
-  opt.n_workers = 2;
-  opt.ordered = true;
-  opt.reorder_capacity = kCapacity;
-
-  StallLatch stall;
-  std::atomic<int> completed{0};
-
-  std::vector<std::uint64_t> seqs;
-  IntPipeline pipeline(
-      opt,
-      [&](std::vector<int>&& in) {
-        if (in.front() == 0) stall.wait();
-        completed.fetch_add(static_cast<int>(in.size()));
-        return std::move(in);
-      },
-      nullptr, [&](std::uint64_t seq, int&&) { seqs.push_back(seq); });
-
-  for (int i = 0; i < kItems; ++i) pipeline.submit(i);
-
-  // The free worker can complete at most kCapacity buffered transforms plus
-  // the one whose emit is parked on the full buffer.
-  constexpr int kBound = static_cast<int>(kCapacity) + 1;
-  EXPECT_TRUE(spin_until([&] { return completed.load() >= kBound; }, 500));
-  EXPECT_EQ(completed.load(), kBound);
-  // Hold the stall a little longer: without the capacity the free worker
-  // would keep draining the intake into the reorder buffer unbounded.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(completed.load(), kBound);
-
-  stall.release();
-  const auto stats = pipeline.finish();
-  EXPECT_EQ(stats.wedges_compressed, kItems);
-  EXPECT_EQ(stats.wedges_failed, 0);
-  EXPECT_EQ(completed.load(), kItems);
-  ASSERT_EQ(seqs.size(), static_cast<std::size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seqs[static_cast<std::size_t>(i)], static_cast<std::uint64_t>(i));
-  }
-}
-
-TEST_P(StreamPipelineIntake, ReorderCapacityAdmitsFailedBatchesWithoutDeadlock) {
-  // Failed batches occupy reorder slots (as skips) under the same capacity
-  // rule; a mix of failures and successes must still drain and finish.
+TEST_P(StreamPipelineIntake, OrderedModeSkipsFailedBatchesWithoutDeadlock) {
+  // Failed batches are gaps in the ordered cursor; a mix of failures and
+  // successes across more workers than batch slots must still drain and
+  // finish.
   StreamOptions opt;
   opt.queue_capacity = 64;
   opt.batch_size = 2;
   opt.n_workers = 4;
   opt.ordered = true;
-  opt.reorder_capacity = 2;  // tighter than the worker count
   std::vector<std::uint64_t> seqs;
   IntPipeline pipeline(
       opt,
@@ -254,6 +201,45 @@ TEST_P(StreamPipelineIntake, FinishIdempotentWithGenericTransform) {
   pipeline.submit(99);
   EXPECT_FALSE(pipeline.try_submit(100));
   EXPECT_EQ(pipeline.finish().wedges_dropped, 2);
+}
+
+TEST(StreamPipeline, OrderedSinkCallsNeverOverlapAndFailuresAreGaps) {
+  // The ordered sink runs outside the pipeline's locks, so only the
+  // Reorderer's one-drainer rule keeps its calls apart.  A sink that sleeps
+  // gives four workers every chance to overlap it; every fifth item fails
+  // and must become a gap, not a stall.
+  StreamOptions opt;
+  opt.queue_capacity = 64;
+  opt.batch_size = 1;
+  opt.n_workers = 4;
+  opt.ordered = true;
+  std::atomic<int> in_sink{0};
+  std::atomic<int> overlaps{0};
+  nc::testutil::SeqLog log;
+  IntPipeline pipeline(
+      opt,
+      [](std::vector<int>&& in) {
+        if (in.front() % 5 == 4) throw std::runtime_error("poisoned item");
+        return std::move(in);
+      },
+      nullptr, [&](std::uint64_t seq, int&&) {
+        if (in_sink.fetch_add(1) != 0) overlaps.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        log.push(seq);
+        in_sink.fetch_sub(1);
+      });
+  const int n = 200;
+  for (int i = 0; i < n; ++i) pipeline.submit(i);
+  const auto stats = pipeline.finish();
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(stats.wedges_failed, n / 5);
+  // Strictly increasing, and every seq that did not fail was delivered
+  // before finish() returned.
+  std::vector<std::uint64_t> expected;
+  for (int i = 0; i < n; ++i) {
+    if (i % 5 != 4) expected.push_back(static_cast<std::uint64_t>(i));
+  }
+  EXPECT_EQ(log.snapshot(), expected);
 }
 
 TEST(StreamPipeline, IntakeCapacityRoundsUpToAShardPerWorker) {
