@@ -3,10 +3,12 @@
 /// GEMM at every ISA tier the host supports (single thread, one call over
 /// the whole matrix; each cell the median and range of interleaved passes),
 /// the quantization passes feeding int8, the conv epilogue fused against
-/// the unfused chain it replaces, and a dense-vs-sparse sweep of the conv
-/// eval lowerings over input density, at 2-D and 3-D first-layer shapes
-/// (the measurement behind conv.hpp's kSparseMaxDensity* crossovers), with
-/// the scatter kernel's cost per (voxel, tap) pair at the first layers.
+/// the unfused chain it replaces, one sample's whole stride-1 conv at every
+/// BCAE-2D shape (in place on the zero-haloed input against cast + vol2col
+/// + tile), and a dense-vs-sparse sweep of the conv eval lowerings over
+/// input density, at 2-D and 3-D first-layer shapes (the measurement behind
+/// conv.hpp's kSparseMaxDensity* crossovers), with the scatter kernel's
+/// cost per (voxel, tap) pair at the first layers.
 ///
 /// These isolate the substrate so regressions in the headline throughput
 /// numbers (Table 1, Fig. 6) can be attributed: if the int8 fast path's
@@ -162,9 +164,11 @@ struct ConvLowering {
   /// (rows, out_c), and the (cols, out_c) accumulator: cache-line aligned,
   /// as the layers keep them.
   nc::util::AlignedVector<float> slab_half, slab_q, acc;
-  std::vector<nc::util::half> xh, colh;
-  std::vector<float> xs, out;
-  std::vector<std::int8_t> xq, q;  ///< input codes, lowered codes
+  std::vector<nc::util::half> xh, colh, halo_h;
+  std::vector<float> xs, out, grid_out;
+  std::vector<std::int8_t> xq, q, halo_q;  ///< input, lowered, haloed codes
+  nc::core::HaloGeom hg;                  ///< stride-1 shapes only
+  std::vector<std::int64_t> halo_rows;    ///< the in-place row table
 
   ConvLowering(const ConvShape& s, const Tensor& weight) : out_c(s.out_c) {
     g.c = s.in_c;
@@ -202,27 +206,72 @@ struct ConvLowering {
     colh.resize(static_cast<std::size_t>(rows * cols));
     acc.resize(static_cast<std::size_t>(cols * out_c));
     out.resize(static_cast<std::size_t>(out_c * cols));
+    if (stride_one()) {
+      hg = nc::core::halo_geom(g);
+      halo_h.resize(static_cast<std::size_t>(g.c * hg.volume));
+      halo_q.resize(halo_h.size());
+      grid_out.resize(static_cast<std::size_t>(out_c * hg.cols));
+      halo_rows.resize(static_cast<std::size_t>(rows));
+      nc::core::halo_row_offsets(g, halo_rows.data());
+    }
   }
 
-  /// The dense lowering as the conv layers run it on one thread: binary16
-  /// input, vol2col, one tile_hh over the whole matrix; or int8 codes of the
-  /// input (every voxel of these layers is covered), vol2col of the codes,
-  /// qgemm.
+  bool stride_one() const { return g.sd == 1 && g.sh == 1 && g.sw == 1; }
+
+  /// The dense lowering as the conv layers run it on one thread: in place
+  /// at stride 1, else through vol2col.
   void dense(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
+    if (stride_one()) {
+      in_place(ker, int8, x);
+    } else {
+      lowered(ker, int8, x);
+    }
+  }
+
+  /// binary16 input, vol2col, one tile_hh over the whole column matrix; or
+  /// int8 codes of the input (every voxel of these layers is covered),
+  /// vol2col of the codes, qgemm.
+  void lowered(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
     const std::int64_t rows = g.rows(), cols = g.cols();
     const std::int64_t numel = g.c * g.d * g.h * g.w;
+    const std::int64_t* plain = nc::core::simd::detail::plain_rows(rows, cols);
     if (int8) {
       const float scale = nc::core::quant_scale(ker.max_abs(x, numel));
       ker.quantize_scaled(x, numel, 1.f / scale, xq.data());
       nc::core::vol2col_3d(xq.data(), g, q.data());
       ker.qgemm(out_c, cols, rows, w_q.values.data(), w_q.scales.data(),
-                q.data(), scale, out.data(), cols);
+                q.data(), plain, scale, out.data(), cols);
       return;
     }
     nc::util::float_to_half_sat_n(x, xh.data(), numel);
     nc::core::vol2col_3d(xh.data(), g, colh.data());
     ker.tile_hh(0, out_c, 0, cols, rows, w_half.data(), rows, colh.data(),
-                cols, out.data(), cols);
+                plain, out.data(), cols);
+  }
+
+  /// The stride-1 lowering: binary16 input or int8 codes copied into the
+  /// zero-haloed volume, one tile_hh or qgemm over the padded-pitch grid
+  /// through the row table, then the epilogue pass that drops the halo
+  /// columns (with no bias, which every lowering shares).
+  void in_place(const nc::core::simd::Kernels& ker, bool int8, const float* x) {
+    const std::int64_t rows = g.rows(), numel = g.c * g.d * g.h * g.w;
+    if (int8) {
+      const float scale = nc::core::quant_scale(ker.max_abs(x, numel));
+      ker.quantize_scaled(x, numel, 1.f / scale, xq.data());
+      nc::core::pad_volume(xq.data(), g, halo_q.data());
+      ker.qgemm(out_c, hg.cols, rows, w_q.values.data(), w_q.scales.data(),
+                halo_q.data(), halo_rows.data(), scale, grid_out.data(),
+                hg.cols);
+    } else {
+      nc::util::float_to_half_sat_n(x, xh.data(), numel);
+      nc::core::pad_volume(xh.data(), g, halo_h.data());
+      ker.tile_hh(0, out_c, 0, hg.cols, rows, w_half.data(), rows,
+                  halo_h.data(), halo_rows.data(), grid_out.data(), hg.cols);
+    }
+    const nc::core::EpilogueGrid grid{g.out_d(), g.out_h(), g.out_w(),
+                                      hg.pitch, hg.plane, hg.cols};
+    nc::core::apply_epilogue(grid_out.data(), grid, out.data(), out_c, nullptr,
+                             nullptr, std::nullopt);
   }
 
   /// Round or quantize the input, scatter, transpose (and scale).
@@ -274,10 +323,12 @@ EpilogueTimes epilogue_bench() {
   Tensor h(acc.shape());
   const auto bytes = static_cast<std::size_t>(acc.numel()) * sizeof(float);
   auto restore = [&] { std::memcpy(h.data(), acc.data(), bytes); };
+  const auto grid = nc::core::EpilogueGrid::packed(1, 1, kPlane);
   auto bias_pass = [&] {
     for (std::int64_t s = 0; s < kN; ++s) {
-      nc::core::apply_epilogue(h.data() + s * kC * kPlane, kC, kPlane,
-                               bias.data(), nullptr, std::nullopt);
+      float* hs = h.data() + s * kC * kPlane;
+      nc::core::apply_epilogue(hs, grid, hs, kC, bias.data(), nullptr,
+                               std::nullopt);
     }
   };
   nc::core::LeakyReLU act(kSlope);
@@ -305,9 +356,9 @@ EpilogueTimes epilogue_bench() {
   t.fused_ms = 1e3 / best_rate(1.0, [&] {
     restore();
     for (std::int64_t s = 0; s < kN; ++s) {
-      const std::int64_t off = s * kC * kPlane;
-      nc::core::apply_epilogue(h.data() + off, kC, kPlane, bias.data(),
-                               skip.data() + off, kSlope);
+      float* hs = h.data() + s * kC * kPlane;
+      nc::core::apply_epilogue(hs, grid, hs, kC, bias.data(),
+                               skip.data() + s * kC * kPlane, kSlope);
     }
     sink = h[0];
   });
@@ -334,6 +385,77 @@ Tensor sparse_input(const ConvShape& s, double density, std::uint64_t seed) {
     }
   }
   return t;
+}
+
+// ---- whole stride-1 convs: in place vs lowered ------------------------------
+//
+// One dense sample through each BCAE-2D stride-1 conv shape (every 3x3
+// resolution of the encoder and decoder, and enc.in, whose dense fallback
+// is the case its sparse gate sends above), once in place on the
+// zero-haloed input and once through cast + vol2col_3d + tile, as the
+// layers ran it before.  Per tier, in fp16 and int8, single-threaded.
+
+constexpr ConvShape kStrideOneShapes[] = {
+    {16, 32, {1, 48, 64}, {1, 7, 7}, {1, 1, 1}, {0, 3, 3},
+     "enc.in 16->32 7x7 48x64"},
+    {32, 32, {1, 24, 32}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1},
+     "enc.b1 32->32 3x3 24x32"},
+    {32, 32, {1, 12, 16}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1},
+     "enc.b2 32->32 3x3 12x16"},
+    {32, 32, {1, 6, 8}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1},
+     "enc.b3 32->32 3x3 6x8"},
+    {32, 32, {1, 48, 64}, {1, 3, 3}, {1, 1, 1}, {0, 1, 1},
+     "dec.b4 32->32 3x3 48x64"},
+};
+
+/// Print one sample's whole conv per shape and tier, in place against
+/// lowered, in microseconds (each cell the median (min-max) of `passes`
+/// interleaved passes); return the medians as one JSON object keyed by
+/// shape, then tier, then mode.
+std::string conv_in_place_us(const std::vector<Isa>& isas, int passes) {
+  std::printf("\nwhole stride-1 conv, one dense sample [us, 1 thread; each "
+              "cell the median (min-max) of %d interleaved passes; lowered = "
+              "cast + vol2col_3d + tile, in place = haloed copy + tile on the "
+              "padded grid + halo drop]:\n",
+              passes);
+  std::printf("  %-26s %-7s %-22s %-22s %-22s %-22s\n", "layer", "tier",
+              "fp16 lowered", "fp16 in place", "int8 lowered", "int8 in place");
+  std::string json;
+  char buf[256];
+  for (const ConvShape& s : kStrideOneShapes) {
+    const std::int64_t rows = s.in_c * s.k[0] * s.k[1] * s.k[2];
+    ConvLowering low(s, random_tensor({s.out_c, rows}, 4));
+    const Tensor x = sparse_input(s, 1.0, 40);
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":{", json.empty() ? "" : ",",
+                  s.what);
+    json += buf;
+    for (std::size_t t = 0; t < isas.size(); ++t) {
+      const auto* ker = &nc::core::simd::kernels_for(isas[t]);
+      std::vector<std::function<void()>> fns;
+      for (const bool int8 : {false, true}) {
+        fns.emplace_back([&, ker, int8] { low.lowered(*ker, int8, x.data()); });
+        fns.emplace_back(
+            [&, ker, int8] { low.in_place(*ker, int8, x.data()); });
+      }
+      // Calls per second; printed as microseconds per call.
+      const std::vector<Spread> r = interleaved_rates(1e9, fns, passes);
+      std::printf("  %-26s %-7s", s.what, nc::core::simd::isa_name(isas[t]));
+      for (const Spread& c : r) {
+        std::printf(" %7.1f (%6.1f-%6.1f)", 1e6 / c.median, 1e6 / c.hi,
+                    1e6 / c.lo);
+      }
+      std::printf("\n");
+      std::snprintf(
+          buf, sizeof(buf),
+          "%s\"%s\":{\"fp16\":{\"lowered\":%.2f,\"in_place\":%.2f},"
+          "\"int8\":{\"lowered\":%.2f,\"in_place\":%.2f}}",
+          t ? "," : "", nc::core::simd::isa_name(isas[t]), 1e6 / r[0].median,
+          1e6 / r[1].median, 1e6 / r[2].median, 1e6 / r[3].median);
+      json += buf;
+    }
+    json += "}";
+  }
+  return json;
 }
 
 /// Print the sweep table; return its rows as JSON objects.
@@ -496,6 +618,10 @@ int main() {
         nc::core::quantize_tensor(b.data(), s.k * s.n, qb.data());
 
     // sgemm, then each tier's tile_hh, then each tier's qgemm.
+    std::vector<std::int64_t> b_rows(static_cast<std::size_t>(s.k));
+    for (std::int64_t kk = 0; kk < s.k; ++kk) {
+      b_rows[static_cast<std::size_t>(kk)] = kk * s.n;
+    }
     std::vector<std::function<void()>> kernels{[&] {
       nc::core::sgemm(false, false, s.m, s.n, s.k, 1.f, a.data(), s.k,
                       b.data(), s.n, 0.f, c.data(), s.n);
@@ -506,10 +632,10 @@ int main() {
         kernels.emplace_back([&, ker, int8] {
           if (int8) {
             ker->qgemm(s.m, s.n, s.k, qa.values.data(), qa.scales.data(),
-                       qb.data(), b_scale, c.data(), s.n);
+                       qb.data(), b_rows.data(), b_scale, c.data(), s.n);
           } else {
-            ker->tile_hh(0, s.m, 0, s.n, s.k, ah.data(), s.k, bh.data(), s.n,
-                         c.data(), s.n);
+            ker->tile_hh(0, s.m, 0, s.n, s.k, ah.data(), s.k, bh.data(),
+                         b_rows.data(), c.data(), s.n);
           }
         });
       }
@@ -567,6 +693,7 @@ int main() {
   std::printf("\n");
 
   const EpilogueTimes ep = epilogue_bench();
+  const std::string whole_conv = conv_in_place_us(isas, kPasses);
   const std::string sweep = sparse_sweep(isas);
   const std::string pair_ns = scatter_pair_costs(isas, kPasses);
 
@@ -595,12 +722,13 @@ int main() {
       "\"qgemm_speedup_vs_scalar\":{%s},\"maxabs_gelems\":%.3f,"
       "\"quantize_gelems\":%.3f,\"epilogue_ms\":{\"restore\":%.4f,"
       "\"unfused_branching\":%.4f,\"unfused\":%.4f,\"fused\":%.4f},"
-      "\"conv_lowering_sweep\":[%s],\"scatter_ns_per_pair\":{%s}}\n",
+      "\"conv_in_place_us\":{%s},\"conv_lowering_sweep\":[%s],"
+      "\"scatter_ns_per_pair\":{%s}}\n",
       nc::core::simd::isa_name(active), sum_sgemm / n_shapes,
       sum_hgemm / n_shapes, by_tier(sum_h, false).c_str(),
       by_tier(sum_h, true).c_str(), by_tier(sum_q, false).c_str(),
       by_tier(sum_q, true).c_str(), maxabs_r.back(), quant_r.back(),
       ep.restore_ms, ep.branching_ms, ep.unfused_ms, ep.fused_ms,
-      sweep.c_str(), pair_ns.c_str());
+      whole_conv.c_str(), sweep.c_str(), pair_ns.c_str());
   return 0;
 }

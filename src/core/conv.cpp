@@ -17,9 +17,10 @@ namespace nc::core {
 
 namespace {
 
-// Per-thread scratch for column matrices.  thread_local gives every OpenMP
-// worker its own buffer; capacity is retained across calls so steady-state
-// inference performs no allocation.
+// Per-thread scratch for column matrices, haloed volumes and padded-grid
+// results.  thread_local gives every OpenMP worker its own buffer; capacity
+// is retained across calls so steady-state inference performs no
+// allocation.
 std::vector<float>& f32_scratch() {
   thread_local std::vector<float> buf;
   return buf;
@@ -28,8 +29,8 @@ std::vector<util::half>& f16_scratch() {
   thread_local std::vector<util::half> buf;
   return buf;
 }
-// Second fp16 buffer: the half path needs the converted input and the
-// lowered column matrix alive at the same time.
+// Second fp16 buffer: the half path needs the converted input and its
+// haloed copy (or column matrix) alive at the same time.
 std::vector<util::half>& f16_scratch_b() {
   thread_local std::vector<util::half> buf;
   return buf;
@@ -38,8 +39,8 @@ std::vector<std::int8_t>& i8_scratch() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
 }
-// Second int8 buffer: the int8 path needs the input codes and the lowered
-// column matrix alive at the same time.
+// Second int8 buffer: the int8 path needs the input codes and their haloed
+// copy (or column matrix) alive at the same time.
 std::vector<std::int8_t>& i8_scratch_b() {
   thread_local std::vector<std::int8_t> buf;
   return buf;
@@ -155,21 +156,43 @@ void store_transposed(const float* acc, std::int64_t cols, std::int64_t out_c,
   }
 }
 
-/// apply_epilogue with its steps chosen at compile time, so the element
-/// loop holds no test and vectorizes.
+/// One run of the epilogue: dst[j] = act(src[j] + b + res[j]).
 template <bool kBias, bool kResidual, bool kAct>
-void epilogue_rows(float* out, std::int64_t out_c, std::int64_t plane,
-                   const float* bias, const float* residual, float slope) {
+inline void epilogue_run(const float* src, float* dst, const float* res,
+                         std::int64_t len, float b, float slope) {
+  for (std::int64_t j = 0; j < len; ++j) {
+    float v = src[j];
+    if constexpr (kBias) v = v + b;
+    if constexpr (kResidual) v = v + res[j];
+    if constexpr (kAct) v = leaky_relu(v, slope);
+    dst[j] = v;
+  }
+}
+
+/// apply_epilogue with its steps chosen at compile time, so the element
+/// loop holds no test and vectorizes.  A packed source is one run per
+/// channel, a padded grid one run per output row.
+template <bool kBias, bool kResidual, bool kAct>
+void epilogue_rows(const float* acc, const EpilogueGrid& grid, float* out,
+                   std::int64_t out_c, const float* bias, const float* residual,
+                   float slope) {
+  const bool packed = grid.is_packed();
+  const std::int64_t plane = grid.d * grid.h * grid.w;
+  const std::int64_t len = packed ? plane : grid.w;
+  const std::int64_t runs = packed ? 1 : grid.d * grid.h;
   for (std::int64_t o = 0; o < out_c; ++o) {
-    float* row = out + o * plane;
-    const float* res = kResidual ? residual + o * plane : nullptr;
     const float b = kBias ? bias[o] : 0.f;
-    for (std::int64_t j = 0; j < plane; ++j) {
-      float v = row[j];
-      if constexpr (kBias) v = v + b;
-      if constexpr (kResidual) v = v + res[j];
-      if constexpr (kAct) v = leaky_relu(v, slope);
-      row[j] = v;
+    for (std::int64_t r = 0; r < runs; ++r) {
+      const std::int64_t at = o * plane + r * grid.w;
+      const float* res = kResidual ? residual + at : nullptr;
+      if (acc == out) {  // one pointer, so the loop needs no alias check
+        epilogue_run<kBias, kResidual, kAct>(out + at, out + at, res, len, b,
+                                             slope);
+      } else {
+        const float* src = acc + o * grid.cols + (r / grid.h) * grid.plane +
+                           (r % grid.h) * grid.row;
+        epilogue_run<kBias, kResidual, kAct>(src, out + at, res, len, b, slope);
+      }
     }
   }
 }
@@ -249,24 +272,22 @@ Conv3dGeom conv_geom(std::int64_t c, const std::array<std::int64_t, 3>& dhw,
 
 }  // namespace
 
-void apply_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
-                    const float* bias, const float* residual,
-                    std::optional<float> leaky_slope) {
-  using Pass = void (*)(float*, std::int64_t, std::int64_t, const float*,
-                        const float*, float);
-  // Indexed by (bias, residual, activation) as three bits.
+void apply_epilogue(const float* acc, const EpilogueGrid& grid, float* out,
+                    std::int64_t out_c, const float* bias,
+                    const float* residual, std::optional<float> leaky_slope) {
+  using Pass = void (*)(const float*, const EpilogueGrid&, float*,
+                        std::int64_t, const float*, const float*, float);
+  // Indexed by (bias, residual, activation) as three bits; no step is a
+  // copy, or nothing when `acc` is `out`.
   static constexpr Pass kPasses[8] = {
-      nullptr,
-      &epilogue_rows<false, false, true>,
-      &epilogue_rows<false, true, false>,
-      &epilogue_rows<false, true, true>,
-      &epilogue_rows<true, false, false>,
-      &epilogue_rows<true, false, true>,
-      &epilogue_rows<true, true, false>,
-      &epilogue_rows<true, true, true>};
+      &epilogue_rows<false, false, false>, &epilogue_rows<false, false, true>,
+      &epilogue_rows<false, true, false>,  &epilogue_rows<false, true, true>,
+      &epilogue_rows<true, false, false>,  &epilogue_rows<true, false, true>,
+      &epilogue_rows<true, true, false>,   &epilogue_rows<true, true, true>};
   const int steps = (bias ? 4 : 0) | (residual ? 2 : 0) | (leaky_slope ? 1 : 0);
-  if (steps == 0) return;
-  kPasses[steps](out, out_c, plane, bias, residual, leaky_slope.value_or(0.f));
+  if (steps == 0 && acc == out) return;
+  kPasses[steps](acc, grid, out, out_c, bias, residual,
+                 leaky_slope.value_or(0.f));
 }
 
 // ---------------------------------------------------------------------------
@@ -324,10 +345,49 @@ Tensor ConvNd::forward_fused(const Tensor& x, Mode mode,
   const bool prof = Profiler::instance().enabled();
   util::Timer timer;
 
-  // 1x1 stride-1 unpadded convolutions are pure channel mixes: the column
-  // matrix equals the input, so skip the lowering entirely.
   const auto all = [](const std::array<std::int64_t, 3>& a, std::int64_t v) {
     return a[0] == v && a[1] == v && a[2] == v;
+  };
+  // The dense fp16 and int8 GEMMs read B row kk at b_rows[kk].  At stride 1
+  // B is a zero-haloed copy of the sample, multiplied in place on the
+  // padded-pitch grid (HaloGeom in im2col.hpp); a 1x1 unpadded conv's copy
+  // is the sample itself.  Strided convs multiply vol2col_3d's column
+  // matrix, as fp32 always does.
+  const bool in_place = (half_mode || int8_mode) && all(s_, 1);
+  const bool padded = g.pd + g.ph + g.pw > 0;
+  const HaloGeom hg = in_place ? halo_geom(g) : HaloGeom{};
+  const EpilogueGrid packed =
+      EpilogueGrid::packed(g.out_d(), g.out_h(), g.out_w());
+  const EpilogueGrid grid =
+      in_place ? EpilogueGrid{packed.d, packed.h, packed.w, hg.pitch, hg.plane,
+                              hg.cols}
+               : packed;
+  const std::int64_t dense_cols = grid.cols;
+  const std::int64_t* b_rows = nullptr;
+  if (half_mode || int8_mode) {
+    thread_local std::vector<std::int64_t> table;
+    table.resize(static_cast<std::size_t>(rows));
+    if (in_place) {
+      halo_row_offsets(g, table.data());
+    } else {
+      for (std::int64_t r = 0; r < rows; ++r) {
+        table[static_cast<std::size_t>(r)] = r * cols;
+      }
+    }
+    b_rows = table.data();
+  }
+  // The B operand for the sample `in` (binary16 or int8 codes), built in
+  // `buf` unless it is `in` itself.
+  const auto lower = [&](const auto* in, auto& buf) {
+    if (in_place && !padded) return in;
+    buf.resize(static_cast<std::size_t>(in_place ? in_c_ * hg.volume
+                                                 : rows * cols));
+    if (in_place) {
+      pad_volume(in, g, buf.data());
+    } else {
+      vol2col_3d(in, g, buf.data());
+    }
+    return static_cast<decltype(in)>(buf.data());
   };
   const bool is_1x1 = all(k_, 1) && all(s_, 1) && all(p_, 0);
   const std::int64_t in_stride = in_c_ * g.d * g.h * g.w;
@@ -340,42 +400,42 @@ Tensor ConvNd::forward_fused(const Tensor& x, Mode mode,
       [&](std::int64_t sample) {
         const float* in_s = x.data() + sample * in_stride;
         float* out_s = out.data() + sample * out_stride;
+        // Where the GEMM stores, and its layout for the epilogue.
+        float* acc = out_s;
+        const EpilogueGrid* acc_grid = &packed;
         if (sparse_limit >= 0 &&
             nonzeros_at_most(in_s, in_stride, sparse_limit)) {
           ++sparse_samples;
           sparse_taps += forward_sparse(in_s, g, whalf, wq, out_s);
-        } else if (half_mode) {
-          auto& inh = f16_scratch_b();
-          inh.resize(static_cast<std::size_t>(in_stride));
-          // Saturating cast: an activation past the fp16 range (untrained or
-          // extreme weights, decoder heads especially) clamps to +/-65504
-          // instead of turning the rest of the forward non-finite.
-          util::float_to_half_sat_n(in_s, inh.data(), in_stride);
-          const util::half* colh = inh.data();
-          if (!is_1x1) {
-            auto& colbuf = f16_scratch();
-            colbuf.resize(static_cast<std::size_t>(rows * cols));
-            vol2col_3d(inh.data(), g, colbuf.data());
-            colh = colbuf.data();
+        } else if (half_mode || int8_mode) {
+          acc_grid = &grid;
+          if (!grid.is_packed()) {
+            auto& accbuf = f32_scratch();
+            accbuf.resize(static_cast<std::size_t>(out_c_ * dense_cols));
+            acc = accbuf.data();
           }
-          hgemm(out_c_, cols, rows, whalf->data(), rows, colh, cols, out_s,
-                cols);
-        } else if (int8_mode) {
-          // Quantize first, then lower the codes: 1/(kd*kh*kw) of the
-          // quantize work, and no fp32 column matrix.
-          auto& q = i8_scratch();
-          q.resize(static_cast<std::size_t>(in_stride));
-          const float act_scale = quantize_covered(in_s, g, q.data());
-          const std::int8_t* colq = q.data();
-          if (!is_1x1) {
-            auto& colbuf = i8_scratch_b();
-            colbuf.resize(static_cast<std::size_t>(rows * cols));
-            vol2col_3d(q.data(), g, colbuf.data());
-            colq = colbuf.data();
+          if (half_mode) {
+            auto& inh = f16_scratch_b();
+            inh.resize(static_cast<std::size_t>(in_stride));
+            // Saturating cast: an activation past the fp16 range (untrained
+            // or extreme weights, decoder heads especially) clamps to
+            // +/-65504 instead of turning the rest of the forward
+            // non-finite.
+            util::float_to_half_sat_n(in_s, inh.data(), in_stride);
+            hgemm(out_c_, dense_cols, rows, whalf->data(), rows,
+                  lower(inh.data(), f16_scratch()), b_rows, acc, dense_cols);
+          } else {
+            // Quantize first, then copy or lower the codes: 1/(kd*kh*kw) of
+            // the quantize work, and no fp32 copy.
+            auto& q = i8_scratch();
+            q.resize(static_cast<std::size_t>(in_stride));
+            const float act_scale = quantize_covered(in_s, g, q.data());
+            qgemm(out_c_, dense_cols, rows, wq->values.data(),
+                  wq->scales.data(), lower(q.data(), i8_scratch_b()), b_rows,
+                  act_scale, acc, dense_cols);
           }
-          qgemm(out_c_, cols, rows, wq->values.data(), wq->scales.data(), colq,
-                act_scale, out_s, cols);
         } else if (is_1x1) {
+          // fp32: a 1x1 stride-1 unpadded conv's column matrix is its input.
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, in_s, cols, 0.f, out_s, cols);
         } else {
@@ -385,7 +445,7 @@ Tensor ConvNd::forward_fused(const Tensor& x, Mode mode,
           sgemm(false, false, out_c_, cols, rows, 1.f, weight_.value.data(),
                 rows, colbuf.data(), cols, 0.f, out_s, cols);
         }
-        apply_epilogue(out_s, out_c_, cols, bias,
+        apply_epilogue(acc, *acc_grid, out_s, out_c_, bias,
                        residual ? residual + sample * out_stride : nullptr,
                        ep.leaky_slope);
       },
@@ -393,13 +453,15 @@ Tensor ConvNd::forward_fused(const Tensor& x, Mode mode,
       mode == Mode::kTrain ? n + 1 : util::grain_for(out_c_ * cols * rows));
 
   if (prof) {
+    // The dense samples' GEMMs, on the padded-pitch grid when in place, and
+    // the scatter's (voxel, tap) pairs: the work each lowering executed.
     const double dense_samples = static_cast<double>(n - sparse_samples.load());
-    const double flops =
-        2.0 * static_cast<double>(out_c_) *
-        (dense_samples * static_cast<double>(cols) * static_cast<double>(rows) +
-         static_cast<double>(sparse_taps.load()));
-    Profiler::instance().record(label_, timer.elapsed_s(), flops, out_c_, cols,
-                                rows);
+    const double flops = 2.0 * static_cast<double>(out_c_) *
+                         (dense_samples * static_cast<double>(dense_cols) *
+                              static_cast<double>(rows) +
+                          static_cast<double>(sparse_taps.load()));
+    Profiler::instance().record(label_, timer.elapsed_s(), flops, out_c_,
+                                dense_cols, rows);
   }
   return out;
 }
@@ -570,8 +632,8 @@ Tensor ConvTransposeNd::forward(const Tensor& x, Mode mode) {
                 rows, x_s, cols, 0.f, gcol.data(), cols);
         }
         col2vol_3d(gcol.data(), g, out_s);
-        apply_epilogue(out_s, out_c_, g.d * g.h * g.w, bias, nullptr,
-                       std::nullopt);
+        apply_epilogue(out_s, EpilogueGrid::packed(g.d, g.h, g.w), out_s,
+                       out_c_, bias, nullptr, std::nullopt);
       },
       mode == Mode::kTrain ? n + 1 : util::grain_for(rows * cols * in_c_));
 

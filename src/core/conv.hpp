@@ -7,8 +7,8 @@
 /// (N, C, H, W) tensors already have the memory layout of (N, C, 1, H, W), so
 /// it copies no data.  `ConvNd` holds the one forward and backward of Conv2d
 /// and Conv3d, `ConvTransposeNd` those of the two transposed convs; the
-/// layer classes only fix the rank.  All lower to GEMM through
-/// vol2col/col2vol:
+/// layer classes only fix the rank.  All lower to GEMM, through vol2col/
+/// col2vol or, for stride-1 eval convs, the zero-haloed input read in place:
 ///   conv forward        : out  = W · cols(x)
 ///   conv backward-data  : gx   = col2vol(Wᵀ · g)
 ///   conv backward-weight: gW   = g · cols(x)ᵀ
@@ -16,8 +16,9 @@
 ///   deconv backward-data: gx   = W · cols(g)         (≡ conv forward)
 ///
 /// Half-precision inference keeps a cached binary16 copy of the weight in
-/// the orientation its GEMM consumes and lowers activations into a binary16
-/// column buffer, so the GEMM streams half the bytes of the fp32 path.
+/// the orientation its GEMM consumes and casts activations to binary16
+/// before they are lowered, so the GEMM streams half the bytes of the fp32
+/// path.
 /// Derived-weight caches (fp16 / int8) build lazily behind a LazyCache, so
 /// concurrent eval-mode forwards (the multi-worker streaming pipeline) are
 /// safe; only kTrain forwards and cache invalidation mutate layer state and
@@ -32,17 +33,32 @@
 /// least `util::kForkMinWork` multiply-adds or copies, so a tiny conv never
 /// pays for one.
 ///
-/// The dense eval lowering of Conv2d and Conv3d:
-///   * kEvalHalf: cast the input to binary16 (saturating), vol2col it (a run
-///     copy per column row, no per-element bounds test), then `hgemm`, whose
-///     register-blocked `tile_hh` overwrites C.  A 1x1 stride-1 unpadded
-///     conv skips the lowering: its column matrix is the input.
-///   * kEvalInt8: quantize the input once, then lower the int8 codes
-///     straight into the column matrix `qgemm` reads.  The scale is
-///     `quant_scale` of the largest |x| over the voxels some window covers,
-///     which is the largest magnitude in the column matrix, so the codes are
-///     those of quantizing the column matrix; in every BCAE layer every voxel
-///     is covered and the scale is one `max_abs`.
+/// The dense eval lowerings of Conv2d and Conv3d:
+///   * kEvalHalf and kEvalInt8 with stride 1 on every axis (every BCAE-2D
+///     conv and the 3-D models' 3x3x3 convs; 1x1 included) build no column
+///     matrix.  Each sample is copied once into a per-thread volume with a
+///     zero halo (`HaloGeom`, `pad_volume` in core/im2col.hpp) that holds
+///     the binary16 values of the saturating cast or the int8 codes, and the
+///     GEMM multiplies it in place on the padded-pitch grid: B row
+///     (c, kz, ky, kx) is the run of `HaloGeom::cols` elements at
+///     c * volume + kz * plane + ky * pitch + kx, which `hgemm`'s `tile_hh`
+///     or `qgemm` reads through a row table (the int8 kernels pack each
+///     16-column panel straight from the haloed codes).  `apply_epilogue`
+///     drops the halo columns as it stores each row.  A 1x1 unpadded conv is
+///     the pad-0, one-tap case: its copy is the input and its grid the
+///     output.  The column matrix this replaces was 5-40x the size of the
+///     haloed input (442 KB per sample at `enc.b1`, 4.8 MB at `enc.in`'s
+///     dense fallback).
+///   * Strided convs (the 3-D models' first conv when it runs dense), fp32
+///     kEval and kTrain lower through `vol2col_3d` (a run copy per column
+///     row, no per-element bounds test) and multiply the column matrix;
+///     fp32 skips the lowering of a 1x1 stride-1 unpadded conv, whose column
+///     matrix is its input.
+///   kEvalInt8 quantizes the input once, before either lowering.  The scale
+///   is `quant_scale` of the largest |x| over the voxels some window covers,
+///   which is the largest magnitude in the column matrix, so the codes are
+///   those of quantizing the column matrix; in every BCAE layer every voxel
+///   is covered and the scale is one `max_abs`.
 /// The transposed convs multiply first (`hgemm` in kEvalHalf; kEvalInt8
 /// falls back to fp32) and scatter with col2vol.
 ///
@@ -68,17 +84,19 @@
 /// FMA and multiply-then-add round alike; every tier's tile sums each
 /// output from +0 in ascending k, however it blocks registers; B is finite
 /// (the saturating cast), so the tiers that do not skip zero weights add
-/// exact zeros; the scatter visits voxels in (c, z, y, x) order, which
+/// exact zeros; the in-place lowering hands each output the same products
+/// in the same order, its halo terms being exact zeros like the column
+/// matrix's padding; the scatter visits voxels in (c, z, y, x) order, which
 /// hands each output its terms in the ascending (c, kz, ky, kx) order of the
 /// dense GEMM; skipped terms are exact zeros; and int8 partial sums are
 /// integers below 2^24.  Any change that reorders an fp16 sum, or fuses a
 /// rounding step (e.g. contracting the int8 epilogue `acc * scale + bias`
 /// into one FMA), breaks the contract.
 ///
-/// The epilogue.  Every lowering of Conv2d and Conv3d (sparse, dense fp16,
-/// int8, fp32 and 1x1) ends each sample in one pass, `apply_epilogue`, that
+/// The epilogue.  Every lowering of Conv2d and Conv3d (sparse, in place,
+/// vol2col and fp32) ends each sample in one pass, `apply_epilogue`, that
 /// turns the stored GEMM (or scatter) result `acc` of output channel o and
-/// element i into
+/// element i, read from the padded-pitch grid in place, into
 ///   v = acc + bias[o]               when the layer has a bias,
 ///   v = v + residual[i]             when the call passes a residual,
 ///   v = v > 0.f ? v : slope * v     when the call passes a LeakyReLU slope,
@@ -113,27 +131,27 @@ namespace nc::core {
 
 /// Largest nonzero fraction of a sample's input at which the kEvalHalf and
 /// kEvalInt8 forwards of Conv2d and Conv3d take the sparse lowering (see the
-/// file comment); one gate serves both ranks.  The values were set from
-/// three runs of bench_kernels' dense-vs-sparse sweep (single thread,
-/// 4-vCPU AVX-512 Xeon, GCC 12), which put the vector tiers' crossovers on
-/// the 16 -> 32 7x7 input layer, the only BCAE-2D layer whose input is
-/// sparse, at 30-50 % (fp16) and 20-30 % (int8); these values sat below
-/// them.  Lowering the gate to 0.15 sent the bench wedges above 15 %
-/// nonzero (the mean is 10.5-13 %) to the dense lowering, whose column
-/// buffer for BCAE-2D's input layer is 4.7 MB per thread: peak RSS rose
-/// from 124 to 155 MB on one perfbench seed.  Since the scatter walks its
-/// taps by fixed strides on 64-byte-aligned buffers, three more sweeps put
-/// the crossovers higher: on the input layer at 100 % (fp16, the sparse
-/// lowering wins at every swept density below it) and 50-100 % (int8); on
-/// the 3-D models' first conv (1 -> 2 and 1 -> 8 channels, kernel 3x4x4,
-/// stride 1x2x2, pad 1, on a 16x48x64 input) at 30-50 %, except 20-30 %
-/// for BCAE-HT's int8 on AVX2, with the scatter 2-3x faster than dense at
-/// 10 % density; on a 32 -> 32 3x3 layer at 30-50 %, though no BCAE 3x3
-/// conv sees inputs that sparse.  So, but for BCAE-HT's int8 on AVX2, the
-/// gates now sit at or below the crossovers: a sample between a gate and
-/// its crossover runs dense where the scatter would be faster, which costs
-/// time only on inputs far denser than TPC wedges.  A faster kernel on
-/// either side moves the crossovers: re-measure when one changes.
+/// file comment); one gate serves both ranks.  A faster kernel on either
+/// side moves the crossovers: re-measure when one changes.  The values rest
+/// on bench_kernels' dense-vs-sparse sweep (single thread, 4-vCPU AVX-512
+/// Xeon, GCC 12; densities 1, 5, 10, 15, 20, 30, 50 and 100 %), whose dense
+/// side runs the lowering the layers run.  Three sweeps with stride-1 convs
+/// in place on the zero-haloed input put the vector tiers' crossovers at:
+///   * the 16 -> 32 7x7 input layer, the only BCAE-2D layer whose input is
+///     sparse: 30-50 % in fp16 on both tiers (its dense conv takes 1.34 ms
+///     per sample on AVX-512), and in int8 20-50 % on AVX2 and above 50 %
+///     on AVX-512;
+///   * the 3-D models' first conv (1 -> 2 and 1 -> 8 channels, kernel
+///     3x4x4, stride 1x2x2, pad 1, on a 16x48x64 input), strided and so
+///     still lowered through vol2col_3d: 20-50 %, mostly 30-50 %;
+///   * a 32 -> 32 3x3 layer: 10-30 %, though no BCAE 3x3 conv sees inputs
+///     that sparse.
+/// No sweep put every vector tier's crossover below a gate, so the gates
+/// stay where earlier sweeps set them.  A sample between a gate and its
+/// crossover runs the slower lowering, which costs time only on inputs far
+/// denser than TPC wedges (10.5-13 % nonzero).  The input layer's dense
+/// fallback keeps a 121 KB haloed copy and a 429 KB padded-grid result per
+/// thread, where its column matrix took 4.7 MB.
 inline constexpr double kSparseMaxDensityHalf = 0.4;
 inline constexpr double kSparseMaxDensityInt8 = 0.25;
 
@@ -148,13 +166,30 @@ struct ConvEpilogue {
   bool empty() const { return residual == nullptr && !leaky_slope; }
 };
 
-/// The epilogue pass over one sample's (out_c, plane) output, in place:
-/// out = act(out + bias[o] + residual), each step rounded on its own, in
-/// that order.  A null `bias` or `residual` or an empty `leaky_slope` skips
-/// its step (no `+ 0.f`, which would turn -0 into +0).
-void apply_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
-                    const float* bias, const float* residual,
-                    std::optional<float> leaky_slope);
+/// Where one sample's GEMM (or scatter) result lies for `apply_epilogue`:
+/// output channel o's voxel (z, y, x) at o * cols + z * plane + y * row + x.
+/// The in-place lowering's padded-pitch grid has the pitches and columns of
+/// the haloed input (`HaloGeom` in core/im2col.hpp); `packed` is the
+/// output's own layout.
+struct EpilogueGrid {
+  std::int64_t d = 1, h = 1, w = 1;           ///< the output's extents
+  std::int64_t row = 1, plane = 1, cols = 1;  ///< the source's pitches
+
+  static EpilogueGrid packed(std::int64_t d, std::int64_t h, std::int64_t w) {
+    return {d, h, w, w, h * w, d * h * w};
+  }
+  bool is_packed() const { return row == w && plane == h * w; }
+};
+
+/// The epilogue pass over one sample's (out_c, d, h, w) output:
+/// out = act(acc + bias[o] + residual), each step rounded on its own, in
+/// that order, each output read from its place in `grid`; the grid's halo
+/// columns are dropped.  `acc` may be `out` itself when the grid is packed.
+/// A null `bias` or `residual` or an empty `leaky_slope` skips its step (no
+/// `+ 0.f`, which would turn -0 into +0).
+void apply_epilogue(const float* acc, const EpilogueGrid& grid, float* out,
+                    std::int64_t out_c, const float* bias,
+                    const float* residual, std::optional<float> leaky_slope);
 
 /// A conv whose eval forward can run a ConvEpilogue in its store: Conv2d and
 /// Conv3d.

@@ -124,7 +124,7 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const util::half* a, std::int64_t lda, const util::half* b,
-           std::int64_t ldb, float* c, std::int64_t ldc) {
+           const std::int64_t* b_rows, float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   // Register-blocked half-storage tile, runtime-dispatched: it widens B on
   // the fly (VCVTPH2PS), streaming half the bytes of the fp32 kernel — the
@@ -132,7 +132,7 @@ void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
   // overwrites its block of C, so C needs no clearing pass.
   const auto tile_hh = simd::kernels().tile_hh;
   if (!util::may_fork(m * n * k)) {
-    tile_hh(0, m, 0, n, k, a, lda, b, ldb, c, ldc);
+    tile_hh(0, m, 0, n, k, a, lda, b, b_rows, c, ldc);
     return;
   }
   // One column panel per thread, a multiple of the 32-column register
@@ -145,8 +145,14 @@ void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
 #endif
   for (std::int64_t p = 0; p < panels; ++p) {
     const std::int64_t j0 = p * width;
-    tile_hh(0, m, j0, std::min(n, j0 + width), k, a, lda, b, ldb, c, ldc);
+    tile_hh(0, m, j0, std::min(n, j0 + width), k, a, lda, b, b_rows, c, ldc);
   }
+}
+
+void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
+           const util::half* a, std::int64_t lda, const util::half* b,
+           std::int64_t ldb, float* c, std::int64_t ldc) {
+  hgemm(m, n, k, a, lda, b, simd::detail::plain_rows(k, ldb), c, ldc);
 }
 
 }  // namespace nc::core

@@ -11,10 +11,11 @@
 ///
 /// Parallelization: `sgemm` tiles over (row block, column block) with an
 /// OpenMP `collapse(2)` loop, `hgemm` splits the columns into one panel per
-/// thread.  Splitting columns matters because conv GEMMs here are "short and
-/// fat" (M = out-channels is tiny, N = output pixels is huge); row-only
-/// parallelism would idle most cores.  Both fork only when the call has at
-/// least `util::kForkMinWork` multiply-adds.
+/// thread (a lone caller; the conv layers call it from their sample loop,
+/// one sample per thread).  Splitting columns matters because conv GEMMs
+/// here are "short and fat" (M = out-channels is tiny, N = output pixels is
+/// huge); row-only parallelism would idle most cores.  Both fork only when
+/// the call has at least `util::kForkMinWork` multiply-adds.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +34,15 @@ void sgemm(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
 
 /// C = A * B with binary16 operands and float32 accumulation (no transposes —
 /// the inference path pre-packs weights in the orientation it needs).
-/// C is overwritten; B must be finite (see `simd::Kernels::tile_hh`).
+/// B row kk is the n halves at b + b_rows[kk]: the in-place conv lowering
+/// passes the tap offsets of its zero-haloed volume, whose rows overlap
+/// (see `HaloGeom` in core/im2col.hpp).  C is overwritten; B must be finite
+/// (see `simd::Kernels::tile_hh`).
+void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
+           const util::half* a, std::int64_t lda, const util::half* b,
+           const std::int64_t* b_rows, float* c, std::int64_t ldc);
+
+/// hgemm of a plain row-major B (row kk at b + kk * ldb).
 void hgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const util::half* a, std::int64_t lda, const util::half* b,
            std::int64_t ldb, float* c, std::int64_t ldc);

@@ -1,5 +1,6 @@
 /// \file im2col.hpp
-/// \brief vol2col / col2vol: the lowering of every conv layer.
+/// \brief The lowerings of every conv layer: vol2col / col2vol, and the
+///        zero-haloed volume that stride-1 eval convs multiply in place.
 ///
 /// Layout conventions (all row-major, per sample — batching is handled by the
 /// calling layer): volume (C, D, H, W); column matrix (C*KD*KH*KW, OD*OH*OW).
@@ -7,8 +8,17 @@
 /// the memory layout of a (C, 1, H, W) volume, so it lowers through the same
 /// functions.
 ///
-/// The templated destination type lets the half-precision inference path
-/// lower activations directly into a binary16 column buffer (halving the
+/// Who lowers how.  kEvalHalf and kEvalInt8 convs with stride 1 on every
+/// axis (1x1 included) build no column matrix: they copy the sample once
+/// into its zero-haloed layout (`HaloGeom`, `pad_volume`), in which column
+/// row (c, kz, ky, kx) is the contiguous run of `HaloGeom::cols` elements
+/// starting at `halo_row_offsets`' entry, and the GEMM reads those
+/// overlapping runs through a row table.  `vol2col_3d` is left to strided
+/// convs (the 3-D models' first conv), fp32 kEval and training, whose
+/// backward and the transposed convs also use `col2vol_3d`.
+///
+/// The templated destination type lets the half-precision path lower
+/// binary16 activations straight into a binary16 column buffer (halving the
 /// bytes the GEMM streams) without a separate conversion pass.
 #pragma once
 
@@ -36,6 +46,45 @@ struct Conv3dGeom {
   std::int64_t rows() const { return c * kd * kh * kw; }
   std::int64_t cols() const { return out_d() * out_h() * out_w(); }
 };
+
+/// The zero-haloed layout of a stride-1 conv's (c, d, h, w) input: every
+/// axis padded by its zero padding on both sides, so that no tap reads
+/// outside the buffer.  Its outputs live on the padded-pitch grid: output
+/// (oz, oy, ox) is column oz * plane + oy * pitch + ox of the GEMM, and
+/// column row (ci, kz, ky, kx) is the run of `cols` elements starting at
+/// ci * volume + kz * plane + ky * pitch + kx.  Each output sums the same
+/// products as the column matrix's column, halo terms being exact zeros
+/// where the column matrix holds its padding zeros; the columns with
+/// ox >= out_w or oy >= out_h are halo columns, computed and dropped.  The
+/// last row's run ends exactly at the buffer's last element.
+struct HaloGeom {
+  std::int64_t pitch = 0;   ///< row pitch, w + 2 pw
+  std::int64_t plane = 0;   ///< plane pitch, (h + 2 ph) * pitch
+  std::int64_t volume = 0;  ///< channel pitch, (d + 2 pd) * plane
+  std::int64_t cols = 0;    ///< padded-grid columns, ends at (od-1, oh-1, ow-1)
+};
+
+/// The haloed layout of `g`, which must have stride 1 on every axis.  The
+/// buffer holds g.c * volume elements.
+inline HaloGeom halo_geom(const Conv3dGeom& g) {
+  HaloGeom h;
+  h.pitch = g.w + 2 * g.pw;
+  h.plane = (g.h + 2 * g.ph) * h.pitch;
+  h.volume = (g.d + 2 * g.pd) * h.plane;
+  h.cols = (g.out_d() - 1) * h.plane + (g.out_h() - 1) * h.pitch + g.out_w();
+  return h;
+}
+
+/// rows[r] = the start of column row r = (ci, kz, ky, kx) in the haloed
+/// volume, for r < g.rows(): the row table of the in-place GEMM.
+inline void halo_row_offsets(const Conv3dGeom& g, std::int64_t* rows) {
+  const HaloGeom h = halo_geom(g);
+  for (std::int64_t ci = 0; ci < g.c; ++ci)
+    for (std::int64_t kz = 0; kz < g.kd; ++kz)
+      for (std::int64_t ky = 0; ky < g.kh; ++ky)
+        for (std::int64_t kx = 0; kx < g.kw; ++kx)
+          *rows++ = ci * h.volume + kz * h.plane + ky * h.pitch + kx;
+}
 
 namespace detail {
 
@@ -118,6 +167,29 @@ void vol2col_3d(const TSrc* in, const Conv3dGeom& g, TDst* cols) {
         }
       },
       util::grain_for(od * oh * ow));
+}
+
+/// Copy volume `in` (c, d, h, w) into `out`, its zero-haloed layout
+/// (`halo_geom(g)`, g.c * volume elements): each input row once, and the
+/// halo between two rows zeroed as it passes.  Every element of `out` is
+/// written.
+template <typename T>
+void pad_volume(const T* in, const Conv3dGeom& g, T* out) {
+  const HaloGeom h = halo_geom(g);
+  std::int64_t at = 0;  // elements of `out` written so far
+  for (std::int64_t ci = 0; ci < g.c; ++ci) {
+    for (std::int64_t z = 0; z < g.d; ++z) {
+      for (std::int64_t y = 0; y < g.h; ++y, in += g.w) {
+        const std::int64_t row = ci * h.volume + (z + g.pd) * h.plane +
+                                 (y + g.ph) * h.pitch + g.pw;
+        detail::zero_fill(out + at, row - at);
+        std::memcpy(static_cast<void*>(out + row), in,
+                    static_cast<std::size_t>(g.w) * sizeof(T));
+        at = row + g.w;
+      }
+    }
+  }
+  detail::zero_fill(out + at, g.c * h.volume - at);
 }
 
 /// Scatter-accumulate a column matrix back into a volume (backward of

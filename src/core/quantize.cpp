@@ -43,8 +43,9 @@ float quantize_tensor(const float* x, std::int64_t n, std::int8_t* out) {
 
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, const float* a_scales, const std::int8_t* b,
-           float b_scale, float* c, std::int64_t ldc) {
-  simd::kernels().qgemm(m, n, k, a, a_scales, b, b_scale, c, ldc);
+           const std::int64_t* b_rows, float b_scale, float* c,
+           std::int64_t ldc) {
+  simd::kernels().qgemm(m, n, k, a, a_scales, b, b_rows, b_scale, c, ldc);
 }
 
 std::int64_t prune_by_magnitude(const std::vector<Param*>& params,

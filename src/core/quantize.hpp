@@ -51,13 +51,16 @@ float quantize_tensor(const float* x, std::int64_t n, std::int8_t* out);
 
 /// C (M x N) = diag(a_scales) * (A8 * B8) * b_scale, int32 accumulation.
 /// A8 is the quantized weight (lda = k) with entries in [-127, 127], B8 the
-/// quantized activation panel (full int8 range).  Runtime-dispatched to the
-/// best SIMD tier (AVX2 vpmaddubsw / AVX-512 vpdpbusd) with the portable
-/// scalar loop as fallback; all tiers produce bit-identical results
-/// (tests/test_simd_kernels.cpp).
+/// quantized activation panel (full int8 range), whose row kk is the N
+/// codes at b + b_rows[kk]: the in-place conv lowering passes the tap
+/// offsets of its zero-haloed codes (see `HaloGeom` in core/im2col.hpp).
+/// Runtime-dispatched to the best SIMD tier (AVX2 vpmaddubsw / AVX-512
+/// vpdpbusd) with the portable scalar loop as fallback; all tiers produce
+/// bit-identical results (tests/test_simd_kernels.cpp).
 void qgemm(std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, const float* a_scales, const std::int8_t* b,
-           float b_scale, float* c, std::int64_t ldc);
+           const std::int64_t* b_rows, float b_scale, float* c,
+           std::int64_t ldc);
 
 // -- pruning ------------------------------------------------------------------
 

@@ -50,88 +50,54 @@ void fill_k0(std::int64_t m, std::int64_t n, const float* a_scales,
   }
 }
 
-/// Scalar pack of one (possibly partial) j-tile — mirrors the portable
-/// detail::pack_b_quad16 per-tile loop; used for the edges the vector pack
-/// below cannot cover.
-void pack_tile_scalar(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                      std::int64_t j0, std::int8_t* tile) {
-  const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
-  const std::int64_t jw = std::min<std::int64_t>(kQTileJ, n - j0);
-  for (std::int64_t q = 0; q < quads; ++q) {
-    std::int8_t* dst = tile + q * kQQuadK * kQTileJ;
-    for (std::int64_t r = 0; r < kQQuadK; ++r) {
-      const std::int64_t kk = q * kQQuadK + r;
-      if (kk >= k) {
-        for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-        continue;
-      }
-      const std::int8_t* src = b + kk * n + j0;
-      for (std::int64_t j = 0; j < jw; ++j) dst[j * kQQuadK + r] = src[j];
-      for (std::int64_t j = jw; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-    }
+/// Pack the panel at columns [j0, j0 + 16) of B (row kk at b + b_rows[kk])
+/// into `panel`: one SSE 4x16 byte interleave per 64-byte quad-row while
+/// all 16 columns and 4 rows exist, the portable packer for the rest.  The
+/// scalar pack used to cost more than the GEMM it feeds at small-m shapes
+/// (m = 2 stage-1 downsample: the O(k*n) pack vs O(2*n*k) MACs), so it has
+/// to run at memory speed.  Bytewise identical to
+/// `detail::pack_panel_tail`; duplicated in simd_avx512.cpp because
+/// intrinsics must stay inside the per-ISA TUs
+/// (tools/lint/check_headers.py enforces this).
+void pack_panel(const std::int8_t* b, const std::int64_t* b_rows,
+                std::int64_t k, std::int64_t n, std::int64_t j0,
+                std::int8_t* panel) {
+  const std::int64_t full_quads = j0 + kQTileJ <= n ? k / kQQuadK : 0;
+  const std::int64_t* rows = b_rows;
+  std::int8_t* dst = panel;
+  for (std::int64_t q = 0; q < full_quads; ++q, rows += 4, dst += 64) {
+    const __m128i r0 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[0] + j0));
+    const __m128i r1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[1] + j0));
+    const __m128i r2 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[2] + j0));
+    const __m128i r3 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[3] + j0));
+    // 4x16 interleave: out byte [j*4 + r] = row_r[j].
+    const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
+    const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
+    const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
+    const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm_unpacklo_epi16(t0, t2));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
+                     _mm_unpackhi_epi16(t0, t2));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
+                     _mm_unpacklo_epi16(t1, t3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
+                     _mm_unpackhi_epi16(t1, t3));
   }
+  detail::pack_panel_tail(b, b_rows, k, n, j0, full_quads, panel);
 }
 
-/// Vectorized B pack: one SSE 4x16 byte interleave per 64-byte quad-row.
-/// The scalar pack was costing more than the GEMM it feeds at small-m
-/// shapes (m = 2 stage-1 downsample: the O(k*n) pack vs O(2*n*k) MACs), so
-/// it has to run at memory speed.  Bytewise identical to the portable
-/// packer; duplicated in simd_avx512.cpp because intrinsics must stay
-/// inside the per-ISA TUs (tools/lint/check_headers.py enforces this).
-void pack_b_panel(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                  std::int8_t* packed) {
-  const std::int64_t full_quads = k / kQQuadK;
-  const std::int64_t full_tiles = n / kQTileJ;
-  const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
-  const std::int64_t tile_bytes = quads * kQQuadK * kQTileJ;
-  for (std::int64_t t = 0; t < full_tiles; ++t) {
-    const std::int8_t* src = b + t * kQTileJ;
-    std::int8_t* dst = packed + t * tile_bytes;
-    for (std::int64_t q = 0; q < full_quads; ++q, src += 4 * n, dst += 64) {
-      const __m128i r0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-      const __m128i r1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + n));
-      const __m128i r2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 2 * n));
-      const __m128i r3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 3 * n));
-      // 4x16 interleave: out byte [j*4 + r] = row_r[j].
-      const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
-      const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
-      const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-      const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                       _mm_unpacklo_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                       _mm_unpackhi_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
-                       _mm_unpacklo_epi16(t1, t3));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
-                       _mm_unpackhi_epi16(t1, t3));
-    }
-    if (full_quads < quads) {  // partial trailing k-quad: scalar + zero pad
-      for (std::int64_t r = 0; r < kQQuadK; ++r) {
-        const std::int64_t kk = full_quads * kQQuadK + r;
-        if (kk >= k) {
-          for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-          continue;
-        }
-        const std::int8_t* row = b + kk * n + t * kQTileJ;
-        for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = row[j];
-      }
-    }
-  }
-  if (full_tiles * kQTileJ < n) {  // partial trailing j-tile
-    pack_tile_scalar(b, k, n, full_tiles * kQTileJ,
-                     packed + full_tiles * tile_bytes);
-  }
-}
-
+/// int8 GEMM (contract in simd_dispatch.hpp).  Panels of 16 columns
+/// outside, each packed just before use into a thread-local buffer that
+/// stays in L1, row blocks of 4 inside.
 void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, const float* a_scales,
-                const std::int8_t* b, float b_scale, float* c,
-                std::int64_t ldc) {
+                const std::int8_t* b, const std::int64_t* b_rows,
+                float b_scale, float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     fill_k0(m, n, a_scales, b_scale, c, ldc);
@@ -140,12 +106,6 @@ void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
   const std::int64_t kp = quads * kQQuadK;
   const std::int64_t tiles = (n + kQTileJ - 1) / kQTileJ;
-
-  // Packed B panels: built once per call (= once per im2col buffer),
-  // amortized over all m weight rows.
-  auto& packed = detail::qpack_scratch();
-  packed.resize(static_cast<std::size_t>(detail::packed_b_bytes(k, n)));
-  pack_b_panel(b, k, n, packed.data());
 
   // Pad A rows to a whole number of quads so the inner loop can always read
   // aligned 4-byte groups.
@@ -162,23 +122,24 @@ void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
     lda = kp;
   }
 
-  const std::int8_t* pk = packed.data();
   const __m256i ones16 = _mm256_set1_epi16(1);
   // Register-block 4 weight rows per pass so each 64-byte packed quad-row is
   // loaded (and |b| computed) once for 4 rows of output instead of once per
   // row.  Each row keeps its own accumulator pair and its own add chain, so
   // the int32 result is identical to the one-row-at-a-time loop.
   constexpr std::int64_t kRowBlk = 4;
-  const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && util::may_fork(m * n * k))
+    if (tiles > 1 && util::may_fork(m * n * k))
 #endif
-  for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
-    const std::int64_t i0 = rb * kRowBlk;
-    const std::int64_t rows = std::min<std::int64_t>(kRowBlk, m - i0);
-    for (std::int64_t t = 0; t < tiles; ++t) {
-      const std::int8_t* blk = pk + t * quads * kQQuadK * kQTileJ;
+  for (std::int64_t t = 0; t < tiles; ++t) {
+    const std::int64_t j0 = t * kQTileJ;
+    auto& panel = detail::qpack_scratch();
+    panel.resize(static_cast<std::size_t>(detail::panel_bytes(k)));
+    pack_panel(b, b_rows, k, n, j0, panel.data());
+    const std::int8_t* blk = panel.data();
+    for (std::int64_t i0 = 0; i0 < m; i0 += kRowBlk) {
+      const std::int64_t rows = std::min<std::int64_t>(kRowBlk, m - i0);
       __m256i acc0[kRowBlk];  // lanes j0 .. j0+7, one per blocked row
       __m256i acc1[kRowBlk];  // lanes j0+8 .. j0+15
       for (std::int64_t r = 0; r < rows; ++r) {
@@ -206,7 +167,6 @@ void qgemm_avx2(std::int64_t m, std::int64_t n, std::int64_t k,
           acc1[r] = _mm256_add_epi32(acc1[r], _mm256_madd_epi16(p1, ones16));
         }
       }
-      const std::int64_t j0 = t * kQTileJ;
       for (std::int64_t r = 0; r < rows; ++r) {
         const float scale = a_scales[i0 + r] * b_scale;
         float* ci = c + (i0 + r) * ldc;
@@ -283,10 +243,13 @@ void quantize_scaled_avx2(const float* x, std::int64_t n, float inv_scale,
 /// registers) summed over all of k: every accumulator starts at +0 and
 /// takes one FMA per kk in ascending order, so each element gets the scalar
 /// tier's sum.  `aw` is the block's first widened A row (row stride k), `b`
-/// and `c` point at the block's first column.
-template <int R, int W>
+/// and `c` point at the block's first column, B row kk at b + b_rows[kk].
+/// A Tail block (W = 8) reads a staged, zero-padded (k x 8) panel instead,
+/// row kk at b + 8 * kk, and stores only the columns `live` selects.
+template <int R, int W, bool Tail>
 void block_hh(std::int64_t k, const float* aw, const util::half* b,
-              std::int64_t ldb, float* c, std::int64_t ldc) {
+              const std::int64_t* b_rows, float* c, std::int64_t ldc,
+              __m256i live) {
   constexpr int V = W / 8;
   __m256 acc[R][V];
 #pragma GCC unroll 6
@@ -295,7 +258,7 @@ void block_hh(std::int64_t k, const float* aw, const util::half* b,
     for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const util::half* bk = b + kk * ldb;
+    const util::half* bk = Tail ? b + 8 * kk : b + b_rows[kk];
     __m256 bv[V];
 #pragma GCC unroll 2
     for (int v = 0; v < V; ++v) {
@@ -313,29 +276,36 @@ void block_hh(std::int64_t k, const float* aw, const util::half* b,
   }
 #pragma GCC unroll 6
   for (int r = 0; r < R; ++r) {
+    if constexpr (Tail) {
+      _mm256_maskstore_ps(c + r * ldc, live, acc[r][0]);
+    } else {
 #pragma GCC unroll 2
-    for (int v = 0; v < V; ++v) _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+      for (int v = 0; v < V; ++v) {
+        _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+      }
+    }
   }
 }
 
 using BlockHh = void (*)(std::int64_t, const float*, const util::half*,
-                         std::int64_t, float*, std::int64_t);
+                         const std::int64_t*, float*, std::int64_t, __m256i);
 
-template <int W>
-constexpr BlockHh kBlockHh[7] = {nullptr,           &block_hh<1, W>,
-                                 &block_hh<2, W>,   &block_hh<3, W>,
-                                 &block_hh<4, W>,   &block_hh<5, W>,
-                                 &block_hh<6, W>};
+template <int W, bool Tail = false>
+constexpr BlockHh kBlockHh[7] = {
+    nullptr,                   &block_hh<1, W, Tail>, &block_hh<2, W, Tail>,
+    &block_hh<3, W, Tail>,     &block_hh<4, W, Tail>, &block_hh<5, W, Tail>,
+    &block_hh<6, W, Tail>};
 
 /// Register-blocked fp16 tile (contract in simd_dispatch.hpp).  Column
 /// blocks of 16 (then one of 8) outside, row blocks of 6 inside, so the B
-/// panel of one column block is reused from L1 by every row block; the last
-/// columns (fewer than 8) are summed one element at a time, in the same
-/// order.
+/// panel of one column block is reused from L1 by every row block.  The
+/// last columns (fewer than 8; the in-place lowering's padded grids rarely
+/// end on a multiple of 8) are copied into a zero-padded 8-column panel and
+/// summed by one masked block, in the same order.
 void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
-                  std::int64_t lda, const util::half* b, std::int64_t ldb,
-                  float* c, std::int64_t ldc) {
+                  std::int64_t lda, const util::half* b,
+                  const std::int64_t* b_rows, float* c, std::int64_t ldc) {
   const std::int64_t m = i1 - i0;
   if (m <= 0 || j1 <= j0) return;
   auto& aw = detail::tile_a_scratch();
@@ -343,24 +313,33 @@ void tile_hh_avx2(std::int64_t i0, std::int64_t i1, std::int64_t j0,
   for (std::int64_t i = 0; i < m; ++i) {
     util::half_to_float_n(a + (i0 + i) * lda, aw.data() + i * k, k);
   }
+  const __m256i all = _mm256_set1_epi32(-1);
   std::int64_t j = j0;
   for (; j + 8 <= j1;) {
     const bool wide = j + 16 <= j1;
     for (std::int64_t i = 0; i < m; i += 6) {
       const auto rows = static_cast<int>(std::min<std::int64_t>(6, m - i));
       const BlockHh block = wide ? kBlockHh<16>[rows] : kBlockHh<8>[rows];
-      block(k, aw.data() + i * k, b + j, ldb, c + (i0 + i) * ldc + j, ldc);
+      block(k, aw.data() + i * k, b + j, b_rows, c + (i0 + i) * ldc + j, ldc,
+            all);
     }
     j += wide ? 16 : 8;
   }
-  for (; j < j1; ++j) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      const float* ai = aw.data() + i * k;
-      float acc = 0.f;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc = std::fma(ai[kk], static_cast<float>(b[kk * ldb + j]), acc);
-      }
-      c[(i0 + i) * ldc + j] = acc;
+  if (j < j1) {
+    const std::int64_t width = j1 - j;
+    thread_local std::vector<util::half> panel;
+    panel.assign(static_cast<std::size_t>(8 * k), util::half{});
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      std::memcpy(panel.data() + 8 * kk, b + b_rows[kk] + j,
+                  static_cast<std::size_t>(width) * sizeof(util::half));
+    }
+    const __m256i live = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(width)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (std::int64_t i = 0; i < m; i += 6) {
+      const auto rows = static_cast<int>(std::min<std::int64_t>(6, m - i));
+      kBlockHh<8, true>[rows](k, aw.data() + i * k, panel.data(), nullptr,
+                              c + (i0 + i) * ldc + j, ldc, live);
     }
   }
 }

@@ -48,87 +48,52 @@ namespace {
 using detail::kQQuadK;
 using detail::kQTileJ;
 
-/// Scalar pack of one (possibly partial) j-tile — mirrors the portable
-/// detail::pack_b_quad16 per-tile loop; used for the edges the vector pack
-/// below cannot cover.
-void pack_tile_scalar(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                      std::int64_t j0, std::int8_t* tile) {
-  const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
-  const std::int64_t jw = std::min<std::int64_t>(kQTileJ, n - j0);
-  for (std::int64_t q = 0; q < quads; ++q) {
-    std::int8_t* dst = tile + q * kQQuadK * kQTileJ;
-    for (std::int64_t r = 0; r < kQQuadK; ++r) {
-      const std::int64_t kk = q * kQQuadK + r;
-      if (kk >= k) {
-        for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-        continue;
-      }
-      const std::int8_t* src = b + kk * n + j0;
-      for (std::int64_t j = 0; j < jw; ++j) dst[j * kQQuadK + r] = src[j];
-      for (std::int64_t j = jw; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-    }
-  }
-}
-
-/// Vectorized B pack: one SSE 4x16 byte interleave per 64-byte quad-row.
-/// Bytewise identical to the portable packer; deliberately duplicated from
-/// simd_avx2.cpp because intrinsics must stay inside the per-ISA TUs
+/// Pack the panel at columns [j0, j0 + 16) of B (row kk at b + b_rows[kk])
+/// into `panel`: one SSE 4x16 byte interleave per 64-byte quad-row while
+/// all 16 columns and 4 rows exist, the portable packer for the rest.
+/// Bytewise identical to `detail::pack_panel_tail`; deliberately duplicated
+/// from simd_avx2.cpp because intrinsics must stay inside the per-ISA TUs
 /// (tools/lint/check_headers.py enforces this) and this TU must not assume
 /// the AVX2 TU compiled.
-void pack_b_panel(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                  std::int8_t* packed) {
-  const std::int64_t full_quads = k / kQQuadK;
-  const std::int64_t full_tiles = n / kQTileJ;
-  const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
-  const std::int64_t tile_bytes = quads * kQQuadK * kQTileJ;
-  for (std::int64_t t = 0; t < full_tiles; ++t) {
-    const std::int8_t* src = b + t * kQTileJ;
-    std::int8_t* dst = packed + t * tile_bytes;
-    for (std::int64_t q = 0; q < full_quads; ++q, src += 4 * n, dst += 64) {
-      const __m128i r0 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-      const __m128i r1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + n));
-      const __m128i r2 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 2 * n));
-      const __m128i r3 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 3 * n));
-      // 4x16 interleave: out byte [j*4 + r] = row_r[j].
-      const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
-      const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
-      const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-      const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                       _mm_unpacklo_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                       _mm_unpackhi_epi16(t0, t2));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
-                       _mm_unpacklo_epi16(t1, t3));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
-                       _mm_unpackhi_epi16(t1, t3));
-    }
-    if (full_quads < quads) {  // partial trailing k-quad: scalar + zero pad
-      for (std::int64_t r = 0; r < kQQuadK; ++r) {
-        const std::int64_t kk = full_quads * kQQuadK + r;
-        if (kk >= k) {
-          for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-          continue;
-        }
-        const std::int8_t* row = b + kk * n + t * kQTileJ;
-        for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = row[j];
-      }
-    }
+void pack_panel(const std::int8_t* b, const std::int64_t* b_rows,
+                std::int64_t k, std::int64_t n, std::int64_t j0,
+                std::int8_t* panel) {
+  const std::int64_t full_quads = j0 + kQTileJ <= n ? k / kQQuadK : 0;
+  const std::int64_t* rows = b_rows;
+  std::int8_t* dst = panel;
+  for (std::int64_t q = 0; q < full_quads; ++q, rows += 4, dst += 64) {
+    const __m128i r0 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[0] + j0));
+    const __m128i r1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[1] + j0));
+    const __m128i r2 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[2] + j0));
+    const __m128i r3 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + rows[3] + j0));
+    // 4x16 interleave: out byte [j*4 + r] = row_r[j].
+    const __m128i t0 = _mm_unpacklo_epi8(r0, r1);
+    const __m128i t1 = _mm_unpackhi_epi8(r0, r1);
+    const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
+    const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
+                     _mm_unpacklo_epi16(t0, t2));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
+                     _mm_unpackhi_epi16(t0, t2));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 32),
+                     _mm_unpacklo_epi16(t1, t3));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 48),
+                     _mm_unpackhi_epi16(t1, t3));
   }
-  if (full_tiles * kQTileJ < n) {  // partial trailing j-tile
-    pack_tile_scalar(b, k, n, full_tiles * kQTileJ,
-                     packed + full_tiles * tile_bytes);
-  }
+  detail::pack_panel_tail(b, b_rows, k, n, j0, full_quads, panel);
 }
 
+/// int8 GEMM (contract in simd_dispatch.hpp).  Panels of 16 columns
+/// outside, each packed just before use into a thread-local buffer that
+/// stays in L1, row blocks of 4 inside.
 void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* a, const float* a_scales,
-                  const std::int8_t* b, float b_scale, float* c,
-                  std::int64_t ldc) {
+                  const std::int8_t* b, const std::int64_t* b_rows,
+                  float b_scale, float* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
     for (std::int64_t i = 0; i < m; ++i) {
@@ -140,10 +105,6 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
   const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
   const std::int64_t kp = quads * kQQuadK;
   const std::int64_t tiles = (n + kQTileJ - 1) / kQTileJ;
-
-  auto& packed = detail::qpack_scratch();
-  packed.resize(static_cast<std::size_t>(detail::packed_b_bytes(k, n)));
-  pack_b_panel(b, k, n, packed.data());
 
   const std::int8_t* a_eff = a;
   std::int64_t lda = k;
@@ -169,23 +130,25 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
     for (std::int64_t kk = 0; kk < k; ++kk) s += ai[kk];
     row_sums[static_cast<std::size_t>(i)] = s;
   }
+  const std::int32_t* sums = row_sums.data();
 
-  const std::int8_t* pk = packed.data();
   const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
   // Register-block 4 weight rows per pass: each packed quad-row is loaded
   // and biased (+128 XOR) once for 4 rows of output.  Rows keep independent
   // accumulators, so the int32 result is unchanged.
   constexpr std::int64_t kRowBlk = 4;
-  const std::int64_t row_blocks = (m + kRowBlk - 1) / kRowBlk;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) \
-    if (row_blocks > 1 && util::may_fork(m * n * k))
+    if (tiles > 1 && util::may_fork(m * n * k))
 #endif
-  for (std::int64_t rb = 0; rb < row_blocks; ++rb) {
-    const std::int64_t i0 = rb * kRowBlk;
-    const std::int64_t rows = std::min<std::int64_t>(kRowBlk, m - i0);
-    for (std::int64_t t = 0; t < tiles; ++t) {
-      const std::int8_t* blk = pk + t * quads * kQQuadK * kQTileJ;
+  for (std::int64_t t = 0; t < tiles; ++t) {
+    const std::int64_t j0 = t * kQTileJ;
+    auto& panel = detail::qpack_scratch();
+    panel.resize(static_cast<std::size_t>(detail::panel_bytes(k)));
+    pack_panel(b, b_rows, k, n, j0, panel.data());
+    const std::int8_t* blk = panel.data();
+    for (std::int64_t i0 = 0; i0 < m; i0 += kRowBlk) {
+      const std::int64_t rows = std::min<std::int64_t>(kRowBlk, m - i0);
       __m512i acc[kRowBlk];
       for (std::int64_t r = 0; r < rows; ++r) acc[r] = _mm512_setzero_si512();
       for (std::int64_t q = 0; q < quads; ++q) {
@@ -201,10 +164,8 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
           acc[r] = _mm512_dpbusd_epi32(acc[r], ub, _mm512_set1_epi32(aq));
         }
       }
-      const std::int64_t j0 = t * kQTileJ;
       for (std::int64_t r = 0; r < rows; ++r) {
-        const __m512i correction = _mm512_set1_epi32(
-            128 * row_sums[static_cast<std::size_t>(i0 + r)]);
+        const __m512i correction = _mm512_set1_epi32(128 * sums[i0 + r]);
         const float scale = a_scales[i0 + r] * b_scale;
         float* ci = c + (i0 + r) * ldc;
         const __m512i fixed = _mm512_sub_epi32(acc[r], correction);
@@ -227,11 +188,12 @@ void qgemm_avx512(std::int64_t m, std::int64_t n, std::int64_t k,
 /// most) summed over all of k: every accumulator starts at +0 and takes one
 /// FMA per kk in ascending order, so each element gets the scalar tier's
 /// sum.  `aw` is the block's first widened A row (row stride k), `b` and `c`
-/// point at the block's first column; `mask` selects its live columns when
-/// the block is not Full.
+/// point at the block's first column, B row kk at b + b_rows[kk]; `mask`
+/// selects its live columns when the block is not Full.
 template <int R, bool Full>
 void block_hh(std::int64_t k, const float* aw, const util::half* b,
-              std::int64_t ldb, float* c, std::int64_t ldc, __mmask32 mask) {
+              const std::int64_t* b_rows, float* c, std::int64_t ldc,
+              __mmask32 mask) {
   __m512 acc0[R], acc1[R];
 #pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
@@ -239,7 +201,7 @@ void block_hh(std::int64_t k, const float* aw, const util::half* b,
     acc1[r] = _mm512_setzero_ps();
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const util::half* bk = b + kk * ldb;
+    const util::half* bk = b + b_rows[kk];
     __m512 b0, b1;
     if constexpr (Full) {
       b0 = _mm512_cvtph_ps(
@@ -273,7 +235,7 @@ void block_hh(std::int64_t k, const float* aw, const util::half* b,
 }
 
 using BlockHh = void (*)(std::int64_t, const float*, const util::half*,
-                         std::int64_t, float*, std::int64_t, __mmask32);
+                         const std::int64_t*, float*, std::int64_t, __mmask32);
 
 template <bool Full>
 constexpr BlockHh kBlockHh[9] = {
@@ -286,8 +248,8 @@ constexpr BlockHh kBlockHh[9] = {
 /// column block (k x 32 halves) is reused from L1 by every row block.
 void tile_hh_avx512(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                     std::int64_t j1, std::int64_t k, const util::half* a,
-                    std::int64_t lda, const util::half* b, std::int64_t ldb,
-                    float* c, std::int64_t ldc) {
+                    std::int64_t lda, const util::half* b,
+                    const std::int64_t* b_rows, float* c, std::int64_t ldc) {
   const std::int64_t m = i1 - i0;
   if (m <= 0 || j1 <= j0) return;
   auto& aw = detail::tile_a_scratch();
@@ -303,7 +265,7 @@ void tile_hh_avx512(std::int64_t i0, std::int64_t i1, std::int64_t j0,
     for (std::int64_t i = 0; i < m; i += 8) {
       const auto rows = static_cast<int>(std::min<std::int64_t>(8, m - i));
       const BlockHh block = full ? kBlockHh<true>[rows] : kBlockHh<false>[rows];
-      block(k, aw.data() + i * k, b + j, ldb, c + (i0 + i) * ldc + j, ldc,
+      block(k, aw.data() + i * k, b + j, b_rows, c + (i0 + i) * ldc + j, ldc,
             mask);
     }
   }

@@ -24,8 +24,8 @@ namespace {
 
 void qgemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
                   const std::int8_t* a, const float* a_scales,
-                  const std::int8_t* b, float b_scale, float* c,
-                  std::int64_t ldc) {
+                  const std::int8_t* b, const std::int64_t* b_rows,
+                  float b_scale, float* c, std::int64_t ldc) {
   // i-k-j with an int32 accumulator panel per row; the widening int8
   // multiply vectorizes under -O3.  A per-row int32 scratch keeps the
   // accumulation exact (int8*int8 sums stay well inside int32 for the
@@ -46,7 +46,7 @@ void qgemm_scalar(std::int64_t m, std::int64_t n, std::int64_t k,
       for (std::int64_t kk = 0; kk < k; ++kk) {
         const std::int32_t av = ai[kk];
         if (av == 0) continue;
-        const std::int8_t* bk = b + kk * n + j0;
+        const std::int8_t* bk = b + b_rows[kk] + j0;
 #ifdef _OPENMP
 #pragma omp simd
 #endif
@@ -85,8 +85,8 @@ void quantize_scaled_scalar(const float* x, std::int64_t n, float inv_scale,
 
 void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                     std::int64_t j1, std::int64_t k, const util::half* a,
-                    std::int64_t lda, const util::half* b, std::int64_t ldb,
-                    float* c, std::int64_t ldc) {
+                    std::int64_t lda, const util::half* b,
+                    const std::int64_t* b_rows, float* c, std::int64_t ldc) {
   // Widen A once per call and each B row once per column block, not once
   // per product: converting binary16 in the inner loop cost more than the
   // arithmetic.  The block keeps its rows of C in cache while k runs.  Each
@@ -105,7 +105,7 @@ void tile_hh_scalar(std::int64_t i0, std::int64_t i1, std::int64_t j0,
       std::fill(c + i * ldc + jb, c + i * ldc + jb + width, 0.f);
     }
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      util::half_to_float_n(b + kk * ldb + jb, brow, width);
+      util::half_to_float_n(b + b_rows[kk] + jb, brow, width);
       for (std::int64_t i = 0; i < m; ++i) {
         const float av = aw[static_cast<std::size_t>(i * k + kk)];
         if (av == 0.f) continue;
@@ -234,31 +234,18 @@ TapSteps tap_steps(const Conv3dGeom& g, std::int64_t out_c) {
 
 // -- packed-B panel layout (shared by the AVX2 and AVX-512 kernels) ---------
 
-std::int64_t packed_b_bytes(std::int64_t k, std::int64_t n) {
-  const std::int64_t kp = (k + kQQuadK - 1) / kQQuadK * kQQuadK;
-  const std::int64_t tiles = (n + kQTileJ - 1) / kQTileJ;
-  return tiles * kp * kQTileJ;
-}
-
-void pack_b_quad16(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                   std::int8_t* packed) {
+void pack_panel_tail(const std::int8_t* b, const std::int64_t* b_rows,
+                     std::int64_t k, std::int64_t n, std::int64_t j0,
+                     std::int64_t q0, std::int8_t* panel) {
   const std::int64_t quads = (k + kQQuadK - 1) / kQQuadK;
-  const std::int64_t tiles = (n + kQTileJ - 1) / kQTileJ;
-  for (std::int64_t t = 0; t < tiles; ++t) {
-    const std::int64_t j0 = t * kQTileJ;
-    const std::int64_t jw = std::min<std::int64_t>(kQTileJ, n - j0);
-    std::int8_t* tile = packed + t * quads * kQQuadK * kQTileJ;
-    for (std::int64_t q = 0; q < quads; ++q) {
-      std::int8_t* dst = tile + q * kQQuadK * kQTileJ;
-      for (std::int64_t r = 0; r < kQQuadK; ++r) {
-        const std::int64_t kk = q * kQQuadK + r;
-        if (kk >= k) {
-          for (std::int64_t j = 0; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
-          continue;
-        }
-        const std::int8_t* src = b + kk * n + j0;
-        for (std::int64_t j = 0; j < jw; ++j) dst[j * kQQuadK + r] = src[j];
-        for (std::int64_t j = jw; j < kQTileJ; ++j) dst[j * kQQuadK + r] = 0;
+  const std::int64_t jw = std::clamp<std::int64_t>(n - j0, 0, kQTileJ);
+  for (std::int64_t q = q0; q < quads; ++q) {
+    std::int8_t* dst = panel + q * kQQuadK * kQTileJ;
+    for (std::int64_t r = 0; r < kQQuadK; ++r) {
+      const std::int64_t kk = q * kQQuadK + r;
+      const std::int8_t* src = kk < k ? b + b_rows[kk] + j0 : nullptr;
+      for (std::int64_t j = 0; j < kQTileJ; ++j) {
+        dst[j * kQQuadK + r] = (src && j < jw) ? src[j] : std::int8_t{0};
       }
     }
   }
@@ -277,6 +264,15 @@ std::vector<std::int8_t>& qpad_a_scratch() {
 std::vector<std::int32_t>& qrow_sum_scratch() {
   thread_local std::vector<std::int32_t> buf;
   return buf;
+}
+
+const std::int64_t* plain_rows(std::int64_t k, std::int64_t ld) {
+  thread_local std::vector<std::int64_t> rows;
+  rows.resize(static_cast<std::size_t>(std::max<std::int64_t>(k, 0)));
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    rows[static_cast<std::size_t>(kk)] = kk * ld;
+  }
+  return rows.data();
 }
 
 std::vector<float>& tile_a_scratch() {

@@ -62,11 +62,16 @@ struct Kernels {
   /// quantized weight (lda = k) with entries in [-127, 127] (the
   /// `quantize_rows` guarantee; -128 weights would break the AVX2
   /// sign-transfer trick), B8 the quantized activation panel (full int8
-  /// range accepted).  Bit-exact across ISAs.
+  /// range accepted), whose row kk is the n codes at b + b_rows[kk]: the
+  /// rows of a plain (k x n) matrix (b_rows[kk] = kk * n), or overlapping
+  /// views of one zero-haloed volume (see `nc::core::HaloGeom`).  No code
+  /// outside those k runs of n is read.  Bit-exact across ISAs.  The vector
+  /// tiers pack each 16-column quad panel (simd_qpack.hpp) just before
+  /// their row blocks use it.
   void (*qgemm)(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::int8_t* a, const float* a_scales,
-                const std::int8_t* b, float b_scale, float* c,
-                std::int64_t ldc) = nullptr;
+                const std::int8_t* b, const std::int64_t* b_rows,
+                float b_scale, float* c, std::int64_t ldc) = nullptr;
 
   /// max_i |x_i| over n floats (0.f for n <= 0).  Finite inputs assumed.
   float (*max_abs)(const float* x, std::int64_t n) = nullptr;
@@ -80,19 +85,23 @@ struct Kernels {
   /// Half-storage GEMM on one tile of C, which it overwrites:
   /// C[i, j] = sum over kk < k of float(A[i, kk]) * float(B[kk, j]) for
   /// i0 <= i < i1, j0 <= j < j1, each element summed from +0 in ascending kk
-  /// and nothing outside the tile written.  B must be finite (every caller
-  /// fills it with `util::float_to_half_sat_n`): then a zero A entry adds an
-  /// exact zero to a sum that is never -0, so the scalar reference may skip
-  /// it and the vector tiers need not.  The vector tiers widen A to fp32
-  /// once per call and keep a register block of C across all of k (8 x 32 on
-  /// AVX-512, 6 x 16 on AVX2), widening B with VCVTPH2PS and adding each
-  /// exact product with one FMA, so they are bit-identical to the scalar
-  /// tier's multiply-then-add.  The scalar tier widens A once per call and
-  /// each B row once per 256-column block.
+  /// and nothing outside the tile written.  B row kk starts at
+  /// b + b_rows[kk]: a plain matrix passes b_rows[kk] = kk * ldb, the
+  /// in-place conv lowering the tap offsets of its zero-haloed volume, whose
+  /// rows overlap.  Only B[kk, j] for j0 <= j < j1 is read.  B must be
+  /// finite (every caller fills it with `util::float_to_half_sat_n`): then a
+  /// zero A entry adds an exact zero to a sum that is never -0, so the
+  /// scalar reference may skip it and the vector tiers need not.  The
+  /// vector tiers widen A to fp32 once per call and keep a register block of
+  /// C across all of k (8 x 32 on AVX-512, 6 x 16 on AVX2), widening B with
+  /// VCVTPH2PS and adding each exact product with one FMA, so they are
+  /// bit-identical to the scalar tier's multiply-then-add.  The scalar tier
+  /// widens A once per call and each B row once per 256-column block.
   void (*tile_hh)(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                   std::int64_t j1, std::int64_t k, const util::half* a,
-                  std::int64_t lda, const util::half* b, std::int64_t ldb,
-                  float* c, std::int64_t ldc) = nullptr;
+                  std::int64_t lda, const util::half* b,
+                  const std::int64_t* b_rows, float* c,
+                  std::int64_t ldc) = nullptr;
 
   /// Sparse direct convolution of one (g.c, g.d, g.h, g.w) sample (a 2-D
   /// conv is the case d = kd = 1).  Every nonzero input voxel
@@ -228,6 +237,10 @@ std::int64_t for_each_tap(const float* slab, float* acc, std::int64_t c,
   }
   return tz.count * ty.count * tx.count;
 }
+
+/// The row table of a plain row-major matrix: entry kk is kk * ld, for
+/// kk < k.  Thread-local, valid until this thread's next call.
+const std::int64_t* plain_rows(std::int64_t k, std::int64_t ld);
 
 /// Thread-local fp32 copy of the A rows a `tile_hh` call multiplies with
 /// (capacity retained across calls, so steady-state inference allocates

@@ -233,14 +233,22 @@ TEST(ConvTranspose3d, HalfForwardCloseToFloat) {
 
 TEST(Conv2d, ProfilerCountsTheFlopsEachLoweringExecutes) {
   // Sample 0 holds one interior voxel, so it takes the sparse lowering and
-  // reaches one output per kernel tap: 2 * out_c * taps flops, with 9 taps
-  // in 2-D and 27 in 3-D.  Sample 1 is dense and runs the full GEMM:
-  // 2 * out_c * (output voxels) * (c * taps) flops.  Conv3d runs the same
-  // lowerings and must count alike.
+  // reaches one output per kernel tap it meets: 2 * out_c * taps flops,
+  // with 9 taps in 2-D and 27 in 3-D at stride 1.  Sample 1 is dense.  At
+  // stride 1 it runs in place on the zero-haloed input, whose GEMM covers
+  // the padded-pitch grid: 2 * out_c * n' * (c * taps) flops, n' = (od - 1)
+  // * plane + (oh - 1) * pitch + ow with pitch = w + 2 and plane = (h + 2) *
+  // pitch (52 columns for 6 x 7, 340 for 5 x 6 x 7).  At stride 2 in y and
+  // x it runs vol2col_3d and the full GEMM: 2 * out_c * (output voxels) *
+  // (c * taps), and the voxel meets 2 taps along y and x.  Conv3d runs the
+  // same lowerings and must count alike.
   nc::util::Rng rng(19);
   Conv2d conv2(2, 4, A2{3, 3}, A2{1, 1}, A2{1, 1}, true, rng, "flops_probe");
   Conv3d conv3(2, 4, A3{3, 3, 3}, A3{1, 1, 1}, A3{1, 1, 1}, true, rng,
                "flops_probe");
+  Conv2d conv2s(2, 4, A2{3, 3}, A2{2, 2}, A2{1, 1}, true, rng, "flops_probe");
+  Conv3d conv3s(2, 4, A3{3, 3, 3}, A3{1, 2, 2}, A3{1, 1, 1}, true, rng,
+                "flops_probe");
   Tensor x2({2, 2, 6, 7});
   x2.at({0, 1, 3, 3}) = 1.5f;
   for (std::int64_t i = 2 * 6 * 7; i < x2.numel(); ++i) x2[i] = 0.25f;
@@ -253,8 +261,10 @@ TEST(Conv2d, ProfilerCountsTheFlopsEachLoweringExecutes) {
     double want;
   };
   const Probe probes[] = {
-      {&conv2, &x2, 2.0 * 4 * 9 + 2.0 * 4 * (6 * 7) * (2 * 9)},
-      {&conv3, &x3, 2.0 * 4 * 27 + 2.0 * 4 * (5 * 6 * 7) * (2 * 27)}};
+      {&conv2, &x2, 2.0 * 4 * 9 + 2.0 * 4 * (5 * 9 + 7) * (2 * 9)},
+      {&conv3, &x3, 2.0 * 4 * 27 + 2.0 * 4 * (4 * 72 + 5 * 9 + 7) * (2 * 27)},
+      {&conv2s, &x2, 2.0 * 4 * 4 + 2.0 * 4 * (3 * 4) * (2 * 9)},
+      {&conv3s, &x3, 2.0 * 4 * 12 + 2.0 * 4 * (5 * 3 * 4) * (2 * 27)}};
 
   auto& prof = nc::core::Profiler::instance();
   for (const Probe& probe : probes) {

@@ -8,21 +8,25 @@
 /// depth-1 case, as the library's layers do.
 ///
 ///   * kernel level, on every tier from simd::kernels_for: the library's
-///     dense lowering (its vol2col_3d / col2vol_3d) with that tier's tile_hh,
-///     or max_abs + quantize_scaled + qgemm; and, for Conv2d and Conv3d, the
-///     sparse lowering with that tier's scatter_conv;
+///     column-matrix lowering (its vol2col_3d / col2vol_3d) with that tier's
+///     tile_hh, or max_abs + quantize_scaled + qgemm; for stride-1 Conv2d
+///     and Conv3d, the in-place lowering (the library's zero-haloed copy,
+///     its row table, that tier's tile_hh or qgemm on the padded-pitch grid
+///     and `apply_epilogue` dropping the halo columns); and, for Conv2d and
+///     Conv3d, the sparse lowering with that tier's scatter_conv;
 ///   * layer level, on the active tier: the layer's own forward, which picks
 ///     its lowering per sample.
 ///
 /// Any differing bit fails.  The int8 reference quantizes the column matrix
 /// (scale from its max |x|), while the library quantizes the input first
 /// (scale from the max |x| of the voxels some window covers) and lowers the
-/// codes; the two must agree code for code.  Six stand-ins prove the
+/// codes; the two must agree code for code.  Seven stand-ins prove the
 /// oracle can fail: scatters that visit voxels in (y, x, c) or (c, y, x, z)
 /// order, a scatter whose depth taps land one output depth off, a tap walk
 /// whose weight offset steps one tap row short along y, a tile that sums k
-/// in descending order, and a lowering whose copied run starts one column
-/// late.
+/// in descending order, a lowering whose copied run starts one column
+/// late, and an in-place row table whose ky step is one element short of a
+/// pitch.
 ///
 /// Determinism: SplitMix64 seeded per test, in the style of
 /// tools/fuzz/det_main.cpp; a failure prints the case index and parameters.
@@ -55,6 +59,15 @@ using nc::core::simd::Kernels;
 using nc::util::half;
 using ScatterFn = decltype(Kernels::scatter_conv);
 using TileFn = decltype(Kernels::tile_hh);
+
+/// The row table of a plain row-major (k x ld) matrix: kk * ld.
+std::vector<std::int64_t> plain_rows(std::int64_t k, std::int64_t ld) {
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(k));
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    rows[static_cast<std::size_t>(kk)] = kk * ld;
+  }
+  return rows;
+}
 
 /// SplitMix64: the whole run is a pure function of the seed.
 class Prng {
@@ -110,6 +123,10 @@ struct Case {
     return kind == Kind::kDeconv2d || kind == Kind::kDeconv3d;
   }
   bool two_d() const { return kind == Kind::kConv2d || kind == Kind::kDeconv2d; }
+  /// Whether the layer multiplies its input in place: a stride-1 conv.
+  bool in_place() const {
+    return !transposed() && s[0] == 1 && s[1] == 1 && s[2] == 1;
+  }
   /// Output extent along axis a.
   std::int64_t out(int a) const {
     return transposed() ? (dim[a] - 1) * s[a] - 2 * p[a] + k[a]
@@ -501,7 +518,11 @@ struct StandIns {
   ScatterFn scatter = nullptr;
   TileFn tile = nullptr;
   bool late_run_im2col = false;
-  bool any() const { return scatter || tile || late_run_im2col; }
+  /// The in-place row table with its ky step one element short of a pitch.
+  bool short_ky_rows = false;
+  bool any() const {
+    return scatter || tile || late_run_im2col || short_ky_rows;
+  }
 };
 
 /// A deliberately wrong lowering of a 2-D (depth-1) geometry: each row's run
@@ -573,24 +594,73 @@ std::vector<float> dense_lowering(const float* x, const Case& c, const Layer& l,
     std::vector<half> xh(static_cast<std::size_t>(c.in_numel()));
     nc::util::float_to_half_sat_n(x, xh.data(), c.in_numel());
     std::vector<float> gcol(static_cast<std::size_t>(rows * cols), 0.f);
-    tile(0, rows, 0, cols, c.in_c, l.a_half.data(), c.in_c, xh.data(), cols,
-         gcol.data(), cols);
+    tile(0, rows, 0, cols, c.in_c, l.a_half.data(), c.in_c, xh.data(),
+         plain_rows(c.in_c, cols).data(), gcol.data(), cols);
     nc::core::col2vol_3d(gcol.data(), g, out.data());
   } else if (mode == Mode::kEvalHalf) {
     std::vector<half> xh(static_cast<std::size_t>(c.in_numel()));
     nc::util::float_to_half_sat_n(x, xh.data(), c.in_numel());
     const std::vector<half> col = lower(xh.data(), c, si);
     tile(0, c.out_c, 0, g.cols(), rows, l.a_half.data(), rows, col.data(),
-         g.cols(), out.data(), g.cols());
+         plain_rows(rows, g.cols()).data(), out.data(), g.cols());
   } else {
     const float scale = ref_scale(covered_max_abs(x, c, ker));
     std::vector<std::int8_t> q(static_cast<std::size_t>(c.in_numel()));
     ker.quantize_scaled(x, c.in_numel(), 1.f / scale, q.data());
     const std::vector<std::int8_t> col = lower(q.data(), c, si);
     ker.qgemm(c.out_c, g.cols(), rows, l.q.values.data(), l.q.scales.data(),
-              col.data(), scale, out.data(), g.cols());
+              col.data(), plain_rows(rows, g.cols()).data(), scale, out.data(),
+              g.cols());
   }
   add_bias(l.bias, c.out_c, c.out(0) * c.out(1) * c.out(2), out.data());
+  return out;
+}
+
+/// The in-place lowering of a stride-1 Conv2d or Conv3d at kernel level:
+/// binary16 input (or int8 codes of the covered max's scale) copied into
+/// an exact-size zero-haloed volume by the library's `pad_volume`, one
+/// tile_hh (or qgemm) over the padded-pitch grid through the library's row
+/// table, then the library's epilogue drops the halo columns as it adds
+/// the bias.
+std::vector<float> in_place_lowering(const float* x, const Case& c,
+                                     const Layer& l, Mode mode,
+                                     const Kernels& ker, const StandIns& si) {
+  const Conv3dGeom g = c.geom3();
+  const nc::core::HaloGeom hg = nc::core::halo_geom(g);
+  const std::int64_t rows = g.rows(), n = hg.cols;
+  std::vector<std::int64_t> table(static_cast<std::size_t>(rows));
+  nc::core::halo_row_offsets(g, table.data());
+  if (si.short_ky_rows) {
+    // Tap row ky starts ky elements early: the offsets only shrink, so
+    // every read stays inside the buffer.
+    for (std::int64_t r = 0; r < rows; ++r) {
+      table[static_cast<std::size_t>(r)] -= (r / g.kw) % g.kh;
+    }
+  }
+  const auto size = static_cast<std::size_t>(g.c * hg.volume);
+  std::vector<float> acc(static_cast<std::size_t>(c.out_c * n));
+  if (mode == Mode::kEvalHalf) {
+    const TileFn tile = si.tile ? si.tile : ker.tile_hh;
+    std::vector<half> xh(static_cast<std::size_t>(c.in_numel()));
+    nc::util::float_to_half_sat_n(x, xh.data(), c.in_numel());
+    std::vector<half> halo(size);
+    nc::core::pad_volume(xh.data(), g, halo.data());
+    tile(0, c.out_c, 0, n, rows, l.a_half.data(), rows, halo.data(),
+         table.data(), acc.data(), n);
+  } else {
+    const float scale = ref_scale(covered_max_abs(x, c, ker));
+    std::vector<std::int8_t> q(static_cast<std::size_t>(c.in_numel()));
+    ker.quantize_scaled(x, c.in_numel(), 1.f / scale, q.data());
+    std::vector<std::int8_t> halo(size);
+    nc::core::pad_volume(q.data(), g, halo.data());
+    ker.qgemm(c.out_c, n, rows, l.q.values.data(), l.q.scales.data(),
+              halo.data(), table.data(), scale, acc.data(), n);
+  }
+  std::vector<float> out(static_cast<std::size_t>(c.out_numel()));
+  const nc::core::EpilogueGrid grid{g.out_d(), g.out_h(), g.out_w(), hg.pitch,
+                                    hg.plane, n};
+  nc::core::apply_epilogue(acc.data(), grid, out.data(), c.out_c, l.bias,
+                           nullptr, std::nullopt);
   return out;
 }
 
@@ -750,14 +820,15 @@ std::int64_t scatter_short_y_step(const float* x, const Conv3dGeom& g,
 /// A deliberately wrong tile: right products, k summed in descending order.
 void tile_descending_k(std::int64_t i0, std::int64_t i1, std::int64_t j0,
                        std::int64_t j1, std::int64_t k, const half* a,
-                       std::int64_t lda, const half* b, std::int64_t ldb,
-                       float* c, std::int64_t ldc) {
+                       std::int64_t lda, const half* b,
+                       const std::int64_t* b_rows, float* c,
+                       std::int64_t ldc) {
   for (std::int64_t i = i0; i < i1; ++i) {
     for (std::int64_t j = j0; j < j1; ++j) {
       float acc = 0.f;
       for (std::int64_t kk = k - 1; kk >= 0; --kk) {
         acc += static_cast<float>(a[i * lda + kk]) *
-               static_cast<float>(b[kk * ldb + j]);
+               static_cast<float>(b[b_rows[kk] + j]);
       }
       c[i * ldc + j] = acc;
     }
@@ -780,6 +851,7 @@ struct Stats {
   std::int64_t differing[2] = {0, 0};  ///< by mode: fp16, int8
   std::int64_t sparse_samples[2] = {0, 0};  ///< layer samples under the gate
   std::int64_t dense_samples[2] = {0, 0};
+  std::int64_t in_place[2] = {0, 0};  ///< kernel-level in-place comparisons
   int reported = 0;
 };
 
@@ -837,9 +909,14 @@ Stats run_oracle(Kind kind, std::uint64_t seed, std::int64_t cases,
         for (Isa isa : isas) {
           const Kernels& ker = nc::core::simd::kernels_for(isa);
           const std::string tier = nc::core::simd::isa_name(isa);
-          if (!si.scatter) {
+          if (!si.scatter && !si.short_ky_rows) {
             compare(dense_lowering(xs, c, l, mode, ker, si), want.back(), c,
                     index, "dense/" + tier, m, st, expect_equal);
+          }
+          if (c.in_place() && !si.scatter && !si.late_run_im2col) {
+            compare(in_place_lowering(xs, c, l, mode, ker, si), want.back(), c,
+                    index, "in-place/" + tier, m, st, expect_equal);
+            ++st.in_place[m];
           }
           if (sparse && (si.scatter || !si.any())) {
             compare(sparse_lowering(xs, c, l, mode, ker,
@@ -885,6 +962,11 @@ void print_summary(const char* what, const Stats& st) {
               nc::core::simd::isa_name(nc::core::simd::active_isa()),
               static_cast<long long>(st.differing[0]),
               static_cast<long long>(st.differing[1]));
+  if (st.in_place[0] + st.in_place[1] > 0) {
+    std::printf("; in-place comparisons: fp16 %lld, int8 %lld",
+                static_cast<long long>(st.in_place[0]),
+                static_cast<long long>(st.in_place[1]));
+  }
   if (st.sparse_samples[0] + st.dense_samples[0] > 0) {
     std::printf("; layer samples sparse/dense: fp16 %lld/%lld, int8 %lld/%lld",
                 static_cast<long long>(st.sparse_samples[0]),
@@ -901,6 +983,9 @@ TEST(ConvOracle, EvalConv2dBitExactOnEveryTier) {
   EXPECT_EQ(st.cases, 8000);
   EXPECT_EQ(st.differing[0], 0);
   EXPECT_EQ(st.differing[1], 0);
+  // The stride-1 cases reach the in-place lowering in both modes.
+  EXPECT_GT(st.in_place[0], 1000);
+  EXPECT_GT(st.in_place[1], 1000);
   // The draw reaches both lowerings of the layer in both modes.
   for (int m = 0; m < 2; ++m) {
     EXPECT_GT(st.sparse_samples[m], 1000) << "mode " << m;
@@ -914,6 +999,8 @@ TEST(ConvOracle, EvalConv3dBitExactOnEveryTier) {
   EXPECT_EQ(st.cases, 2500);
   EXPECT_EQ(st.differing[0], 0);
   EXPECT_EQ(st.differing[1], 0);
+  EXPECT_GT(st.in_place[0], 200);
+  EXPECT_GT(st.in_place[1], 200);
   // The draw reaches both lowerings of the layer in both modes.
   for (int m = 0; m < 2; ++m) {
     EXPECT_GT(st.sparse_samples[m], 2000) << "mode " << m;
@@ -995,6 +1082,22 @@ TEST(ConvOracle, LateRunIm2colIsCaught) {
   const Stats st = run_oracle(Kind::kConv2d, 20267, 300, si, false);
   EXPECT_GT(st.differing[0], 0);
   EXPECT_GT(st.differing[1], 0);
+}
+
+TEST(ConvOracle, RowTableOffByOneIsCaught) {
+  // An in-place row table whose ky step is one element short of a pitch
+  // multiplies the wrong voxels: outputs change in both modes, at both
+  // ranks.
+  StandIns si;
+  si.short_ky_rows = true;
+  const Stats st2 = run_oracle(Kind::kConv2d, 20272, 300, si, false);
+  const Stats st3 = run_oracle(Kind::kConv3d, 20273, 300, si, false);
+  EXPECT_GT(st2.in_place[0], 0);
+  EXPECT_GT(st3.in_place[0], 0);
+  EXPECT_GT(st2.differing[0], 0);
+  EXPECT_GT(st2.differing[1], 0);
+  EXPECT_GT(st3.differing[0], 0);
+  EXPECT_GT(st3.differing[1], 0);
 }
 
 }  // namespace

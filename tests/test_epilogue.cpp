@@ -5,18 +5,22 @@
 ///     values below binary16 resolution and products that underflow to -0,
 ///     for every combination of steps and slopes 0, 0.01, 0.5 and 1 (and
 ///     -0.5 and 2, which the LeakyReLU constructor also accepts), against a
-///     self-contained scalar reference;
+///     self-contained scalar reference, both in place on a packed result and
+///     reading a padded-pitch grid (the in-place lowering's) whose halo
+///     columns hold NaN and must be dropped;
 ///   * a stand-in that adds the residual before the bias must fail there;
 ///   * layer level: `forward_fused` of Conv2d and Conv3d through every
-///     lowering (sparse and dense fp16 and int8, fp32, and the 1x1 skip of
-///     the lowering), with and without a residual, against the reference
-///     applied to the output of a bias-free twin layer with the same weights;
+///     lowering (sparse, in place on the haloed input in fp16 and int8, with
+///     and without halo columns, and fp32), with and without a residual,
+///     against the reference applied to the output of a bias-free twin layer
+///     with the same weights;
 ///   * misuse throws: an epilogue in kTrain, a residual of the wrong shape;
 ///   * concurrent fused forwards on one shared model agree with a serial
 ///     one (this suite carries the `tsan` label).
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
@@ -31,11 +35,13 @@
 namespace {
 
 using nc::core::ConvEpilogue;
+using nc::core::EpilogueGrid;
 using nc::core::Mode;
 using nc::core::Tensor;
 
-using EpilogueFn = void (*)(float*, std::int64_t, std::int64_t, const float*,
-                            const float*, std::optional<float>);
+using EpilogueFn = void (*)(const float*, const EpilogueGrid&, float*,
+                            std::int64_t, const float*, const float*,
+                            std::optional<float>);
 
 /// SplitMix64.
 class Prng {
@@ -94,17 +100,21 @@ void ref_epilogue(float* out, std::int64_t out_c, std::int64_t plane,
 }
 
 /// A deliberately wrong epilogue: the residual added before the bias.
-void residual_before_bias(float* out, std::int64_t out_c, std::int64_t plane,
-                          const float* bias, const float* residual,
-                          std::optional<float> slope) {
+void residual_before_bias(const float* acc, const EpilogueGrid& grid,
+                          float* out, std::int64_t out_c, const float* bias,
+                          const float* residual, std::optional<float> slope) {
+  std::int64_t i = 0;
   for (std::int64_t o = 0; o < out_c; ++o) {
-    for (std::int64_t j = 0; j < plane; ++j) {
-      const std::int64_t i = o * plane + j;
-      float v = out[i];
-      if (residual) v = v + residual[i];
-      if (bias) v = v + bias[o];
-      if (slope) v = v > 0.f ? v : *slope * v;
-      out[i] = v;
+    for (std::int64_t z = 0; z < grid.d; ++z) {
+      for (std::int64_t y = 0; y < grid.h; ++y) {
+        for (std::int64_t x = 0; x < grid.w; ++x, ++i) {
+          float v = acc[o * grid.cols + z * grid.plane + y * grid.row + x];
+          if (residual) v = v + residual[i];
+          if (bias) v = v + bias[o];
+          if (slope) v = v > 0.f ? v : *slope * v;
+          out[i] = v;
+        }
+      }
     }
   }
 }
@@ -121,28 +131,59 @@ const std::optional<float> kSlopes[] = {std::nullopt, 0.f,  0.01f, 0.5f,
                                         1.f,          -0.5f, 2.f};
 
 /// Count the output floats where `fn` differs from the reference, over
-/// seeded rows of several widths and every combination of steps.
+/// seeded outputs of several shapes and every combination of steps: in
+/// place on the packed result, and from a padded-pitch grid with halos of
+/// one and three columns and rows, whose halo holds NaN.
 std::int64_t run_kernel_level(EpilogueFn fn, std::int64_t* compared) {
-  static constexpr std::int64_t kPlanes[] = {1, 3, 4, 7, 16, 37, 64, 129};
+  struct Shape {
+    std::int64_t d, h, w;
+  };
+  static constexpr Shape kShapes[] = {{1, 1, 1},  {1, 1, 3}, {1, 1, 4},
+                                      {1, 1, 7},  {1, 4, 4}, {1, 1, 37},
+                                      {2, 3, 8},  {1, 6, 9}, {3, 2, 5},
+                                      {1, 1, 129}};
   Prng rng(2026);
   std::int64_t diff = 0;
-  for (const std::int64_t plane : kPlanes) {
-    const std::int64_t out_c = 3, n = out_c * plane;
+  for (const Shape& sh : kShapes) {
+    const std::int64_t out_c = 3, plane = sh.d * sh.h * sh.w, n = out_c * plane;
     std::vector<float> acc(static_cast<std::size_t>(n)),
         residual(acc.size()), bias(static_cast<std::size_t>(out_c));
     for (float& v : acc) v = draw_value(rng);
     for (float& v : residual) v = draw_value(rng);
     for (float& v : bias) v = draw_value(rng);
-    for (const bool with_bias : {false, true}) {
-      for (const bool with_residual : {false, true}) {
-        for (const std::optional<float> slope : kSlopes) {
-          std::vector<float> got = acc, want = acc;
-          const float* b = with_bias ? bias.data() : nullptr;
-          const float* r = with_residual ? residual.data() : nullptr;
-          fn(got.data(), out_c, plane, b, r, slope);
-          ref_epilogue(want.data(), out_c, plane, b, r, slope);
-          diff += differing_bits(got.data(), want.data(), n);
-          *compared += n;
+    for (const std::int64_t halo : {0, 1, 3}) {
+      const std::int64_t row = sh.w + 2 * halo, rows = sh.h + 2 * halo;
+      // The last voxel ends the source's channel: (d-1, h-1, w-1).
+      const std::int64_t cols =
+          (sh.d - 1) * rows * row + (sh.h - 1) * row + sh.w;
+      const EpilogueGrid grid{sh.d, sh.h, sh.w, row, rows * row, cols};
+      // The result on the grid, NaN in its halo columns and rows.
+      std::vector<float> src(static_cast<std::size_t>(out_c * grid.cols),
+                             std::nanf(""));
+      for (std::int64_t o = 0, i = 0; o < out_c; ++o)
+        for (std::int64_t z = 0; z < sh.d; ++z)
+          for (std::int64_t y = 0; y < sh.h; ++y)
+            for (std::int64_t x = 0; x < sh.w; ++x, ++i) {
+              src[static_cast<std::size_t>(o * grid.cols + z * grid.plane +
+                                           y * grid.row + x)] =
+                  acc[static_cast<std::size_t>(i)];
+            }
+      for (const bool with_bias : {false, true}) {
+        for (const bool with_residual : {false, true}) {
+          for (const std::optional<float> slope : kSlopes) {
+            std::vector<float> got = acc, want = acc;
+            const float* b = with_bias ? bias.data() : nullptr;
+            const float* r = with_residual ? residual.data() : nullptr;
+            if (halo == 0) {
+              fn(got.data(), grid, got.data(), out_c, b, r, slope);
+            } else {
+              std::fill(got.begin(), got.end(), -1.f);
+              fn(src.data(), grid, got.data(), out_c, b, r, slope);
+            }
+            ref_epilogue(want.data(), out_c, plane, b, r, slope);
+            diff += differing_bits(got.data(), want.data(), n);
+            *compared += n;
+          }
         }
       }
     }
@@ -168,7 +209,8 @@ TEST(ConvEpilogue, SignedZerosAndUnderflowKeepTheirSign) {
   const std::uint32_t want[] = {0x80000000u, 0x00000000u, 0x80000000u,
                                 0x00000001u};
   std::vector<float> out(std::begin(in), std::end(in));
-  nc::core::apply_epilogue(out.data(), 1, 4, nullptr, nullptr, 0.01f);
+  nc::core::apply_epilogue(out.data(), EpilogueGrid::packed(1, 1, 4),
+                           out.data(), 1, nullptr, nullptr, 0.01f);
   for (std::size_t i = 0; i < out.size(); ++i) {
     std::uint32_t bits = 0;
     std::memcpy(&bits, &out[i], sizeof bits);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "bcae/evaluator.hpp"
 #include "bcae/model.hpp"
@@ -60,8 +62,12 @@ TEST(Quantize, QgemmMatchesFloatGemmWithinQuantError) {
   std::vector<std::int8_t> qb(static_cast<std::size_t>(k * n));
   const float b_scale = nc::core::quantize_tensor(b.data(), k * n, qb.data());
   Tensor c_q({m, n});
+  std::vector<std::int64_t> b_rows(static_cast<std::size_t>(k));
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    b_rows[static_cast<std::size_t>(kk)] = kk * n;
+  }
   nc::core::qgemm(m, n, k, qa.values.data(), qa.scales.data(), qb.data(),
-                  b_scale, c_q.data(), n);
+                  b_rows.data(), b_scale, c_q.data(), n);
 
   // Per-element quantization noise ~ (|a| + |b|) / 254 accumulated over k.
   EXPECT_LT(nc::testref::max_abs_diff(c_ref, c_q), 0.02 * k);

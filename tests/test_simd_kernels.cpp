@@ -9,9 +9,14 @@
 /// checked for alignment independence.)  Shapes are
 /// deliberately awkward — k not a multiple of the packing quad, n straddling
 /// the 16-column tile, degenerate m/n/k — so tail paths get the same
-/// scrutiny as the vector body.
+/// scrutiny as the vector body.  `tile_hh` and `qgemm` also run as the
+/// in-place conv lowering runs them: B rows are overlapping views of one
+/// exact-size zero-haloed volume, read through a tap-offset table, so a
+/// tier that reads past a row's run reads past the buffer (and ASan says
+/// so).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -51,6 +56,102 @@ void fill_i8(nc::util::Rng& rng, std::int8_t* p, std::int64_t n, int lo,
   }
 }
 
+/// The row table of a plain row-major (k x ld) matrix: kk * ld.
+std::vector<std::int64_t> plain_rows(std::int64_t k, std::int64_t ld) {
+  std::vector<std::int64_t> rows(static_cast<std::size_t>(k));
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    rows[static_cast<std::size_t>(kk)] = kk * ld;
+  }
+  return rows;
+}
+
+/// A stride-1 conv whose input the in-place lowering copies into a
+/// zero-haloed volume: 2-D (d = kd = 1) and 3-D, pad 0 and pad > 0, and a
+/// padded-grid width n' that is not a multiple of 16 or 32.
+struct HaloCase {
+  std::int64_t c, d, h, w, kd, kh, kw, pd, ph, pw;
+};
+
+const HaloCase kHaloCases[] = {
+    {3, 1, 5, 9, 1, 3, 3, 0, 0, 0},   // 2-D, pad 0: n' = 2 * 9 + 7 = 25
+    {5, 1, 6, 8, 1, 3, 3, 0, 1, 1},   // 2-D, BCAE's 3x3: n' = 5 * 10 + 8 = 58
+    {2, 1, 4, 7, 1, 7, 7, 0, 3, 3},   // 2-D, enc.in's 7x7: n' = 3 * 13 + 7 = 46
+    {4, 1, 2, 3, 1, 1, 1, 0, 0, 0},   // 1x1: n' = 6, the input itself
+    {2, 3, 4, 5, 3, 3, 3, 1, 1, 1},   // 3-D, pad 1: n' = 2 * 42 + 3 * 7 + 5
+    {3, 4, 3, 6, 2, 2, 3, 0, 0, 0},   // 3-D, pad 0: n' = 2 * 18 + 6 + 4 = 46
+    {1, 2, 9, 17, 2, 3, 4, 1, 1, 2},  // 3-D, uneven pads: n' = 648
+};
+
+/// The haloed layout of one HaloCase, written out here: row pitch, plane
+/// pitch, channel pitch, the padded-grid width n' and the tap-offset table
+/// (row (ci, kz, ky, kx) at ci * volume + kz * plane + ky * pitch + kx).
+struct Haloed {
+  nc::core::Conv3dGeom g;
+  std::int64_t pitch = 0, plane = 0, volume = 0, n = 0, k = 0;
+  std::vector<std::int64_t> rows;
+
+  explicit Haloed(const HaloCase& h) {
+    g.c = h.c;
+    g.d = h.d;
+    g.h = h.h;
+    g.w = h.w;
+    g.kd = h.kd;
+    g.kh = h.kh;
+    g.kw = h.kw;
+    g.pd = h.pd;
+    g.ph = h.ph;
+    g.pw = h.pw;
+    pitch = h.w + 2 * h.pw;
+    plane = (h.h + 2 * h.ph) * pitch;
+    volume = (h.d + 2 * h.pd) * plane;
+    n = (g.out_d() - 1) * plane + (g.out_h() - 1) * pitch + g.out_w();
+    k = g.rows();
+    for (std::int64_t ci = 0; ci < h.c; ++ci)
+      for (std::int64_t kz = 0; kz < h.kd; ++kz)
+        for (std::int64_t ky = 0; ky < h.kh; ++ky)
+          for (std::int64_t kx = 0; kx < h.kw; ++kx)
+            rows.push_back(ci * volume + kz * plane + ky * pitch + kx);
+  }
+  std::int64_t size() const { return g.c * volume; }
+
+  /// The library's layout must be this one.
+  void expect_library_agrees() const {
+    const nc::core::HaloGeom lib = nc::core::halo_geom(g);
+    EXPECT_EQ(lib.pitch, pitch);
+    EXPECT_EQ(lib.plane, plane);
+    EXPECT_EQ(lib.volume, volume);
+    EXPECT_EQ(lib.cols, n);
+    std::vector<std::int64_t> lib_rows(rows.size());
+    nc::core::halo_row_offsets(g, lib_rows.data());
+    EXPECT_EQ(lib_rows, rows);
+    // The last row's run ends exactly at the buffer's last element.
+    EXPECT_EQ(rows.back() + n, size());
+  }
+
+  /// The column matrix the table describes: row kk is the run of n at
+  /// rows[kk], copied out.
+  template <typename T>
+  std::vector<T> lowered(const std::vector<T>& buf) const {
+    std::vector<T> col(static_cast<std::size_t>(k * n));
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      std::copy_n(buf.begin() + rows[static_cast<std::size_t>(kk)], n,
+                  col.begin() + kk * n);
+    }
+    return col;
+  }
+
+  /// A zero-haloed volume of exactly size() elements, its interior drawn
+  /// by `draw` and copied in by the library's pad_volume.
+  template <typename T, typename Draw>
+  std::vector<T> volume_of(Draw&& draw) const {
+    std::vector<T> in(static_cast<std::size_t>(g.c * g.d * g.h * g.w));
+    for (T& v : in) v = draw();
+    std::vector<T> buf(static_cast<std::size_t>(size()));
+    nc::core::pad_volume(in.data(), g, buf.data());
+    return buf;
+  }
+};
+
 struct QShape {
   std::int64_t m, n, k;
 };
@@ -76,18 +177,62 @@ TEST(SimdDispatch, QgemmBitExactAcrossIsas) {
     for (auto& sc : a_scales) sc = 0.001f + 0.01f * (rng.next_u64() % 100);
     const float b_scale = 0.0375f;
 
+    const std::vector<std::int64_t> rows = plain_rows(s.k, s.n);
     std::vector<float> c_ref(static_cast<std::size_t>(s.m * s.n), -7.f);
-    ref.qgemm(s.m, s.n, s.k, a.data(), a_scales.data(), b.data(), b_scale,
-              c_ref.data(), s.n);
+    ref.qgemm(s.m, s.n, s.k, a.data(), a_scales.data(), b.data(), rows.data(),
+              b_scale, c_ref.data(), s.n);
     for (Isa isa : supported_isas()) {
       std::vector<float> c(static_cast<std::size_t>(s.m * s.n), -7.f);
       nc::core::simd::kernels_for(isa).qgemm(s.m, s.n, s.k, a.data(),
                                              a_scales.data(), b.data(),
-                                             b_scale, c.data(), s.n);
+                                             rows.data(), b_scale, c.data(),
+                                             s.n);
       for (std::size_t i = 0; i < c.size(); ++i) {
         ASSERT_EQ(c[i], c_ref[i])
             << "isa=" << nc::core::simd::isa_name(isa) << " shape={" << s.m
             << "," << s.n << "," << s.k << "} idx=" << i;
+      }
+    }
+  }
+
+  // The in-place lowering: the codes of an exact-size zero-haloed volume,
+  // read through the overlapping tap-offset table on the padded-pitch grid.
+  // Every tier must match the scalar tier and the plain-table call on the
+  // lowered copy, bit for bit.
+  for (const HaloCase& hc : kHaloCases) {
+    const Haloed h(hc);
+    h.expect_library_agrees();
+    for (const std::int64_t m : {1, 5, 32}) {
+      std::vector<std::int8_t> a(static_cast<std::size_t>(m * h.k));
+      fill_i8(rng, a.data(), m * h.k, -127, 127);
+      std::vector<float> a_scales(static_cast<std::size_t>(m));
+      for (auto& sc : a_scales) sc = 0.001f + 0.01f * (rng.next_u64() % 100);
+      const std::vector<std::int8_t> buf = h.volume_of<std::int8_t>([&rng] {
+        return static_cast<std::int8_t>(
+            -128 + static_cast<int>(rng.next_u64() % 256));
+      });
+      const std::vector<std::int8_t> col = h.lowered(buf);
+      const std::vector<std::int64_t> plain = plain_rows(h.k, h.n);
+      auto run = [&](Isa isa, const std::int8_t* b, const std::int64_t* rows) {
+        std::vector<float> c(static_cast<std::size_t>(m * h.n), -7.f);
+        nc::core::simd::kernels_for(isa).qgemm(m, h.n, h.k, a.data(),
+                                               a_scales.data(), b, rows, 0.5f,
+                                               c.data(), h.n);
+        return c;
+      };
+      const std::vector<float> want =
+          run(Isa::kScalar, col.data(), plain.data());
+      for (Isa isa : supported_isas()) {
+        const std::vector<float> got = run(isa, buf.data(), h.rows.data());
+        const std::vector<float> got_plain = run(isa, col.data(), plain.data());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "isa=" << nc::core::simd::isa_name(isa) << " haloed n'=" << h.n
+              << " k=" << h.k << " m=" << m << " idx=" << i;
+          ASSERT_EQ(got_plain[i], want[i])
+              << "isa=" << nc::core::simd::isa_name(isa) << " lowered n'="
+              << h.n << " k=" << h.k << " m=" << m << " idx=" << i;
+        }
       }
     }
   }
@@ -110,14 +255,16 @@ TEST(SimdDispatch, QgemmSaturationExtremesBitExact) {
   }
   const std::vector<float> a_scales(static_cast<std::size_t>(m), 1.f);
 
+  const std::vector<std::int64_t> rows = plain_rows(k, n);
   std::vector<float> c_ref(static_cast<std::size_t>(m * n));
   nc::core::simd::kernels_for(Isa::kScalar)
-      .qgemm(m, n, k, a.data(), a_scales.data(), b.data(), 1.f, c_ref.data(),
-             n);
+      .qgemm(m, n, k, a.data(), a_scales.data(), b.data(), rows.data(), 1.f,
+             c_ref.data(), n);
   for (Isa isa : supported_isas()) {
     std::vector<float> c(static_cast<std::size_t>(m * n));
     nc::core::simd::kernels_for(isa).qgemm(m, n, k, a.data(), a_scales.data(),
-                                           b.data(), 1.f, c.data(), n);
+                                           b.data(), rows.data(), 1.f,
+                                           c.data(), n);
     for (std::size_t i = 0; i < c.size(); ++i) {
       ASSERT_EQ(c[i], c_ref[i]) << "isa=" << nc::core::simd::isa_name(isa)
                                 << " idx=" << i;
@@ -132,15 +279,18 @@ TEST(SimdDispatch, QgemmZeroRowsAndZeroK) {
   std::vector<std::int8_t> a(static_cast<std::size_t>(m * 8), 0);
   std::vector<std::int8_t> b(static_cast<std::size_t>(8 * n), 55);
   const std::vector<float> a_scales(static_cast<std::size_t>(m), 2.f);
+  const std::vector<std::int64_t> rows = plain_rows(8, n);
   for (Isa isa : supported_isas()) {
     std::vector<float> c(static_cast<std::size_t>(m * n), 9.f);
     nc::core::simd::kernels_for(isa).qgemm(m, n, 8, a.data(), a_scales.data(),
-                                           b.data(), 0.5f, c.data(), n);
+                                           b.data(), rows.data(), 0.5f,
+                                           c.data(), n);
     for (float v : c) ASSERT_EQ(v, 0.f) << nc::core::simd::isa_name(isa);
 
     std::vector<float> c0(static_cast<std::size_t>(m * n), 9.f);
     nc::core::simd::kernels_for(isa).qgemm(m, n, 0, a.data(), a_scales.data(),
-                                           b.data(), 0.5f, c0.data(), n);
+                                           b.data(), rows.data(), 0.5f,
+                                           c0.data(), n);
     for (float v : c0) ASSERT_EQ(v, 0.f) << nc::core::simd::isa_name(isa);
   }
 }
@@ -237,13 +387,14 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
         a[static_cast<std::size_t>(i0 * lda)] = nc::util::half(nc::util::kHalfMax);
         b[static_cast<std::size_t>(j0)] = nc::util::half(-nc::util::kHalfMax);
 
+        const std::vector<std::int64_t> rows = plain_rows(k, ldb);
         auto run = [&](Isa isa) {
           std::vector<std::uint32_t> c(static_cast<std::size_t>(c_rows * ldc),
                                        kSentinel);
           auto* cf = reinterpret_cast<float*>(c.data());
           nc::core::simd::kernels_for(isa).tile_hh(i0, i0 + m, j0, j0 + n, k,
                                                    a.data(), lda, b.data(),
-                                                   ldb, cf, ldc);
+                                                   rows.data(), cf, ldc);
           return c;
         };
         const std::vector<std::uint32_t> want = run(Isa::kScalar);
@@ -261,6 +412,55 @@ TEST(SimdDispatch, TileHhBitExactAcrossIsas) {
           }
           // The tile holds sums, not the sentinel.
           ASSERT_NE(got[static_cast<std::size_t>(i0 * ldc + j0)], kSentinel);
+        }
+      }
+    }
+  }
+
+  // The in-place lowering: one exact-size zero-haloed binary16 volume, read
+  // through the overlapping tap-offset table on the padded-pitch grid, the
+  // whole grid as one tile (as hgemm runs it on one thread) and split into
+  // two column panels (as it splits a lone caller's).  Every tier must match
+  // the scalar tier and the plain-table call on the lowered copy.
+  for (const HaloCase& hc : kHaloCases) {
+    const Haloed h(hc);
+    h.expect_library_agrees();
+    for (const std::int64_t m : {1, 9, 32}) {
+      std::vector<nc::util::half> a(static_cast<std::size_t>(m * h.k));
+      for (auto& v : a) v = draw();
+      const std::vector<nc::util::half> buf =
+          h.volume_of<nc::util::half>(draw);
+      const std::vector<nc::util::half> col = h.lowered(buf);
+      const std::vector<std::int64_t> plain = plain_rows(h.k, h.n);
+      auto run = [&](Isa isa, const nc::util::half* b,
+                     const std::int64_t* rows, std::int64_t split) {
+        std::vector<std::uint32_t> c(static_cast<std::size_t>(m * h.n),
+                                     kSentinel);
+        auto* cf = reinterpret_cast<float*>(c.data());
+        const auto& ker = nc::core::simd::kernels_for(isa);
+        ker.tile_hh(0, m, 0, split, h.k, a.data(), h.k, b, rows, cf, h.n);
+        ker.tile_hh(0, m, split, h.n, h.k, a.data(), h.k, b, rows, cf, h.n);
+        return c;
+      };
+      const std::vector<std::uint32_t> want =
+          run(Isa::kScalar, col.data(), plain.data(), h.n);
+      for (Isa isa : supported_isas()) {
+        const std::int64_t splits[] = {h.n, std::min<std::int64_t>(h.n, 32)};
+        for (const std::int64_t split : splits) {
+          const std::vector<std::uint32_t> got =
+              run(isa, buf.data(), h.rows.data(), split);
+          const std::vector<std::uint32_t> got_plain =
+              run(isa, col.data(), plain.data(), split);
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "isa=" << nc::core::simd::isa_name(isa) << " haloed n'="
+                << h.n << " k=" << h.k << " m=" << m << " split=" << split
+                << " idx=" << i;
+            ASSERT_EQ(got_plain[i], want[i])
+                << "isa=" << nc::core::simd::isa_name(isa) << " lowered n'="
+                << h.n << " k=" << h.k << " m=" << m << " split=" << split
+                << " idx=" << i;
+          }
         }
       }
     }
@@ -433,10 +633,11 @@ TEST(SimdDispatch, ActiveTableMatchesPublicQgemm) {
 
   std::vector<float> c_pub(static_cast<std::size_t>(m * n));
   std::vector<float> c_tab(static_cast<std::size_t>(m * n));
-  nc::core::qgemm(m, n, k, a.data(), a_scales.data(), b.data(), 0.125f,
-                  c_pub.data(), n);
+  const std::vector<std::int64_t> rows = plain_rows(k, n);
+  nc::core::qgemm(m, n, k, a.data(), a_scales.data(), b.data(), rows.data(),
+                  0.125f, c_pub.data(), n);
   nc::core::simd::kernels().qgemm(m, n, k, a.data(), a_scales.data(), b.data(),
-                                  0.125f, c_tab.data(), n);
+                                  rows.data(), 0.125f, c_tab.data(), n);
   EXPECT_EQ(c_pub, c_tab);
   EXPECT_TRUE(nc::core::simd::isa_supported(nc::core::simd::active_isa()));
 }
