@@ -68,7 +68,9 @@ Ladder build_ladder(const std::string& spec, nc::bcae::BcaeModel& model) {
   return ladder;
 }
 
-void print_session_row(const char* tag, nc::codec::SessionId id,
+/// Prints one session's row; false when its counts do not add up (every
+/// submit ends compressed, shed or failed).
+bool print_session_row(const char* tag, nc::codec::SessionId id,
                        const nc::codec::SessionStats& stats) {
   std::printf("  %-8s #%llu: %5lld submitted, %5lld compressed, %4lld shed, "
               "%3lld failed | %lld hop(s) down, %lld up, final %s | "
@@ -82,6 +84,16 @@ void print_session_row(const char* tag, nc::codec::SessionId id,
               static_cast<long long>(stats.recoveries), stats.codec.c_str(),
               static_cast<long long>(stats.payload_bytes),
               static_cast<long long>(stats.queue_depth_hwm));
+  if (stats.submitted == stats.compressed + stats.shed + stats.failed) {
+    return true;
+  }
+  std::fprintf(stderr, "ERROR: session #%llu: %lld submitted but %lld "
+               "compressed + shed + failed\n",
+               static_cast<unsigned long long>(id),
+               static_cast<long long>(stats.submitted),
+               static_cast<long long>(stats.compressed + stats.shed +
+                                      stats.failed));
+  return false;
 }
 
 }  // namespace
@@ -155,6 +167,7 @@ int main(int argc, char** argv) {
 
   std::mutex print_mutex;
   std::atomic<std::int64_t> stored_bytes{0};
+  std::atomic<bool> rows_add_up{true};
 
   // Polite clients: paced blocking submits, one session each.
   const double rate = args.get_double("rate");
@@ -179,7 +192,7 @@ int main(int argc, char** argv) {
       }
       const auto stats = service.close_session(id);
       std::lock_guard<std::mutex> lock(print_mutex);
-      print_session_row("client", id, stats);
+      if (!print_session_row("client", id, stats)) rows_add_up = false;
     });
   }
 
@@ -200,7 +213,7 @@ int main(int argc, char** argv) {
       }
       const auto stats = service.close_session(id);
       std::lock_guard<std::mutex> lock(print_mutex);
-      print_session_row("firehose", id, stats);
+      if (!print_session_row("firehose", id, stats)) rows_add_up = false;
     });
   }
 
@@ -222,15 +235,17 @@ int main(int argc, char** argv) {
               totals.pipeline.throughput_wps(),
               static_cast<long long>(totals.pipeline.wedges_spilled),
               static_cast<long long>(stored_bytes.load()));
-  // The service identity: every scheduled wedge either came out a session's
-  // sink or was counted (shed/failed) — nothing vanishes.
-  if (totals.pipeline.wedges_compressed + totals.pipeline.wedges_failed !=
-      totals.wedges_scheduled) {
+  // The service identity: every scheduled wedge went through the shared
+  // pool's transform, was lost there (failed) or was refused by its spill
+  // tier (dropped) — nothing vanishes.
+  const std::int64_t accounted = totals.pipeline.wedges_compressed +
+                                 totals.pipeline.wedges_failed +
+                                 totals.pipeline.wedges_dropped;
+  if (accounted != totals.wedges_scheduled) {
     std::fprintf(stderr, "ERROR: %lld scheduled but %lld accounted\n",
                  static_cast<long long>(totals.wedges_scheduled),
-                 static_cast<long long>(totals.pipeline.wedges_compressed +
-                                        totals.pipeline.wedges_failed));
+                 static_cast<long long>(accounted));
     return 1;
   }
-  return 0;
+  return rows_add_up ? 0 : 1;
 }

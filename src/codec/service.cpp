@@ -4,14 +4,12 @@
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "codec/reorderer.hpp"
 #include "codec/spill.hpp"
 #include "util/logging.hpp"
-#include "util/serialize.hpp"
 
 namespace nc::codec {
 
@@ -75,13 +73,20 @@ CompressionService::CompressionService(const ServiceOptions& options)
           [](std::vector<ServiceItem>&& batch) {
             return run_batch(std::move(batch));
           },
-          [](const ServiceOut& out) {
-            return out.ok ? out.envelope.payload_bytes() : 0;
+          [](const std::optional<WedgeEnvelope>& out) {
+            return out ? out->payload_bytes() : 0;
           },
-          [this](std::uint64_t, ServiceOut&& out) { deliver(std::move(out)); },
+          [this](std::uint64_t seq, std::optional<WedgeEnvelope>&& out) {
+            settle(seq, std::move(out));
+          },
           Pipeline::SpillCodec{
-              [this](const ServiceItem& item) { return encode_spill(item); },
-              [this](const std::string& bytes) { return decode_spill(bytes); }}) {
+              [](const ServiceItem& item) {
+                return write_spilled_wedge(item.wedge);
+              },
+              [this](std::uint64_t seq, const std::string& bytes) {
+                return decode_spill(seq, bytes);
+              }},
+          [this](std::uint64_t seq) { settle(seq, std::nullopt); }) {
   if (options_.drr_quantum == 0) options_.drr_quantum = 1;
   scheduler_ = std::thread([this] { scheduler_loop(); });
   if (options_.admission_interval_s > 0) {
@@ -179,19 +184,27 @@ SubmitResult CompressionService::submit_impl(SessionId id, core::Tensor&& wedge,
   }
 }
 
-void CompressionService::deliver(ServiceOut&& out) {
-  const std::shared_ptr<Session> session = std::move(out.session);
-  if (!session) return;
-  std::unique_lock<std::mutex> lock(session->mutex);
-  if (out.ok) {
-    ++session->stats.compressed;
-    session->stats.payload_bytes += out.envelope.payload_bytes();
-    session->reorder.put(out.seq, std::move(out.envelope));
-  } else {
-    ++session->stats.failed;
-    session->reorder.put(out.seq, std::nullopt);
+void CompressionService::settle(std::uint64_t seq,
+                                std::optional<WedgeEnvelope> out) {
+  Route route;
+  {
+    std::lock_guard<std::mutex> lock(routes_mutex_);
+    auto node = routes_.extract(seq);
+    if (node.empty()) {
+      NC_LOG_ERROR << "compression service: no route for pipeline seq " << seq;
+      return;
+    }
+    route = std::move(node.mapped());
   }
-  emit_ready(session, lock);
+  std::unique_lock<std::mutex> lock(route.session->mutex);
+  if (out) {
+    ++route.session->stats.compressed;
+    route.session->stats.payload_bytes += out->payload_bytes();
+  } else {
+    ++route.session->stats.failed;
+  }
+  route.session->reorder.put(route.seq, std::move(out));
+  emit_ready(route.session, lock);
 }
 
 void CompressionService::emit_ready(const std::shared_ptr<Session>& session,
@@ -203,11 +216,13 @@ void CompressionService::emit_ready(const std::shared_ptr<Session>& session,
 }
 
 void CompressionService::scheduler_loop() {
-  std::vector<ServiceItem> items;
+  std::vector<Session::Staged> items;
+  std::uint64_t next_seq = 0;  // the pipeline's next seq (see routes_)
   while (true) {
     std::size_t moved = 0;
     for (const auto& session : session_round()) {
       items.clear();
+      const WedgeCodec* codec = nullptr;
       {
         std::lock_guard<std::mutex> lock(session->mutex);
         if (session->staging.empty()) {
@@ -219,11 +234,9 @@ void CompressionService::scheduler_loop() {
             std::min(session->deficit, session->staging.size());
         // The codec is resolved at schedule time: an admission hop applies
         // to later-scheduled wedges only, never to in-flight work.
-        const WedgeCodec* codec = session->opt.ladder[session->rung];
+        codec = session->opt.ladder[session->rung];
         for (std::size_t i = 0; i < take; ++i) {
-          auto& staged = session->staging.front();
-          items.push_back(ServiceItem{session, staged.seq, codec,
-                                      std::move(staged.wedge), false});
+          items.push_back(std::move(session->staging.front()));
           session->staging.pop_front();
         }
         session->deficit -= take;
@@ -234,7 +247,17 @@ void CompressionService::scheduler_loop() {
       // scheduler — all sessions equally, which is exactly the fairness
       // story — and with a spill tier configured the stall is bounded by
       // spill_deadline_s (overflow lands on disk instead).
-      for (auto& item : items) pipeline_.submit(std::move(item));
+      for (auto& staged : items) {
+        {
+          std::lock_guard<std::mutex> lock(routes_mutex_);
+          routes_.emplace(next_seq, Route{session, staged.seq, codec});
+        }
+        if (pipeline_.submit(ServiceItem{codec, std::move(staged.wedge)})) {
+          ++next_seq;
+        } else {
+          settle(next_seq, std::nullopt);  // refused spill: no seq consumed
+        }
+      }
       moved += items.size();
     }
     wedges_scheduled_.fetch_add(static_cast<std::int64_t>(moved),
@@ -395,18 +418,14 @@ ServiceStats CompressionService::finish() {
   return final_;
 }
 
-std::vector<CompressionService::ServiceOut> CompressionService::run_batch(
+std::vector<std::optional<WedgeEnvelope>> CompressionService::run_batch(
     std::vector<ServiceItem>&& batch) {
-  std::vector<ServiceOut> out(batch.size());
+  std::vector<std::optional<WedgeEnvelope>> out(batch.size());
   // Bucket by codec, preserving per-bucket input order.  std::map keys on
   // the pointer — fine, grouping needs identity, not a stable order.
   std::map<const WedgeCodec*, std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].session = std::move(batch[i].session);
-    out[i].seq = batch[i].seq;
-    if (!batch[i].poisoned && batch[i].codec != nullptr) {
-      groups[batch[i].codec].push_back(i);
-    }
+    groups[batch[i].codec].push_back(i);
   }
   for (auto& [codec, idx] : groups) {
     std::vector<core::Tensor> wedges;
@@ -421,12 +440,11 @@ std::vector<CompressionService::ServiceOut> CompressionService::run_batch(
                                  std::to_string(idx.size()) + " wedges");
       }
       for (std::size_t j = 0; j < idx.size(); ++j) {
-        out[idx[j]].envelope = std::move(envelopes[j]);
-        out[idx[j]].ok = true;
+        out[idx[j]] = std::move(envelopes[j]);
       }
     } catch (const std::exception& e) {
       // Contained per codec group: these wedges land in their sessions'
-      // `failed` counts (ok stays false), the rest of the batch survives.
+      // `failed` counts (their outputs stay nullopt), the rest survives.
       NC_LOG_WARN << "compression service: " << idx.size()
                   << " wedge(s) failed in codec '" << codec->name()
                   << "': " << e.what();
@@ -435,58 +453,16 @@ std::vector<CompressionService::ServiceOut> CompressionService::run_batch(
   return out;
 }
 
-std::string CompressionService::encode_spill(const ServiceItem& item) const {
-  std::ostringstream os;
-  util::write_u64(os, item.session ? item.session->id : 0);
-  util::write_u64(os, item.seq);
-  // The codec pointer cannot survive the disk roundtrip; the rung index
-  // can, and the ladder it indexes is immutable for the session's life.
-  std::uint32_t rung = 0;
-  if (item.session) {
-    const auto& ladder = item.session->opt.ladder;
-    for (std::size_t r = 0; r < ladder.size(); ++r) {
-      if (ladder[r] == item.codec) {
-        rung = static_cast<std::uint32_t>(r);
-        break;
-      }
-    }
-  }
-  util::write_u32(os, rung);
-  write_spilled_wedge(os, item.wedge);
-  return os.str();
-}
-
 CompressionService::ServiceItem CompressionService::decode_spill(
-    const std::string& bytes) const {
-  std::istringstream is(bytes);
-  const std::uint64_t sid = util::read_u64(is);
-  const std::uint64_t seq = util::read_u64(is);
-  const std::uint32_t rung = util::read_u32(is);
-  const auto session = find_session(sid);
-  if (!session) {
-    // Sessions are only erased after their cursor fully drains (which needs
-    // every spilled wedge back), so an unknown id means a corrupt header.
-    throw util::SerializeError("spilled wedge names unknown session " +
-                               std::to_string(sid));
-  }
+    std::uint64_t seq, const std::string& bytes) const {
+  // A throw here (a body that does not parse) sends the seq down the
+  // pipeline's loss path like any other bad record.
   ServiceItem item;
-  item.session = session;
-  item.seq = seq;
   {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    const auto& ladder = session->opt.ladder;
-    item.codec = ladder[std::min<std::size_t>(rung, ladder.size() - 1)];
+    std::lock_guard<std::mutex> lock(routes_mutex_);
+    item.codec = routes_.at(seq).codec;
   }
-  try {
-    item.wedge = read_spilled_wedge(is);
-  } catch (const util::SerializeError& e) {
-    // The routing header parsed, so the session cursor can still advance:
-    // poison the item and let the transform fail it (counted per session)
-    // instead of throwing the whole record away at the pipeline layer.
-    NC_LOG_WARN << "spilled wedge " << seq << " of session " << sid
-                << " unreadable, failing it: " << e.what();
-    item.poisoned = true;
-  }
+  item.wedge = read_spilled_wedge(bytes);
   return item;
 }
 

@@ -39,19 +39,23 @@
 ///  * submit/try_submit are safe from any number of client threads (one or
 ///    more per session).  Per-session sinks are never invoked concurrently
 ///    with themselves; sinks of different sessions may run concurrently.
-///    A sink must not call back into the service for its own session.
+///    Sinks run on pool workers, the spill drainer or the scheduler (the
+///    latter two for lost wedges), so a sink must not call back into the
+///    service for its own session, nor block on a submit.
 ///  * Codec hops apply at *schedule* time: wedges already handed to the
 ///    pipeline finish under the codec they were scheduled with, so a hop
 ///    never corrupts in-flight work.  Each emitted envelope carries its
 ///    codec id, so mixed-rung streams decode normally.
 ///  * The shared pipeline runs unordered (the service owns ordering);
 ///    `ServiceOptions::pipeline.ordered` is ignored.  The spill tier and
-///    elastic pool compose unchanged.  One caveat: a spill record whose
-///    CRC fails on replay (physical disk corruption while running) loses
-///    that wedge at the pipeline layer without a per-session notification,
-///    which would stall that one session's close_session() drain — every
-///    software failure path (codec throw, decode error) instead flows
-///    through the transform and advances the session cursor as `failed`.
+///    elastic pool compose unchanged; a spilled wedge is the raw-wedge
+///    record StreamCompressor writes (spill.hpp), with no routing header.
+///  * **One route table.**  Each scheduled wedge's pipeline seq maps to its
+///    session, session seq and codec.  Every outcome — an envelope, a codec
+///    failure, a pipeline loss (the pipeline's `on_lost`: failed transform,
+///    unreadable or undecodable spill record) or a refused spill — is
+///    settled through that table into its session's cursor, so
+///    close_session() always drains.
 #pragma once
 
 #include <atomic>
@@ -61,8 +65,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "codec/admission.hpp"
@@ -102,7 +108,10 @@ struct SessionStats {
   std::int64_t submitted = 0;   ///< accepted + shed (seq space consumed)
   std::int64_t compressed = 0;  ///< envelopes delivered to the sink
   std::int64_t shed = 0;        ///< dropped by admission (counted gaps)
-  std::int64_t failed = 0;      ///< lost to codec errors (counted gaps)
+  /// Lost after acceptance (counted gaps): a codec error, a refused spill,
+  /// an unreadable or undecodable spill record, or a failed transform.
+  /// At close, submitted == compressed + shed + failed.
+  std::int64_t failed = 0;
   std::int64_t payload_bytes = 0;
   std::int64_t degradations = 0;  ///< ladder hops down
   std::int64_t recoveries = 0;    ///< ladder hops back up
@@ -184,40 +193,37 @@ class CompressionService {
  private:
   struct Session;
 
-  /// One wedge in flight through the shared pipeline, tagged with its
-  /// session and session-local sequence number.
+  /// One wedge in flight through the shared pipeline; its owner is in the
+  /// route table under the item's pipeline seq.
   struct ServiceItem {
-    std::shared_ptr<Session> session;
-    std::uint64_t seq = 0;
     const WedgeCodec* codec = nullptr;
     core::Tensor wedge;
-    /// Spill replay found the wedge bytes corrupt: the transform fails this
-    /// item (advancing the session cursor) instead of compressing garbage.
-    bool poisoned = false;
   };
-  struct ServiceOut {
+  /// Pipeline output: nullopt = the wedge's codec group threw.
+  using Pipeline = StreamPipeline<ServiceItem, std::optional<WedgeEnvelope>>;
+  /// Owner of one pipeline seq.
+  struct Route {
     std::shared_ptr<Session> session;
-    std::uint64_t seq = 0;
-    WedgeEnvelope envelope;
-    bool ok = false;
+    std::uint64_t seq = 0;  ///< session seq
+    const WedgeCodec* codec = nullptr;
   };
-  using Pipeline = StreamPipeline<ServiceItem, ServiceOut>;
 
   static StreamOptions pipeline_options(const ServiceOptions& options);
 
   /// The shared pipeline's batch transform: groups a mixed-session batch by
-  /// codec, runs each group through compress_batch, and NEVER throws —
-  /// per-group failures become ok=false outputs, so every session cursor
-  /// still advances (pipeline-level batch failure would strand them).
-  static std::vector<ServiceOut> run_batch(std::vector<ServiceItem>&& batch);
+  /// codec and runs each group through compress_batch; a group that throws
+  /// yields nullopt outputs, so the rest of the batch survives.
+  static std::vector<std::optional<WedgeEnvelope>> run_batch(
+      std::vector<ServiceItem>&& batch);
 
   std::shared_ptr<Session> find_session(SessionId id) const;
   SubmitResult submit_impl(SessionId id, core::Tensor&& wedge, bool blocking);
   /// Sorted snapshot of the open sessions (scheduler / admission rounds).
   std::vector<std::shared_ptr<Session>> session_round() const;
 
-  /// Record one pipeline completion and advance the session's emit cursor.
-  void deliver(ServiceOut&& out);
+  /// The one outcome path: take `seq`'s route out of the table, count the
+  /// outcome (nullopt = failed) in its session and advance that cursor.
+  void settle(std::uint64_t seq, std::optional<WedgeEnvelope> out);
   /// Drain the session's ready prefix through its sink (Reorderer::drain:
   /// unlocked around each call, one drainer at a time) and wake
   /// close_session().
@@ -228,8 +234,8 @@ class CompressionService {
   void admission_loop();
   void admission_pass();
 
-  std::string encode_spill(const ServiceItem& item) const;
-  ServiceItem decode_spill(const std::string& bytes) const;
+  /// Spill replay: the raw wedge back, under the codec its route names.
+  ServiceItem decode_spill(std::uint64_t seq, const std::string& bytes) const;
 
   ServiceOptions options_;
 
@@ -258,6 +264,14 @@ class CompressionService {
   /// wedges_spilled() at the last admission pass; exchanged by each pass,
   /// which may run on any thread (admission_tick()).
   std::atomic<std::int64_t> spilled_seen_{0};
+
+  /// Pipeline seq -> owner.  The scheduler is the pipeline's only producer
+  /// and the pipeline consumes a seq only for an accepted item, so the
+  /// scheduler registers each wedge under the pipeline's next seq *before*
+  /// submitting it; a refused submit is settled as lost and its seq reused
+  /// for the next wedge.  Never held together with a session mutex.
+  mutable std::mutex routes_mutex_;
+  std::unordered_map<std::uint64_t, Route> routes_;
 
   Pipeline pipeline_;  ///< after the state its callbacks touch
   std::thread scheduler_;

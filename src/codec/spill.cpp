@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <sstream>
 #include <system_error>
 
 #include "util/serialize.hpp"
@@ -68,15 +69,18 @@ SpillRecord read_spill_record(std::istream& is) {
   return rec;
 }
 
-void write_spilled_wedge(std::ostream& os, const core::Tensor& wedge) {
+std::string write_spilled_wedge(const core::Tensor& wedge) {
+  std::ostringstream os;
   const auto& shape = wedge.shape();
   util::write_u64(os, shape.size());
   for (const auto d : shape) util::write_i64(os, d);
   util::write_bytes(os, wedge.data(),
                     static_cast<std::size_t>(wedge.numel()) * sizeof(float));
+  return os.str();
 }
 
-core::Tensor read_spilled_wedge(std::istream& is) {
+core::Tensor read_spilled_wedge(const std::string& bytes) {
+  std::istringstream is(bytes);
   const std::uint64_t rank = util::read_u64(is);
   if (rank > kMaxWedgeRank) {
     throw util::SerializeError("spilled wedge rank implausible: " +

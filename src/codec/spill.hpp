@@ -45,8 +45,8 @@
 /// mutex so replay I/O never stalls an appender (and, transitively, the
 /// pipeline's real-time submit path).  `pop` is served from an in-memory
 /// FIFO index of (seq, segment, offset) — O(pending) small — so even a
-/// corrupt record still reports *which* sequence number was lost, letting
-/// an ordered pipeline skip it instead of stalling forever.
+/// corrupt record still reports *which* sequence number was lost, and the
+/// pipeline's owner can settle that loss instead of stalling forever.
 ///
 /// `SpillReader` is the offline half: it parses one segment file from
 /// scratch (no index), validating magic, version and per-record CRC, for
@@ -113,12 +113,12 @@ SpillSegmentHeader read_spill_segment_header(std::istream& is);
 /// Raw wedge body of a spill record: u64 rank, i64 dims, fp32 data.
 /// Spilling happens because the encoder cannot keep up, so the bytes cost no
 /// model forward.
-void write_spilled_wedge(std::ostream& os, const core::Tensor& wedge);
+std::string write_spilled_wedge(const core::Tensor& wedge);
 
 /// Inverse of write_spilled_wedge.  Throws util::SerializeError on
 /// truncation or an implausible shape (rank > 8, a dim outside
 /// [1, 2^20], more than 2^28 elements), before allocating the tensor.
-core::Tensor read_spilled_wedge(std::istream& is);
+core::Tensor read_spilled_wedge(const std::string& bytes);
 
 /// Disk-backed FIFO of spill records (see file comment).
 class SpillLog {

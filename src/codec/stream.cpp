@@ -14,17 +14,6 @@ namespace {
 // envelopes.  Corrupt payloads throw SerializeError (the drainer counts them
 // as failed).
 
-std::string encode_wedge_spill(const core::Tensor& wedge) {
-  std::ostringstream os;
-  write_spilled_wedge(os, wedge);
-  return os.str();
-}
-
-core::Tensor decode_wedge_spill(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return read_spilled_wedge(is);
-}
-
 std::string encode_envelope_spill(const WedgeEnvelope& env) {
   std::ostringstream os;
   env.serialize(os);
@@ -70,7 +59,11 @@ StreamCompressor::StreamCompressor(const WedgeCodec& codec,
                                    const StreamOptions& options, SeqSink sink)
     : pipeline_(stamped(options, codec), compress_fn(codec),
                 [](const WedgeEnvelope& env) { return env.payload_bytes(); },
-                std::move(sink), {encode_wedge_spill, decode_wedge_spill}) {}
+                std::move(sink),
+                {write_spilled_wedge,
+                 [](std::uint64_t, const std::string& bytes) {
+                   return read_spilled_wedge(bytes);
+                 }}) {}
 
 StreamCompressor::StreamCompressor(const WedgeCodec& codec,
                                    const StreamOptions& options, Sink sink)
@@ -90,7 +83,8 @@ StreamDecompressor::StreamDecompressor(const WedgeCodec& codec,
                  // codec than this stream decodes with is rejected here
                  // (counted as failed with its seq) instead of handing a
                  // foreign payload to the decoder.
-                 [id = codec.codec_id()](const std::string& bytes) {
+                 [id = codec.codec_id()](std::uint64_t,
+                                         const std::string& bytes) {
                    WedgeEnvelope env = decode_envelope_spill(bytes);
                    if (env.codec_id != id) {
                      throw util::SerializeError(

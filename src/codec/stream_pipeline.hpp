@@ -34,13 +34,16 @@
 ///  * Ordered mode: outputs pass through a `Reorderer` (reorderer.hpp), the
 ///    cursor every CompressionService session uses too.  Sink calls never
 ///    overlap and see strictly increasing sequence numbers, so the sink
-///    needs no internal locking, and a failed item is a gap that advances
+///    needs no internal locking, and a lost item is a gap that advances
 ///    the cursor.  The sink runs outside the pipeline's locks.  The buffer
 ///    is unbounded: while a head-of-line batch stalls, the outputs that
 ///    finish behind it wait in memory.
-///  * A transform failure (throw, or wrong output count) drops the whole
-///    batch into `wedges_failed` without killing the worker (a dead worker
-///    turns blocking submits into a deadlock) or stalling the ordered cursor.
+///  * One loss path, in both modes: an accepted item that cannot reach the
+///    sink (its batch's transform threw or miscounted, or its spill record
+///    failed to read back, decode or re-enter the intake) counts in
+///    `wedges_failed` and goes to the optional `on_lost(seq)`, so an owner
+///    routing seqs (CompressionService) settles every loss.  A failed batch
+///    never kills its worker (a dead one deadlocks blocking submits).
 ///  * Spill tier (`StreamOptions::spill_dir`, off by default): when a submit
 ///    finds the intake full — and, with `spill_deadline_s`, space has not
 ///    appeared within the deadline — the item is serialized raw into an
@@ -52,9 +55,10 @@
 ///    replays everything left before closing the intake, so backpressure is
 ///    lossless: `wedges_dropped` stays 0 unless the spill itself fails
 ///    (unwritable disk, `spill_max_bytes` quota — the disk-full containment
-///    path) or the pipeline is already finishing.  Replayed items re-enter
-///    the intake out of arrival order relative to fresh submissions; the
-///    ordered cursor holds whatever finishes ahead of them.
+///    path) or the pipeline is already finishing; such a submit returns
+///    false and consumes no seq.  Replayed items re-enter the intake out of
+///    arrival order relative to fresh submissions; the ordered cursor holds
+///    whatever finishes ahead of them.
 ///  * Elastic pool (`StreamOptions::elastic`, off by default): the pipeline
 ///    spawns `max_workers` threads up front and varies how many are *live*
 ///    between `min_workers` and `max_workers` — surplus workers park on a
@@ -254,24 +258,28 @@ class StreamPipeline {
   using ByteCounter = std::function<std::int64_t(const Out&)>;
 
   /// Raw serializer pair for the spill tier: encode turns an input item
-  /// into the record payload SpillLog stores, decode inverts it on replay.
-  /// Only consulted when StreamOptions::spill_dir is set.
+  /// into the record payload SpillLog stores, decode(seq, bytes) inverts it
+  /// on replay.  Only consulted when StreamOptions::spill_dir is set.
   struct SpillCodec {
     std::function<std::string(const In&)> encode;
-    std::function<In(const std::string&)> decode;
+    std::function<In(std::uint64_t, const std::string&)> decode;
     explicit operator bool() const {
       return static_cast<bool>(encode) && static_cast<bool>(decode);
     }
   };
+  /// Gets the seq of every lost item (see the file comment), on a worker or
+  /// the spill drainer, outside the pipeline's locks.  Must not throw.
+  using LostFn = std::function<void(std::uint64_t)>;
 
   StreamPipeline(const StreamOptions& options, BatchFn transform,
                  ByteCounter payload_bytes, SeqSink sink,
-                 SpillCodec spill_codec = {})
+                 SpillCodec spill_codec = {}, LostFn on_lost = {})
       : options_(detail::normalized_stream_options(options)),
         transform_(std::move(transform)),
         payload_bytes_(std::move(payload_bytes)),
         sink_(std::move(sink)),
         spill_codec_(std::move(spill_codec)),
+        on_lost_(std::move(on_lost)),
         // One shard per pool slot, keyed on the ceiling so an elastic pool
         // born with one live worker still has a shard for every worker it
         // may wake.
@@ -357,25 +365,23 @@ class StreamPipeline {
 
   /// Blocking submit (test/offline use).  With the spill tier enabled this
   /// blocks at most spill_deadline_s before spilling — disk absorbs the
-  /// burst instead of the producer's latency.
-  void submit(In item) {
-    if (spill_) {
-      (void)try_submit(std::move(item));
-      return;
-    }
+  /// burst instead of the producer's latency.  Returns false, as try_submit
+  /// does, when the item was dropped: a refused spill or submit after finish.
+  bool submit(In item) {
+    if (spill_) return try_submit(std::move(item));
     // Wait for space *outside* submit_mutex_: holding it across a blocking
     // push would stall concurrent try_submit callers (the real-time path)
     // behind an offline producer parked on a full intake.
     while (true) {
       {
         std::lock_guard<std::mutex> lock(submit_mutex_);
-        if (push_locked(item)) return;
+        if (push_locked(item)) return true;
       }
       if (!intake_.wait_for_space()) {
         // Intake closed (submit after finish); the item is lost and must
         // show up in the drop count.
         wedges_dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
+        return false;
       }
     }
   }
@@ -660,25 +666,24 @@ class StreamPipeline {
   }
 
   /// Re-inject the oldest spilled item into the intake under its original
-  /// sequence number.  A record that fails to read back or decode is
-  /// accounted like a transform failure — counted and, in ordered mode,
-  /// skipped — so a corrupt spill can never wedge the emit cursor.
+  /// sequence number.  A record that fails to read back or decode takes the
+  /// loss path, so a corrupt spill can never wedge a cursor.
   void replay_one() {
     const auto rec = spill_->pop();
     if (!rec) return;
     if (!rec->ok) {
       NC_LOG_WARN << "spill record for item " << rec->seq
                   << " unreadable, counted as failed";
-      fail_replayed(rec->seq);
+      lose({rec->seq});
       return;
     }
     In value;
     try {
-      value = spill_codec_.decode(rec->payload);
+      value = spill_codec_.decode(rec->seq, rec->payload);
     } catch (const std::exception& e) {
       NC_LOG_WARN << "spill decode failed for item " << rec->seq << ": "
                   << e.what();
-      fail_replayed(rec->seq);
+      lose({rec->seq});
       return;
     }
     // The intake only closes after this thread is joined, so the wait can
@@ -688,16 +693,11 @@ class StreamPipeline {
     Item queued{rec->seq, std::move(value)};
     while (!intake_.try_push(std::move(queued))) {
       if (!intake_.wait_for_space()) {
-        fail_replayed(rec->seq);
+        lose({rec->seq});
         return;
       }
     }
     wedges_replayed_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void fail_replayed(std::uint64_t seq) {
-    wedges_failed_.fetch_add(1, std::memory_order_relaxed);
-    skip_seqs({seq});
   }
 
   void enter_busy() {
@@ -787,12 +787,19 @@ class StreamPipeline {
     reorder_.drain(lock, sink_);
   }
 
-  /// Ordered mode: failed items are gaps that advance the cursor.
-  void skip_seqs(const std::vector<std::uint64_t>& seqs) {
-    if (!options_.ordered || seqs.empty()) return;
-    std::unique_lock<std::mutex> lock(reorder_mutex_);
-    for (const auto seq : seqs) reorder_.put(seq, std::nullopt);
-    reorder_.drain(lock, sink_);
+  /// The one loss path: count `seqs` as failed, gap them in ordered mode,
+  /// then hand each to on_lost outside reorder_mutex_.
+  void lose(const std::vector<std::uint64_t>& seqs) {
+    wedges_failed_.fetch_add(static_cast<std::int64_t>(seqs.size()),
+                             std::memory_order_relaxed);
+    if (options_.ordered) {
+      std::unique_lock<std::mutex> lock(reorder_mutex_);
+      for (const auto seq : seqs) reorder_.put(seq, std::nullopt);
+      reorder_.drain(lock, sink_);
+    }
+    if (on_lost_) {
+      for (const auto seq : seqs) on_lost_(seq);
+    }
   }
 
   void worker_loop(std::size_t worker_index) {
@@ -857,14 +864,12 @@ class StreamPipeline {
         }
       } catch (const std::exception& e) {
         // A poisoned batch must not kill the worker (a dead worker turns
-        // blocking submits into a deadlock) nor stall the ordered sink.
+        // blocking submits into a deadlock) nor stall any cursor.
         transform_ok = false;
         NC_LOG_WARN << "stream worker " << worker_index
                     << ": dropping batch of " << seqs.size()
                     << " items: " << e.what();
-        wedges_failed_.fetch_add(static_cast<std::int64_t>(seqs.size()),
-                                 std::memory_order_relaxed);
-        skip_seqs(seqs);
+        lose(seqs);
       }
       if (transform_ok) {
         // The items are processed whatever the sink does with them, so the
@@ -900,6 +905,7 @@ class StreamPipeline {
   ByteCounter payload_bytes_;
   SeqSink sink_;
   SpillCodec spill_codec_;
+  LostFn on_lost_;
   ShardedQueue<Item> intake_;
 
   // Intake sequencing: the mutex makes seq numbers match submission order.

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -68,6 +70,19 @@ class StallLatch {
   std::condition_variable cv_;
   bool released_ = false;
 };
+
+/// Fresh, empty directory under the gtest temp root, named
+/// `prefix` + the running test (unique per suite instantiation, so parallel
+/// ctest runs never collide).  Not for suites with a `.notopo` twin: the
+/// twin runs the same test at the same time and would empty its directory.
+inline std::string fresh_test_dir(const std::string& prefix) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string(info->test_suite_name()) + "-" + info->name();
+  std::replace(name.begin(), name.end(), '/', '-');
+  const std::string dir = ::testing::TempDir() + prefix + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
 
 /// Poll `pred` in 5 ms steps until it holds or `max_spins` expire; returns
 /// the final pred() so callers can EXPECT_TRUE it.

@@ -50,7 +50,7 @@ IntPipeline::SpillCodec int_spill_codec() {
   return {[](const int& v) {
             return std::string(reinterpret_cast<const char*>(&v), sizeof(int));
           },
-          [](const std::string& s) {
+          [](std::uint64_t, const std::string& s) {
             if (s.size() != sizeof(int)) {
               throw nc::util::SerializeError("spilled int size mismatch");
             }

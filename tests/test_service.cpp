@@ -9,32 +9,43 @@
 /// backs up for certain, not probabilistically.  The scheduler drains
 /// staging concurrently with the fill loops, so overload tests use a
 /// fill-then-tick loop (refill, tick, check) instead of assuming one fill
-/// leaves the queue exactly full.  The concurrency tests at the bottom
-/// (finish / close_session racing in-flight submits) run under TSan in CI
-/// via the suite's `tsan` label.
+/// leaves the queue exactly full.  The concurrency tests (finish /
+/// close_session racing in-flight submits) and the seeded model at the
+/// bottom run under TSan in CI via the suite's `tsan` label.  Tests that
+/// could hang wait on close_session() and finish() under a deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bcae/model.hpp"
 #include "codec/service.hpp"
+#include "codec/spill.hpp"
 #include "codec/wedge_codec.hpp"
 #include "tests/stream_test_utils.hpp"
 
 namespace {
 
+namespace fs = std::filesystem;
 using nc::codec::CompressionService;
 using nc::codec::ServiceOptions;
 using nc::codec::SessionId;
 using nc::codec::SessionOptions;
+using nc::codec::SessionStats;
 using nc::codec::SubmitResult;
 using nc::codec::WedgeCodec;
 using nc::codec::WedgeEnvelope;
@@ -62,6 +73,7 @@ class GatedCodec : public WedgeCodec {
   std::string name() const override { return "gated-" + inner_.name(); }
   std::vector<WedgeEnvelope> compress_batch(
       const std::vector<Tensor>& wedges) const override {
+    entered_.fetch_add(1);
     gate_.wait();
     return inner_.compress_batch(wedges);
   }
@@ -70,10 +82,13 @@ class GatedCodec : public WedgeCodec {
     return inner_.decompress_batch(envelopes);
   }
   void release() const { gate_.release(); }
+  /// compress_batch calls so far, the stalled one included.
+  int entered() const { return entered_.load(); }
 
  private:
   const WedgeCodec& inner_;
   mutable StallLatch gate_;
+  mutable std::atomic<int> entered_{0};
 };
 
 /// Delegating codec that throttles each batch: keeps a backlog standing for
@@ -141,6 +156,38 @@ ServiceOptions manual_options(std::size_t n_workers = 2,
   opt.admission.window = 1;
   opt.admission.cooldown = 0;
   return opt;
+}
+
+/// Runs `call` on the service from a thread of its own and waits at most
+/// 10 s, so a hang fails the test with a message instead of running into
+/// ctest's TIMEOUT.  On timeout the service is leaked on purpose: the stuck
+/// call still uses it, so it can be neither finished nor destroyed.
+template <typename Call>
+auto within_deadline(std::unique_ptr<CompressionService>& service,
+                     const std::string& what, Call call)
+    -> std::optional<decltype(call(*service))> {
+  using Result = decltype(call(*service));
+  std::packaged_task<Result()> task(
+      [svc = service.get(), call] { return call(*svc); });
+  auto result = task.get_future();
+  std::thread(std::move(task)).detach();
+  if (result.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << what << " did not return within 10 s";
+    (void)service.release();
+    return std::nullopt;
+  }
+  return result.get();
+}
+
+std::optional<SessionStats> close_within_deadline(
+    std::unique_ptr<CompressionService>& service, SessionId id) {
+  return within_deadline(
+      service, "close_session(" + std::to_string(id) + ")",
+      [id](CompressionService& s) { return s.close_session(id); });
+}
+
+std::string fresh_spill_dir() {
+  return nc::testutil::fresh_test_dir("nc-service-");
 }
 
 /// Fill the session's staging queue to the brim and admission-tick until the
@@ -519,6 +566,278 @@ TEST(Service, AdmissionTicksFromManyThreads) {
   const auto totals = service.finish();
   EXPECT_EQ(totals.wedges_shed, 0);
   EXPECT_EQ(totals.degradations, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Every outcome reaches its session: losses below the service (a refused
+// spill, a corrupt spill record) settle as `failed` through the route table
+// ---------------------------------------------------------------------------
+
+/// One worker, intake 1, batch 1 and a spill tier: while the worker is
+/// stalled on wedge 0 and wedge 1 waits in the intake, wedges 2..5 go to
+/// the spill tier.
+ServiceOptions spilling_options(const std::string& dir) {
+  auto opt = manual_options(/*n_workers=*/1, /*queue=*/1);
+  opt.pipeline.batch_size = 1;
+  opt.pipeline.spill_dir = dir;
+  return opt;
+}
+
+void submit_six_behind_a_stalled_worker(CompressionService& service,
+                                        SessionId id, const GatedCodec& gated) {
+  ASSERT_EQ(service.submit(id, raw_wedge(0)), SubmitResult::kAccepted);
+  ASSERT_TRUE(spin_until([&] { return gated.entered() == 1; }));
+  for (std::size_t i = 1; i < 6; ++i) {
+    ASSERT_EQ(service.submit(id, raw_wedge(i)), SubmitResult::kAccepted);
+  }
+}
+
+/// The spill segment under `dir` once it holds `n` whole records, else "".
+std::string segment_holding(const std::string& dir, int n) {
+  try {
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      nc::codec::SpillReader reader(entry.path().string());
+      nc::codec::SpillRecord rec;
+      int records = 0;
+      while (reader.next(rec)) ++records;
+      if (records == n) return entry.path().string();
+    }
+  } catch (const std::exception&) {
+    // No directory yet, or a record still being written.
+  }
+  return "";
+}
+
+TEST(Service, RefusedSpillReachesItsSession) {
+  // A one-byte quota refuses every spill, so the pipeline drops wedges
+  // 2..5.  Each drop must settle in the session as failed; otherwise the
+  // session cursor waits for them and close_session() never returns.
+  GatedCodec gated(zfp_codec());
+  const std::string dir = fresh_spill_dir();
+  auto opt = spilling_options(dir);
+  opt.pipeline.spill_max_bytes = 1;
+  auto service = std::make_unique<CompressionService>(opt);
+  const auto id = service->open_session(session(gated, nullptr));
+  submit_six_behind_a_stalled_worker(*service, id, gated);
+  EXPECT_TRUE(
+      spin_until([&] { return service->session_stats(id).failed == 4; }))
+      << "the refused spills never reached the session";
+  gated.release();
+  const auto stats = close_within_deadline(service, id);
+  ASSERT_TRUE(stats);
+  EXPECT_EQ(stats->submitted, 6);
+  EXPECT_EQ(stats->compressed, 2);
+  EXPECT_EQ(stats->failed, 4);
+  const auto totals = service->finish();
+  EXPECT_EQ(totals.pipeline.wedges_dropped, stats->failed);
+  EXPECT_EQ(totals.pipeline.wedges_spilled, 0);
+  fs::remove_all(dir);
+}
+
+TEST(Service, CorruptSpilledRecordReachesItsSession) {
+  // Wedges 2..5 wait on disk; one flipped byte in the last record's CRC
+  // makes its replay fail.  The pipeline loses that wedge, and the loss
+  // must settle in the session as failed.
+  GatedCodec gated(zfp_codec());
+  const std::string dir = fresh_spill_dir();
+  auto service = std::make_unique<CompressionService>(spilling_options(dir));
+  const auto id = service->open_session(session(gated, nullptr));
+  submit_six_behind_a_stalled_worker(*service, id, gated);
+  std::string segment;
+  ASSERT_TRUE(spin_until([&] {
+    segment = segment_holding(dir, 4);
+    return !segment.empty();
+  }));
+  {
+    std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekg(-1, std::ios::end);
+    const char c = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(c ^ 0x40));
+  }
+  gated.release();
+  const auto stats = close_within_deadline(service, id);
+  ASSERT_TRUE(stats);
+  EXPECT_EQ(stats->submitted, 6);
+  EXPECT_EQ(stats->compressed, 5);
+  EXPECT_EQ(stats->failed, 1);
+  const auto totals = service->finish();
+  EXPECT_EQ(totals.pipeline.wedges_spilled, 4);
+  EXPECT_EQ(totals.pipeline.wedges_replayed, 3);
+  EXPECT_EQ(totals.pipeline.wedges_failed, 1);
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded model: every submit ends counted
+// ---------------------------------------------------------------------------
+
+/// Cheap seeded hash for the model's fault decisions.
+bool seeded_hit(std::uint32_t seed, std::uint64_t n, std::uint32_t one_in) {
+  std::uint64_t x = (n + 1) * 0x9E3779B97F4A7C15ull ^ seed;
+  x ^= x >> 29;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 32;
+  return x % one_in == 0;
+}
+
+/// Stand-in codec for the model: a 4-byte envelope per wedge after a short
+/// stall (so the intake backs up and spills), and a throw for a seeded
+/// subset of batches.  Counts the wedges it failed.
+class FlakyCodec : public WedgeCodec {
+ public:
+  FlakyCodec(std::uint8_t id, std::uint32_t seed) : id_(id), seed_(seed) {}
+
+  std::uint8_t codec_id() const override { return id_; }
+  std::string name() const override { return "flaky-" + std::to_string(id_); }
+  std::vector<WedgeEnvelope> compress_batch(
+      const std::vector<Tensor>& wedges) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    if (seeded_hit(seed_ + id_, calls_.fetch_add(1), 5)) {
+      failed_.fetch_add(static_cast<std::int64_t>(wedges.size()));
+      throw std::runtime_error("seeded codec failure");
+    }
+    std::vector<WedgeEnvelope> out(wedges.size());
+    for (auto& env : out) {
+      env.codec_id = id_;
+      env.payload = {1, 2, 3, 4};
+    }
+    return out;
+  }
+  std::vector<Tensor> decompress_batch(
+      const std::vector<WedgeEnvelope>&) const override {
+    throw std::logic_error("FlakyCodec only compresses");
+  }
+  std::int64_t failed() const { return failed_.load(); }
+
+ private:
+  std::uint8_t id_;
+  std::uint32_t seed_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+  mutable std::atomic<std::int64_t> failed_{0};
+};
+
+/// One model session: its sink log and the submits the service answered
+/// kAccepted or kShed (the seqs it consumed).
+struct ModelSession {
+  SessionId id = 0;
+  SinkLog log;
+  std::int64_t offered = 0;
+};
+
+/// The per-session conservation rules, checked on close_session's stats.
+void expect_counted(const SessionStats& stats, const ModelSession& s) {
+  EXPECT_EQ(stats.submitted, s.offered);
+  EXPECT_EQ(stats.submitted, stats.compressed + stats.shed + stats.failed);
+  std::lock_guard<std::mutex> lock(s.log.mutex);
+  EXPECT_EQ(static_cast<std::int64_t>(s.log.seqs.size()), stats.compressed)
+      << "the sink must be called once per compressed wedge";
+  EXPECT_EQ(std::adjacent_find(s.log.seqs.begin(), s.log.seqs.end(),
+                               std::greater_equal<>()),
+            s.log.seqs.end())
+      << "sink seqs must be strictly increasing";
+}
+
+/// One seeded run: up to 200 open / submit / try_submit / close /
+/// admission_tick operations across at most 4 sessions, over 1-2 workers,
+/// a spill quota that refuses some spills, a codec that throws on some
+/// batches and sinks that throw on some calls.
+void run_service_model(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  const FlakyCodec fast(1, seed);
+  const FlakyCodec cheap(2, seed);
+  const std::string dir = fresh_spill_dir();
+  auto opt = manual_options(/*n_workers=*/1 + rng() % 2, /*queue=*/2);
+  opt.pipeline.spill_dir = dir;
+  // A one-element wedge spills as a 40-byte record: room for three.  The
+  // short deadline slows the scheduler, so staging backs up for admission.
+  opt.pipeline.spill_max_bytes = 16 + 3 * 40;
+  opt.pipeline.spill_deadline_s = 0.0002;
+  opt.drr_quantum = 2;
+  auto service = std::make_unique<CompressionService>(opt);
+  const Tensor wedge = Tensor::full({1}, 1.0f);
+
+  std::vector<std::unique_ptr<ModelSession>> open;
+  std::vector<std::unique_ptr<ModelSession>> closed;
+  std::int64_t failed = 0;
+  std::int64_t shed = 0;
+  const auto close_one = [&](std::size_t at) {
+    const auto stats = close_within_deadline(service, open[at]->id);
+    if (!stats) {
+      // The leaked service may still call these sessions' sinks.
+      for (auto& s : open) (void)s.release();
+      return false;
+    }
+    expect_counted(*stats, *open[at]);
+    failed += stats->failed;
+    shed += stats->shed;
+    closed.push_back(std::move(open[at]));
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(at));
+    return true;
+  };
+  // Op mix by kind: 0 open (while fewer than 4), 1-2 submit, 3-7
+  // try_submit, 8 admission_tick, 9 close.
+  const int n_ops = 100 + static_cast<int>(rng() % 101);
+  for (int op = 0; op < n_ops; ++op) {
+    const std::uint32_t kind = rng() % 10;
+    if (open.empty() || (kind == 0 && open.size() < 4)) {
+      auto s = std::make_unique<ModelSession>();
+      SessionOptions sopt;
+      sopt.ladder = {&fast};
+      if (rng() % 2 == 0) sopt.ladder.push_back(&cheap);
+      sopt.queue_capacity = 2 + rng() % 4;
+      const auto nth = static_cast<std::uint32_t>(open.size() + closed.size());
+      sopt.sink = [log = &s->log, key = seed * 64 + nth](std::uint64_t seq,
+                                                         WedgeEnvelope&& env) {
+        log->push(seq, std::move(env));  // recorded before the throw
+        if (seeded_hit(key, seq, 7)) {
+          throw std::runtime_error("seeded sink failure");
+        }
+      };
+      s->id = service->open_session(std::move(sopt));
+      open.push_back(std::move(s));
+      continue;
+    }
+    ModelSession& s = *open[rng() % open.size()];
+    if (kind <= 7) {
+      const auto r = kind <= 2 ? service->submit(s.id, wedge)
+                               : service->try_submit(s.id, wedge);
+      if (r == SubmitResult::kAccepted || r == SubmitResult::kShed) ++s.offered;
+    } else if (kind == 8) {
+      service->admission_tick();
+    } else if (!close_one(rng() % open.size())) {
+      return;
+    }
+  }
+  // Close the rest before finish() on even seeds, after it on odd ones.
+  if (seed % 2 == 0) {
+    while (!open.empty()) {
+      if (!close_one(0)) return;
+    }
+  }
+  const auto totals =
+      within_deadline(service, "finish()",
+                      [](CompressionService& svc) { return svc.finish(); });
+  ASSERT_TRUE(totals);
+  while (!open.empty()) {
+    if (!close_one(0)) return;
+  }
+  const auto& pipe = totals->pipeline;
+  EXPECT_EQ(totals->wedges_scheduled,
+            pipe.wedges_compressed + pipe.wedges_failed + pipe.wedges_dropped);
+  // Every loss below the service reached exactly one session.
+  EXPECT_EQ(failed, pipe.wedges_failed + pipe.wedges_dropped + fast.failed() +
+                        cheap.failed());
+  EXPECT_EQ(shed, totals->wedges_shed);
+  fs::remove_all(dir);
+}
+
+TEST(ServiceModel, EverySubmitEndsCounted) {
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    run_service_model(seed);
+    if (HasFailure()) return;  // report the first failing seed only
+  }
 }
 
 }  // namespace

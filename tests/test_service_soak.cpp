@@ -81,9 +81,9 @@ TEST(ServiceSoak, OverloadDegradesBeforeSheddingAndBoundsSpill) {
   opt.pipeline.queue_capacity = 4;
   opt.pipeline.batch_size = 2;
   opt.pipeline.spill_dir = dir.string();
-  // Generous bound (the quota-exhaustion path itself is covered by the SPIL
-  // format tests; tripping it here would drop wedges and stall session
-  // cursors by design) — the soak asserts the hwm honors it.
+  // Generous bound: a refused spill would settle as a `failed` wedge (that
+  // path is Service.RefusedSpillReachesItsSession's), and this soak expects
+  // failed == 0 — it asserts only that the hwm honors the bound.
   opt.pipeline.spill_max_bytes = std::size_t{256} << 20;
   // Each spilled submit first waits 1 ms for intake space: this throttles
   // the scheduler's drain rate below the firehose's submit rate, so the
@@ -176,8 +176,8 @@ TEST(ServiceSoak, OverloadDegradesBeforeSheddingAndBoundsSpill) {
   }
 
   // Spill stayed bounded and (with a throttled pool and a 4-deep intake)
-  // was actually exercised, round-tripping service items through the
-  // session-tagged spill codec.
+  // was actually exercised, round-tripping service wedges through the
+  // raw-wedge spill record and the route table.
   EXPECT_GT(totals.pipeline.wedges_spilled, 0)
       << "soak never reached the spill tier; overload too weak";
   EXPECT_LE(totals.pipeline.spill_bytes_hwm,

@@ -49,16 +49,7 @@ using nc::testutil::IntPipeline;
 using nc::testutil::raw_wedge;
 using nc::util::SerializeError;
 
-/// Fresh per-test scratch directory under the gtest temp root (unique per
-/// suite instantiation so parallel ctest runs never collide).
-std::string fresh_dir() {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string(info->test_suite_name()) + "-" + info->name();
-  std::replace(name.begin(), name.end(), '/', '-');
-  const std::string dir = ::testing::TempDir() + "nc-spill-" + name;
-  fs::remove_all(dir);
-  return dir;
-}
+std::string fresh_dir() { return nc::testutil::fresh_test_dir("nc-spill-"); }
 
 std::string payload_for(int i) {
   // Variable lengths so offsets aren't accidentally aligned.
@@ -83,7 +74,7 @@ IntPipeline::SpillCodec int_spill_codec() {
   return {[](const int& v) {
             return std::string(reinterpret_cast<const char*>(&v), sizeof(int));
           },
-          [](const std::string& s) {
+          [](std::uint64_t, const std::string& s) {
             if (s.size() != sizeof(int)) {
               throw SerializeError("spilled int payload size mismatch");
             }
@@ -300,21 +291,44 @@ TEST(SpillReader, RoundTripsAKeptSegmentBitExact) {
 }
 
 TEST(SpillReader, TruncatedSegmentThrowsNotUB) {
+  // Cut a kept 6-record segment at every byte offset, as a crash mid-write
+  // would: exactly the records wholly before the cut read back bit-exact; a
+  // cut at the end of the segment header or at a record boundary is a clean
+  // EOF; any other cut, inside the segment header included, throws.
   const std::string dir = fresh_dir();
-  const std::string path = write_kept_segment(dir, 3);
-  // Chop into the last record's CRC; earlier records must still read.
-  fs::resize_file(path, fs::file_size(path) - 2);
-  SpillReader reader(path);
-  SpillRecord rec;
-  ASSERT_TRUE(reader.next(rec));
-  ASSERT_TRUE(reader.next(rec));
-  EXPECT_EQ(rec.payload, payload_for(1));
-  EXPECT_THROW(reader.next(rec), SerializeError);
-
-  // Chop mid-header too (a short write that died between fwrites).
-  fs::resize_file(path, 16 + 5);
-  SpillReader short_reader(path);
-  EXPECT_THROW(short_reader.next(rec), SerializeError);
+  const int n = 6;
+  const std::string whole = file_bytes(write_kept_segment(dir, n));
+  std::vector<std::size_t> ends{16};  // segment header end, then each record's
+  for (int i = 0; i < n; ++i) {
+    ends.push_back(ends.back() + 20 + payload_for(i).size());
+  }
+  ASSERT_EQ(ends.back(), whole.size());
+  const std::string path = dir + "/cut.seg";
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    SCOPED_TRACE("segment cut at byte " + std::to_string(cut));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(whole.data(), static_cast<std::streamsize>(cut));
+    }
+    if (cut < ends.front()) {
+      EXPECT_THROW(SpillReader reader(path), SerializeError);
+      continue;
+    }
+    const auto complete = static_cast<int>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin() - 1);
+    SpillReader reader(path);
+    SpillRecord rec;
+    for (int i = 0; i < complete; ++i) {
+      ASSERT_TRUE(reader.next(rec));
+      EXPECT_EQ(rec.seq, static_cast<std::uint64_t>(i));
+      EXPECT_EQ(rec.payload, payload_for(i));
+    }
+    if (cut == ends[static_cast<std::size_t>(complete)]) {
+      EXPECT_FALSE(reader.next(rec));
+    } else {
+      EXPECT_THROW(reader.next(rec), SerializeError);
+    }
+  }
 }
 
 TEST(SpillReader, FlippedPayloadByteFailsCrc) {
@@ -442,15 +456,12 @@ std::string wedge_body(const std::vector<std::int64_t>& dims,
 }
 
 Tensor read_body(const std::string& bytes) {
-  std::istringstream is(bytes);
-  return nc::codec::read_spilled_wedge(is);
+  return nc::codec::read_spilled_wedge(bytes);
 }
 
 TEST(SpilledWedge, RoundTripsBitExact) {
   const Tensor wedge = raw_wedge(3);
-  std::ostringstream os;
-  nc::codec::write_spilled_wedge(os, wedge);
-  const Tensor back = read_body(os.str());
+  const Tensor back = read_body(nc::codec::write_spilled_wedge(wedge));
   ASSERT_EQ(back.shape(), wedge.shape());
   EXPECT_EQ(std::memcmp(back.data(), wedge.data(),
                         static_cast<std::size_t>(wedge.numel()) * sizeof(float)),
@@ -604,6 +615,69 @@ TEST_P(SpillPipelineIntake, SubmitAfterFinishCountsDroppedNotSpilled) {
   EXPECT_TRUE(!fs::exists(opt.spill_dir) || segment_files(opt.spill_dir).empty());
 }
 
+TEST_P(SpillPipelineIntake, UnreadableAndUndecodableRecordsReachOnLost) {
+  // The one worker stalls on item 0 and item 1 fills the one-slot intake,
+  // so items 2..7 spill.  Item 4's record gets a flipped payload byte and
+  // decode throws for item 6: in both modes the two failed replays take
+  // the loss path, counted once each and handed to on_lost.
+  for (const bool ordered : {true, false}) {
+    SCOPED_TRACE(ordered ? "ordered" : "unordered");
+    StreamOptions opt;
+    opt.queue_capacity = 1;
+    opt.batch_size = 1;
+    opt.n_workers = 1;
+    opt.ordered = ordered;
+    opt.spill_dir = fresh_dir();
+    nc::testutil::StallLatch gate;
+    std::atomic<int> entered{0};
+    nc::testutil::SeqLog emitted;
+    nc::testutil::SeqLog lost;
+    auto codec = int_spill_codec();
+    codec.decode = [decode = codec.decode](std::uint64_t seq,
+                                           const std::string& bytes) {
+      if (seq == 6) throw SerializeError("item 6 does not decode");
+      return decode(seq, bytes);
+    };
+    IntPipeline pipeline(
+        opt,
+        [&](std::vector<int>&& in) {
+          entered.fetch_add(1);
+          gate.wait();
+          return std::move(in);
+        },
+        nullptr, [&](std::uint64_t seq, int&&) { emitted.push(seq); },
+        std::move(codec), [&](std::uint64_t seq) { lost.push(seq); });
+    ASSERT_TRUE(pipeline.try_submit(0));
+    ASSERT_TRUE(nc::testutil::spin_until([&] { return entered.load() == 1; }));
+    for (int i = 1; i < 8; ++i) ASSERT_TRUE(pipeline.try_submit(i));
+    const auto segments = segment_files(opt.spill_dir);
+    ASSERT_EQ(segments.size(), 1u);
+    {
+      // After the 16-byte segment header, each record is 16 header bytes,
+      // a 4-byte int and a CRC; item 4's is the third.
+      const std::streamoff at = 16 + 2 * (16 + 4 + 4) + 16;
+      std::fstream f(segments[0],
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekg(at);
+      const char c = static_cast<char>(f.get());
+      f.seekp(at);
+      f.put(static_cast<char>(c ^ 0x40));
+    }
+    gate.release();
+    const auto stats = pipeline.finish();
+    EXPECT_EQ(stats.wedges_spilled, 6);
+    EXPECT_EQ(stats.wedges_replayed, 4);
+    EXPECT_EQ(stats.wedges_failed, 2);
+    EXPECT_EQ(stats.wedges_compressed, 6);
+    auto lost_seqs = lost.snapshot();
+    std::sort(lost_seqs.begin(), lost_seqs.end());
+    EXPECT_EQ(lost_seqs, (std::vector<std::uint64_t>{4, 6}));
+    auto out = emitted.snapshot();
+    if (!ordered) std::sort(out.begin(), out.end());
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{0, 1, 2, 3, 5, 7}));
+  }
+}
+
 TEST_P(SpillPipelineIntake, KeptSegmentsReplayBitExactAfterClose) {
   // spill_keep retains the segments a finished pipeline spilled; a
   // SpillReader over them must reproduce the exact spilled payloads — the
@@ -635,7 +709,8 @@ TEST_P(SpillPipelineIntake, KeptSegmentsReplayBitExactAfterClose) {
     while (reader.next(rec)) {
       // Seq numbers double as the submitted values here, so the payload
       // must decode to exactly its own seq.
-      EXPECT_EQ(codec.decode(rec.payload), static_cast<int>(rec.seq));
+      EXPECT_EQ(codec.decode(rec.seq, rec.payload),
+                static_cast<int>(rec.seq));
       ++replayed;
     }
   }

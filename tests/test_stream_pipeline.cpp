@@ -27,6 +27,7 @@ namespace {
 using nc::codec::StreamOptions;
 using nc::codec::StreamPipeline;
 using nc::testutil::IntPipeline;
+using nc::testutil::SeqLog;
 using nc::testutil::StallLatch;
 
 /// Transform doubling every item; counts completed (returned) transforms.
@@ -105,34 +106,45 @@ TEST_P(StreamPipelineIntake, OrderedModeEmitsInSubmissionOrder) {
 }
 
 TEST_P(StreamPipelineIntake, ThrowingTransformLandsInFailedAndKeepsWorkersAlive) {
-  StreamOptions opt;
-  opt.queue_capacity = 16;
-  opt.batch_size = 1;  // one victim per failure
-  opt.n_workers = 2;
-  opt.ordered = true;
-  std::vector<std::uint64_t> seqs;
-  IntPipeline pipeline(
-      opt,
-      [](std::vector<int>&& in) {
-        for (const int v : in) {
-          if (v % 5 == 3) throw std::runtime_error("poisoned item");
-        }
-        return std::move(in);
-      },
-      nullptr, [&](std::uint64_t seq, int&&) { seqs.push_back(seq); });
-  const int n = 20;
-  for (int i = 0; i < n; ++i) pipeline.submit(i);
-  const auto stats = pipeline.finish();
-  EXPECT_EQ(stats.wedges_in, n);
-  EXPECT_EQ(stats.wedges_failed, 4);  // 3, 8, 13, 18
-  EXPECT_EQ(stats.wedges_compressed, n - 4);
-  // The ordered cursor advanced past every failed seq: the survivors arrive
-  // in submission order with exactly the poisoned seqs missing.
-  ASSERT_EQ(seqs.size(), static_cast<std::size_t>(n - 4));
-  std::size_t at = 0;
-  for (int i = 0; i < n; ++i) {
-    if (i % 5 == 3) continue;
-    EXPECT_EQ(seqs[at++], static_cast<std::uint64_t>(i));
+  for (const bool ordered : {true, false}) {
+    SCOPED_TRACE(ordered ? "ordered" : "unordered");
+    StreamOptions opt;
+    opt.queue_capacity = 16;
+    opt.batch_size = 1;  // one victim per failure
+    opt.n_workers = 2;
+    opt.ordered = ordered;
+    SeqLog seqs;
+    SeqLog lost;
+    IntPipeline pipeline(
+        opt,
+        [](std::vector<int>&& in) {
+          for (const int v : in) {
+            if (v % 5 == 3) throw std::runtime_error("poisoned item");
+          }
+          return std::move(in);
+        },
+        nullptr, [&](std::uint64_t seq, int&&) { seqs.push(seq); }, {},
+        [&](std::uint64_t seq) { lost.push(seq); });
+    const int n = 20;
+    for (int i = 0; i < n; ++i) pipeline.submit(i);
+    const auto stats = pipeline.finish();
+    EXPECT_EQ(stats.wedges_in, n);
+    EXPECT_EQ(stats.wedges_failed, 4);  // 3, 8, 13, 18
+    EXPECT_EQ(stats.wedges_compressed, n - 4);
+    // Every failed seq reached on_lost exactly once, in both modes.
+    auto lost_seqs = lost.snapshot();
+    std::sort(lost_seqs.begin(), lost_seqs.end());
+    EXPECT_EQ(lost_seqs, (std::vector<std::uint64_t>{3, 8, 13, 18}));
+    // The survivors arrive with exactly the poisoned seqs missing; ordered,
+    // the cursor advanced past every failed seq and kept submission order.
+    auto emitted = seqs.snapshot();
+    if (!ordered) std::sort(emitted.begin(), emitted.end());
+    ASSERT_EQ(emitted.size(), static_cast<std::size_t>(n - 4));
+    std::size_t at = 0;
+    for (int i = 0; i < n; ++i) {
+      if (i % 5 == 3) continue;
+      EXPECT_EQ(emitted[at++], static_cast<std::uint64_t>(i));
+    }
   }
 }
 
